@@ -19,7 +19,6 @@ from kohnmult.groebner import (
     radical_membership,
 )
 from kohnmult.multiplier_core import (
-    CapExceeded,
     Derivation,
     DerivationCertificate,
     DomainError,
@@ -49,7 +48,6 @@ __all__ = [
     "origin_isolated",
     "quotient_dimension",
     "radical_membership",
-    "CapExceeded",
     "Derivation",
     "DerivationCertificate",
     "DomainError",

@@ -24,7 +24,6 @@ from .groebner import (
     standard_monomials,
 )
 from .multiplier_core import (
-    CapExceeded,
     DerivationCertificate,
     DomainError,
     GenericityError,
@@ -310,7 +309,7 @@ def main(argv=None) -> int:
             json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (GenericityError, CapExceeded) as exc:
+    except GenericityError as exc:
         print(f"cap exceeded: {exc}", file=sys.stderr)
         return EXIT_CAP
     except VerificationError as exc:

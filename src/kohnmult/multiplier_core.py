@@ -3,11 +3,15 @@ independent certificate verifier.
 
 A derivation is an append-only list of steps.  Each step names a rule, the
 steps it consumed, the payload polynomial(s) it produced, and the exact
-rational subellipticity order the rule arithmetic assigns.  The verifier
-replays every step from the payload strings alone: it re-derives the
-polynomials, re-checks the membership side conditions (root cofactors are
-replayed by plain multiplication), and re-computes every order, so a
-certificate stands on its own without trusting the code that emitted it.
+rational subellipticity order the rule arithmetic assigns.  `RULES` is the
+single statement of the ten rules: for each, the kind of multiplier it
+yields, the kinds of its inputs, its aux fields, its payload formula, its
+side check and its order arithmetic.  `Derivation` reads the table to emit
+steps, and `certificate_verify` reads it to replay every step from the
+payload strings alone: it re-derives the polynomials, runs the side checks
+(root cofactors are replayed by plain multiplication), and re-computes every
+order, so a certificate stands on its own without trusting the code that
+emitted it.
 
 Scalar multipliers form an ideal: sums with arbitrary polynomial
 coefficients keep the minimum order.  Differentials halve the order.
@@ -15,7 +19,9 @@ Determinants of n vector multipliers keep the minimum.  Roots divide by the
 extracted power.  Pre-multipliers certify only their differential's order;
 constant-coefficient combinations of pre-multipliers (and of scalar
 multipliers, whose differentials count at half their order) stay
-pre-multipliers.
+pre-multipliers.  The rules are those of Kohn, "Subellipticity of the
+d-bar-Neumann problem on pseudo-convex domains: sufficient conditions",
+Acta Math. 142 (1979).
 """
 
 from __future__ import annotations
@@ -23,10 +29,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from kohnmult.polyring import (
-    GaussRat,
     Poly,
     differentiate,
     gradient,
@@ -37,29 +42,10 @@ from kohnmult.polyring import (
 )
 from kohnmult.groebner import groebner_basis
 
-SubellOrder = Fraction
-
 CERT_SCHEMA = "kohn-cert/1"
 
-SCALAR_RULES = frozenset({"det", "root", "combine"})
-VECTOR_RULES = frozenset(
-    {"premultiplier_differential", "differential", "matrix_to_vector",
-     "general_gamma", "assume_vector"}
-)
-PREMULT_RULES = frozenset({"premultiplier", "premultiplier_combine"})
-
-RULE_CITATIONS = {
-    "premultiplier": "defining function as pre-multiplier",
-    "premultiplier_combine": "constant-coefficient combination of pre-multipliers",
-    "premultiplier_differential": "differential of a pre-multiplier",
-    "differential": "differential of a scalar multiplier",
-    "det": "determinant of vector multipliers",
-    "root": "root extraction from ideal membership",
-    "combine": "holomorphic-coefficient combination of multipliers",
-    "matrix_to_vector": "matrix multiplier contracted to a vector multiplier",
-    "general_gamma": "generalized matrix contraction to a vector multiplier",
-    "assume_vector": "assumed vector multiplier (hypothesis)",
-}
+# kinds of multiplier a step yields
+SCALAR, VECTOR, PREMULT = "scalar", "vector", "pre-multiplier"
 
 
 def order_str(x: Fraction) -> str:
@@ -78,12 +64,12 @@ class GenericityError(RuntimeError):
     """A seeded search ran out of retry budget before finding admissible data."""
 
 
-class CapExceeded(RuntimeError):
-    """A declared search cap was hit; the partial outcome is in the message."""
-
-
 class VerificationError(RuntimeError):
     """An exact identity the derivation depends on failed to hold."""
+
+
+class RuleError(ValueError):
+    """A step breaks its rule; the message says how."""
 
 
 @dataclass(frozen=True)
@@ -156,6 +142,11 @@ class MatrixMultiplier:
     def size(self) -> int:
         return len(self.entries)
 
+    @property
+    def rows(self) -> list:
+        return [VectorMultiplier(tuple(r), w, s)
+                for r, w, s in zip(self.entries, self.row_orders, self.row_steps)]
+
 
 @dataclass(frozen=True)
 class Step:
@@ -195,7 +186,7 @@ class DerivationCertificate:
             inputs=tuple(inputs),
             payload=tuple(payload),
             order=order,
-            paper_ref=RULE_CITATIONS[rule],
+            paper_ref=RULES[rule].cite,
             aux=aux or {},
         )
         self.steps.append(step)
@@ -254,25 +245,37 @@ class Derivation:
     def _s(self, p: Poly) -> str:
         return poly_to_string(p, self.domain.variables)
 
-    def _vec(self, form) -> list:
-        return [self._s(c) for c in form]
+    def _apply(self, name, ms, aux=None, payload=None, order=None):
+        """Log one step of rule `name` on the input multipliers `ms` and
+        return the multiplier it yields.  Payload and order come from the
+        rule's entry unless the rule leaves them to the caller."""
+        rule = RULES[name]
+        ins = [_input(m) for m in ms]
+        rule.check_inputs(self.domain.nvars, ins)
+        aux = aux or {}
+        if payload is None:
+            payload = rule.payload(self.domain, ins, aux)
+        if order is None:
+            order = rule.order(ins, aux)
+        step = self.cert.add(
+            name,
+            [i.step for i in ins],
+            [self._s(p) for p in payload],
+            order,
+            aux={k: _render(aux[k], self._s) for k in rule.aux},
+        )
+        if rule.kind == VECTOR:
+            return VectorMultiplier(tuple(payload), order, step.id)
+        kind = ScalarMultiplier if rule.kind == SCALAR else PreMultiplier
+        return kind(payload[0], order, step.id)
 
     # -- rules --------------------------------------------------------------
 
     def init_premultipliers(self) -> list:
         """Record every defining function as a pre-multiplier whose
         differential carries order 1/4."""
-        out = []
-        for j, g in enumerate(self.domain.generators):
-            step = self.cert.add(
-                "premultiplier",
-                [],
-                [self._s(g)],
-                Fraction(1, 4),
-                aux={"generator_index": j},
-            )
-            out.append(PreMultiplier(g, Fraction(1, 4), step.id))
-        return out
+        return [self._apply("premultiplier", [], {"generator_index": j})
+                for j in range(len(self.domain.generators))]
 
     def premultiplier_combine(self, coeffs, inputs) -> PreMultiplier:
         """Constant-coefficient combination; scalar-multiplier inputs
@@ -280,54 +283,17 @@ class Derivation:
         if len(coeffs) != len(inputs):
             raise ValueError("one coefficient per input")
         nv = self.domain.nvars
-        acc = Poly.zero(nv)
-        contributions = []
-        ids = []
-        cstrs = []
-        for c, m in zip(coeffs, inputs):
-            if not isinstance(c, GaussRat):
-                c = GaussRat(c)
-            if isinstance(m, PreMultiplier):
-                contributions.append(m.differential_order)
-                acc = acc + m.poly.scale(c)
-            elif isinstance(m, ScalarMultiplier):
-                contributions.append(m.order / 2)
-                acc = acc + m.poly.scale(c)
-            else:
-                raise TypeError("inputs must be pre- or scalar multipliers")
-            ids.append(m.step)
-            cstrs.append(self._s(Poly.const(nv, c)))
-        order = min(contributions)
-        step = self.cert.add(
-            "premultiplier_combine", ids, [self._s(acc)], order, aux={"coeffs": cstrs}
-        )
-        return PreMultiplier(acc, order, step.id)
+        return self._apply("premultiplier_combine", inputs,
+                           {"coeffs": [Poly.const(nv, c) for c in coeffs]})
 
     def rule_premultiplier_differential(self, pm: PreMultiplier) -> VectorMultiplier:
-        form = gradient(pm.poly)
-        step = self.cert.add(
-            "premultiplier_differential",
-            [pm.step],
-            self._vec(form),
-            pm.differential_order,
-        )
-        return VectorMultiplier(form, pm.differential_order, step.id)
+        return self._apply("premultiplier_differential", [pm])
 
     def rule_differential(self, f: ScalarMultiplier) -> VectorMultiplier:
-        form = gradient(f.poly)
-        order = f.order / 2
-        step = self.cert.add("differential", [f.step], self._vec(form), order)
-        return VectorMultiplier(form, order, step.id)
+        return self._apply("differential", [f])
 
     def rule_det(self, thetas) -> ScalarMultiplier:
-        n = self.domain.nvars
-        if len(thetas) != n:
-            raise ValueError(f"determinant rule needs exactly {n} vector multipliers")
-        rows = [list(t.form) for t in thetas]
-        d = poly_matrix_det(rows)
-        order = min(t.order for t in thetas)
-        step = self.cert.add("det", [t.step for t in thetas], [self._s(d)], order)
-        return ScalarMultiplier(d, order, step.id)
+        return self._apply("det", thetas)
 
     def rule_jacobian_of_premultipliers(self, gs) -> ScalarMultiplier:
         """Differentiate each pre-multiplier, then take the determinant."""
@@ -340,8 +306,6 @@ class Derivation:
         verifier can replay the identity by multiplication alone."""
         if m < 1:
             raise ValueError("root exponent must be >= 1")
-        if not known:
-            raise ValueError("root rule needs at least one known multiplier")
         gb = groebner_basis([k.poly for k in known], provenance=True)
         cofs, rem = gb.cofactors(f ** m)
         if not rem.is_zero():
@@ -349,40 +313,18 @@ class Derivation:
                 f"root rule rejected: payload^{m} is not in the ideal of the "
                 "known multipliers"
             )
-        order = min(k.order for k in known) / m
-        step = self.cert.add(
-            "root",
-            [k.step for k in known],
-            [self._s(f)],
-            order,
-            aux={"m": m, "cofactors": [self._s(c) for c in cofs]},
-        )
-        return ScalarMultiplier(f, order, step.id)
+        return self._apply("root", known, {"m": m, "cofactors": cofs}, payload=[f])
 
     def rule_combine(self, coeffs, ms) -> ScalarMultiplier:
         """Polynomial-coefficient combination of scalar multipliers."""
         if len(coeffs) != len(ms):
             raise ValueError("one coefficient per multiplier")
-        nv = self.domain.nvars
-        acc = Poly.zero(nv)
-        for c, m in zip(coeffs, ms):
-            acc = acc + c * m.poly
-        order = min(m.order for m in ms)
-        step = self.cert.add(
-            "combine",
-            [m.step for m in ms],
-            [self._s(acc)],
-            order,
-            aux={"coeffs": [self._s(c) for c in coeffs]},
-        )
-        return ScalarMultiplier(acc, order, step.id)
+        return self._apply("combine", ms, {"coeffs": list(coeffs)})
 
     def rule_assume_vector(self, form, order: Fraction) -> VectorMultiplier:
         """Record a vector multiplier as a hypothesis (used for matrix rows
         whose multiplier property is an assumption, not a derivation)."""
-        form = tuple(form)
-        step = self.cert.add("assume_vector", [], self._vec(form), order)
-        return VectorMultiplier(form, order, step.id)
+        return self._apply("assume_vector", [], payload=tuple(form), order=order)
 
     def assume_matrix(self, entries, row_orders) -> MatrixMultiplier:
         rows = []
@@ -396,15 +338,7 @@ class Derivation:
 
     def rule_matrix_to_vector(self, a: MatrixMultiplier) -> VectorMultiplier:
         """b_j = sum_{p,l} adj(a)_{pl} * d_p a_{lj}; order = (min row)/2."""
-        n = self.domain.nvars
-        if a.size != n:
-            raise ValueError("matrix multiplier must be n x n over the n variables")
-        b = matrix_to_vector_form(a.entries)
-        order = min(a.row_orders) / 2
-        step = self.cert.add(
-            "matrix_to_vector", list(a.row_steps), self._vec(b), order
-        )
-        return VectorMultiplier(tuple(b), order, step.id)
+        return self._apply("matrix_to_vector", a.rows)
 
     def rule_general_gamma(self, Gamma, A, a: MatrixMultiplier, alpha: ScalarMultiplier) -> VectorMultiplier:
         """b_j = sum_{p,k,l} Gamma_{pk} A_{kl} d_p a_{lj}, requiring the
@@ -413,19 +347,7 @@ class Derivation:
         if a.size != n or len(Gamma) != n or len(A) != n:
             raise ValueError("all matrices must be n x n")
         check_gamma_hypothesis(A, a.entries, alpha.poly)
-        b = general_gamma_form(Gamma, A, a.entries)
-        order = min(min(a.row_orders), alpha.order) / 2
-        step = self.cert.add(
-            "general_gamma",
-            list(a.row_steps) + [alpha.step],
-            self._vec(b),
-            order,
-            aux={
-                "gamma": [[self._s(x) for x in row] for row in Gamma],
-                "A": [[self._s(x) for x in row] for row in A],
-            },
-        )
-        return VectorMultiplier(tuple(b), order, step.id)
+        return self._apply("general_gamma", a.rows + [alpha], {"gamma": Gamma, "A": A})
 
 
 def matrix_to_vector_form(entries) -> list:
@@ -472,9 +394,216 @@ def check_gamma_hypothesis(A, entries, alpha: Poly):
                 acc = acc + A[j][ell] * entries[ell][k]
             want = alpha if j == k else Poly.zero(nv)
             if acc != want:
-                raise ValueError(
+                raise RuleError(
                     f"hypothesis A*a = alpha*I fails at entry ({j + 1},{k + 1})"
                 )
+
+
+# ---------------------------------------------------------------------------
+# the rule table
+
+
+class _In(NamedTuple):
+    """A rule input as the emitter and the verifier both see it."""
+
+    kind: str
+    polys: tuple
+    order: Fraction
+    step: int
+
+
+def _input(m) -> _In:
+    if isinstance(m, PreMultiplier):
+        return _In(PREMULT, (m.poly,), m.differential_order, m.step)
+    if isinstance(m, ScalarMultiplier):
+        return _In(SCALAR, (m.poly,), m.order, m.step)
+    if isinstance(m, VectorMultiplier):
+        return _In(VECTOR, tuple(m.form), m.order, m.step)
+    raise TypeError(f"{type(m).__name__} is not a multiplier")
+
+
+# aux field readers: read(value, parse, n, k) checks and parses the JSON value
+# of a step with k inputs over n variables, raising RuleError
+
+def _integer(least: int):
+    def read(v, parse, n, k):
+        if not isinstance(v, int) or v < least:
+            raise RuleError(f"must be an integer >= {least}")
+        return v
+
+    return read
+
+
+def _per_input(constant: bool = False):
+    def read(v, parse, n, k):
+        if not isinstance(v, list) or len(v) != k:
+            raise RuleError("must list one polynomial per input")
+        ps = [parse(s) for s in v]
+        if constant and not all(p.is_constant() for p in ps):
+            raise RuleError("must list constants")
+        return ps
+
+    return read
+
+
+def _square(v, parse, n, k):
+    if not isinstance(v, list) or len(v) != n or any(
+        not isinstance(row, list) or len(row) != n for row in v
+    ):
+        raise RuleError("must be an n x n matrix of polynomials")
+    return [[parse(s) for s in row] for row in v]
+
+
+def _render(v, show):
+    """An emitter's aux value as JSON: polynomials through `show`."""
+    if isinstance(v, Poly):
+        return show(v)
+    if isinstance(v, (list, tuple)):
+        return [_render(x, show) for x in v]
+    return v
+
+
+@dataclass(frozen=True)
+class Rule:
+    """One derivation rule.
+
+    `inputs(n, k)` lists, for a step with k inputs over n variables, the
+    kinds each input may have.  `aux` maps each aux field to its reader.
+    `payload(domain, ins, aux)` is the payload formula; None means the step
+    states its payload.  `check(domain, ins, aux, payload)` is the side
+    check, raising RuleError.  `order(ins, aux)` is the order arithmetic;
+    None means the step states its order as a hypothesis.
+    """
+
+    cite: str
+    kind: str
+    inputs: Callable
+    payload: Callable | None = None
+    order: Callable | None = None
+    aux: dict = field(default_factory=dict)
+    check: Callable | None = None
+
+    def check_inputs(self, n: int, ins) -> None:
+        want = self.inputs(n, len(ins))
+        if len(ins) != len(want):
+            raise RuleError(f"needs {len(want)} input(s), got {len(ins)}")
+        for i, kinds in zip(ins, want):
+            if i.kind not in kinds:
+                raise RuleError(
+                    f"input step {i.step} is a {i.kind} multiplier, "
+                    f"not a {' or '.join(kinds)} one"
+                )
+
+
+def _min(ins) -> Fraction:
+    return min(i.order for i in ins)
+
+
+def _sum(nvars: int, polys) -> Poly:
+    return sum(polys, Poly.zero(nvars))
+
+
+def _generator_index(dom, ins, aux, payload):
+    if aux["generator_index"] >= len(dom.generators):
+        raise RuleError("premultiplier step lacks a valid generator index")
+
+
+def _root_identity(dom, ins, aux, payload):
+    acc = _sum(dom.nvars, (c * i.polys[0] for c, i in zip(aux["cofactors"], ins)))
+    if payload[0] ** aux["m"] != acc:
+        raise RuleError("cofactor identity payload^m = sum(c_i * g_i) fails")
+
+
+def _gamma_hypothesis(dom, ins, aux, payload):
+    check_gamma_hypothesis(aux["A"], [i.polys for i in ins[:-1]], ins[-1].polys[0])
+
+
+RULES = {
+    "premultiplier": Rule(
+        cite="defining function as pre-multiplier",
+        kind=PREMULT,
+        inputs=lambda n, k: [],
+        aux={"generator_index": _integer(0)},
+        payload=lambda dom, ins, aux: [dom.generators[aux["generator_index"]]],
+        check=_generator_index,
+        order=lambda ins, aux: Fraction(1, 4),
+    ),
+    "premultiplier_combine": Rule(
+        cite="constant-coefficient combination of pre-multipliers",
+        kind=PREMULT,
+        inputs=lambda n, k: [(PREMULT, SCALAR)] * max(k, 1),
+        aux={"coeffs": _per_input(constant=True)},
+        payload=lambda dom, ins, aux: [_sum(dom.nvars, (
+            i.polys[0].scale(c.constant_value()) for c, i in zip(aux["coeffs"], ins)
+        ))],
+        # a scalar multiplier contributes its differential's order
+        order=lambda ins, aux: min(i.order if i.kind == PREMULT else i.order / 2 for i in ins),
+    ),
+    "premultiplier_differential": Rule(
+        cite="differential of a pre-multiplier",
+        kind=VECTOR,
+        inputs=lambda n, k: [(PREMULT,)],
+        payload=lambda dom, ins, aux: gradient(ins[0].polys[0]),
+        order=lambda ins, aux: ins[0].order,
+    ),
+    "differential": Rule(
+        cite="differential of a scalar multiplier",
+        kind=VECTOR,
+        inputs=lambda n, k: [(SCALAR,)],
+        payload=lambda dom, ins, aux: gradient(ins[0].polys[0]),
+        order=lambda ins, aux: ins[0].order / 2,
+    ),
+    "det": Rule(
+        cite="determinant of vector multipliers",
+        kind=SCALAR,
+        inputs=lambda n, k: [(VECTOR,)] * n,
+        payload=lambda dom, ins, aux: [poly_matrix_det([i.polys for i in ins])],
+        order=lambda ins, aux: _min(ins),
+    ),
+    "root": Rule(
+        cite="root extraction from ideal membership",
+        kind=SCALAR,
+        inputs=lambda n, k: [(SCALAR,)] * max(k, 1),
+        aux={"m": _integer(1), "cofactors": _per_input()},
+        check=_root_identity,
+        order=lambda ins, aux: _min(ins) / aux["m"],
+    ),
+    "combine": Rule(
+        cite="holomorphic-coefficient combination of multipliers",
+        kind=SCALAR,
+        inputs=lambda n, k: [(SCALAR,)] * max(k, 1),
+        aux={"coeffs": _per_input()},
+        payload=lambda dom, ins, aux: [_sum(dom.nvars, (
+            c * i.polys[0] for c, i in zip(aux["coeffs"], ins)
+        ))],
+        order=lambda ins, aux: _min(ins),
+    ),
+    "matrix_to_vector": Rule(
+        cite="matrix multiplier contracted to a vector multiplier",
+        kind=VECTOR,
+        inputs=lambda n, k: [(VECTOR,)] * n,
+        payload=lambda dom, ins, aux: matrix_to_vector_form([i.polys for i in ins]),
+        order=lambda ins, aux: _min(ins) / 2,
+    ),
+    "general_gamma": Rule(
+        cite="generalized matrix contraction to a vector multiplier",
+        kind=VECTOR,
+        inputs=lambda n, k: [(VECTOR,)] * n + [(SCALAR,)],
+        aux={"gamma": _square, "A": _square},
+        payload=lambda dom, ins, aux: general_gamma_form(
+            aux["gamma"], aux["A"], [i.polys for i in ins[:-1]]
+        ),
+        check=_gamma_hypothesis,
+        order=lambda ins, aux: _min(ins) / 2,
+    ),
+    # payload and order are the hypothesis; the range check every step
+    # gets, orders in (0, 1], bounds it
+    "assume_vector": Rule(
+        cite="assumed vector multiplier (hypothesis)",
+        kind=VECTOR,
+        inputs=lambda n, k: [],
+    ),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -499,10 +628,11 @@ def _fail(step_id, reason):
 def certificate_verify(cert: DerivationCertificate, domain: SpecialDomain) -> VerifyResult:
     """Replay a certificate against a domain from its serialized payloads.
 
-    Checks, per step: id topology, input kinds, exact payload recomputation,
-    side conditions (root cofactor identities by multiplication), and exact
-    order arithmetic.  Returns the first failure, or the final order plus
-    the list of assumption steps on success.
+    Checks, per step and from the step's `RULES` entry: id topology, input
+    kinds and arity, typed aux fields, exact payload recomputation, the side
+    check (root cofactor identities by multiplication), and exact order
+    arithmetic.  Returns the first failure, or the final order plus the list
+    of assumption steps on success.
     """
     vs = domain.variables
     n = domain.nvars
@@ -517,187 +647,57 @@ def certificate_verify(cert: DerivationCertificate, domain: SpecialDomain) -> Ve
         return _fail(None, "certificate has no steps")
 
     def parse(s):
-        return parse_poly(s, vs)
+        if not isinstance(s, str):
+            raise RuleError(f"expected a polynomial string, got {type(s).__name__}")
+        try:
+            return parse_poly(s, vs)
+        except ValueError as e:
+            raise RuleError(f"parse error: {e}") from None
 
-    polys: dict[int, list] = {}
+    polys: dict[int, tuple] = {}
     assumptions = []
 
     for pos, st in enumerate(cert.steps):
-        if st.id != pos:
-            return _fail(st.id, "step ids must be consecutive from 0")
-        for i in st.inputs:
-            if not 0 <= i < pos:
-                return _fail(st.id, f"input {i} does not precede this step")
+        rule = RULES.get(st.rule) if isinstance(st.rule, str) else None
         try:
-            payload = [parse(s) for s in st.payload]
-        except ValueError as e:
-            return _fail(st.id, f"payload parse error: {e}")
-        polys[st.id] = payload
-        ins = [cert.steps[i] for i in st.inputs]
-
-        if st.rule == "premultiplier":
-            j = st.aux.get("generator_index")
-            if not isinstance(j, int) or not 0 <= j < len(domain.generators):
-                return _fail(st.id, "premultiplier step lacks a valid generator index")
-            if len(payload) != 1 or payload[0] != domain.generators[j]:
-                return _fail(st.id, "payload is not the indexed defining function")
-            if st.order != Fraction(1, 4):
-                return _fail(st.id, "pre-multiplier differential order must be 1/4")
-
-        elif st.rule == "premultiplier_combine":
-            cs = st.aux.get("coeffs")
-            if not isinstance(cs, list) or len(cs) != len(ins):
-                return _fail(st.id, "coefficient list does not match inputs")
-            if len(payload) != 1:
-                return _fail(st.id, "combination payload must be a single polynomial")
-            acc = Poly.zero(n)
-            contributions = []
-            for cstr, inp in zip(cs, ins):
+            if st.id != pos:
+                raise RuleError("step ids must be consecutive from 0")
+            for i in st.inputs:
+                if not 0 <= i < pos:
+                    raise RuleError(f"input {i} does not precede this step")
+            if rule is None:
+                raise RuleError(f"unknown rule {st.rule!r}")
+            try:
+                payload = polys[pos] = tuple(parse(s) for s in st.payload)
+            except RuleError as e:
+                raise RuleError(f"payload {e}") from None
+            ins = [
+                _In(RULES[cert.steps[i].rule].kind, polys[i], cert.steps[i].order, i)
+                for i in st.inputs
+            ]
+            rule.check_inputs(n, ins)
+            if len(payload) != (n if rule.kind == VECTOR else 1):
+                raise RuleError(f"payload has the wrong arity for a {rule.kind} multiplier")
+            if not isinstance(st.aux, dict):
+                raise RuleError("aux must be an object")
+            aux = {}
+            for name, read in rule.aux.items():
                 try:
-                    c = parse(cstr)
-                except ValueError as e:
-                    return _fail(st.id, f"coefficient parse error: {e}")
-                if not c.is_constant():
-                    return _fail(st.id, "pre-multiplier combinations need constant coefficients")
-                if inp.rule in PREMULT_RULES:
-                    contributions.append(inp.order)
-                elif inp.rule in SCALAR_RULES:
-                    contributions.append(inp.order / 2)
-                else:
-                    return _fail(st.id, f"input step {inp.id} is not scalar-valued")
-                acc = acc + polys[inp.id][0].scale(c.constant_value())
-            if acc != payload[0]:
-                return _fail(st.id, "combination payload does not match inputs")
-            if st.order != min(contributions):
-                return _fail(st.id, "combination order is not the minimum contribution")
-
-        elif st.rule == "premultiplier_differential":
-            if len(ins) != 1 or ins[0].rule not in PREMULT_RULES:
-                return _fail(st.id, "needs exactly one pre-multiplier input")
-            grad = gradient(polys[ins[0].id][0])
-            if len(payload) != n or any(a != b for a, b in zip(payload, grad)):
-                return _fail(st.id, "payload is not the gradient of the input")
-            if st.order != ins[0].order:
-                return _fail(st.id, "differential of a pre-multiplier keeps its order")
-
-        elif st.rule == "differential":
-            if len(ins) != 1 or ins[0].rule not in SCALAR_RULES:
-                return _fail(st.id, "needs exactly one scalar-multiplier input")
-            grad = gradient(polys[ins[0].id][0])
-            if len(payload) != n or any(a != b for a, b in zip(payload, grad)):
-                return _fail(st.id, "payload is not the gradient of the input")
-            if st.order != ins[0].order / 2:
-                return _fail(st.id, "differential order must be half the input order")
-
-        elif st.rule == "det":
-            if len(ins) != n:
-                return _fail(st.id, f"det needs exactly {n} vector inputs")
-            if any(i.rule not in VECTOR_RULES for i in ins):
-                return _fail(st.id, "det inputs must be vector multipliers")
-            rows = [polys[i.id] for i in ins]
-            if any(len(r) != n for r in rows):
-                return _fail(st.id, "vector input of wrong arity")
-            d = poly_matrix_det(rows)
-            if len(payload) != 1 or payload[0] != d:
-                return _fail(st.id, "payload is not the determinant of the input rows")
-            if st.order != min(i.order for i in ins):
-                return _fail(st.id, "det order must be the minimum input order")
-
-        elif st.rule == "root":
-            m = st.aux.get("m")
-            cofs = st.aux.get("cofactors")
-            if not isinstance(m, int) or m < 1:
-                return _fail(st.id, "root step lacks a valid exponent")
-            if not isinstance(cofs, list) or len(cofs) != len(ins):
-                return _fail(st.id, "cofactor list does not match inputs")
-            if not ins or any(i.rule not in SCALAR_RULES for i in ins):
-                return _fail(st.id, "root inputs must be scalar multipliers")
-            if len(payload) != 1:
-                return _fail(st.id, "root payload must be a single polynomial")
-            try:
-                cof_polys = [parse(c) for c in cofs]
-            except ValueError as e:
-                return _fail(st.id, f"cofactor parse error: {e}")
-            acc = Poly.zero(n)
-            for c, i in zip(cof_polys, ins):
-                acc = acc + c * polys[i.id][0]
-            if payload[0] ** m != acc:
-                return _fail(st.id, "cofactor identity payload^m = sum(c_i * g_i) fails")
-            if st.order != min(i.order for i in ins) / m:
-                return _fail(st.id, "root order must be min(input orders)/m")
-
-        elif st.rule == "combine":
-            cs = st.aux.get("coeffs")
-            if not isinstance(cs, list) or len(cs) != len(ins):
-                return _fail(st.id, "coefficient list does not match inputs")
-            if not ins or any(i.rule not in SCALAR_RULES for i in ins):
-                return _fail(st.id, "combine inputs must be scalar multipliers")
-            if len(payload) != 1:
-                return _fail(st.id, "combine payload must be a single polynomial")
-            try:
-                cpolys = [parse(c) for c in cs]
-            except ValueError as e:
-                return _fail(st.id, f"coefficient parse error: {e}")
-            acc = Poly.zero(n)
-            for c, i in zip(cpolys, ins):
-                acc = acc + c * polys[i.id][0]
-            if acc != payload[0]:
-                return _fail(st.id, "combination payload does not match inputs")
-            if st.order != min(i.order for i in ins):
-                return _fail(st.id, "combine order must be the minimum input order")
-
-        elif st.rule == "assume_vector":
-            if len(payload) != n:
-                return _fail(st.id, "assumed vector has wrong arity")
-            if st.order <= 0 or st.order > 1:
-                return _fail(st.id, "order must be a rational in (0, 1]")
+                    aux[name] = read(st.aux.get(name), parse, n, len(ins))
+                except RuleError as e:
+                    raise RuleError(f"aux {name!r}: {e}") from None
+            if rule.check is not None:
+                rule.check(domain, ins, aux, payload)
+            if rule.payload is not None and payload != tuple(rule.payload(domain, ins, aux)):
+                raise RuleError(f"payload does not match the {st.rule} formula")
+            if rule.order is not None and st.order != rule.order(ins, aux):
+                raise RuleError(f"order does not match the {st.rule} order arithmetic")
+            if not (0 < st.order <= 1):
+                raise RuleError("orders must lie in (0, 1]")
+        except RuleError as e:
+            return _fail(st.id, str(e))
+        if rule.order is None:
             assumptions.append(st.id)
-
-        elif st.rule == "matrix_to_vector":
-            if len(ins) != n or any(i.rule not in VECTOR_RULES for i in ins):
-                return _fail(st.id, f"needs exactly {n} vector-multiplier rows")
-            rows = [polys[i.id] for i in ins]
-            if any(len(r) != n for r in rows):
-                return _fail(st.id, "row of wrong arity")
-            b = matrix_to_vector_form([tuple(r) for r in rows])
-            if len(payload) != n or any(x != y for x, y in zip(payload, b)):
-                return _fail(st.id, "payload does not match the adjugate contraction")
-            if st.order != min(i.order for i in ins) / 2:
-                return _fail(st.id, "order must be half the minimum row order")
-
-        elif st.rule == "general_gamma":
-            if len(ins) != n + 1:
-                return _fail(st.id, f"needs {n} rows plus one scalar input")
-            row_ins, alpha_in = ins[:-1], ins[-1]
-            if any(i.rule not in VECTOR_RULES for i in row_ins):
-                return _fail(st.id, "rows must be vector multipliers")
-            if alpha_in.rule not in SCALAR_RULES:
-                return _fail(st.id, "last input must be a scalar multiplier")
-            try:
-                Gamma = [[parse(x) for x in row] for row in st.aux.get("gamma", [])]
-                A = [[parse(x) for x in row] for row in st.aux.get("A", [])]
-            except ValueError as e:
-                return _fail(st.id, f"matrix parse error: {e}")
-            if len(Gamma) != n or len(A) != n:
-                return _fail(st.id, "gamma and A must be n x n")
-            entries = [tuple(polys[i.id]) for i in row_ins]
-            alpha = polys[alpha_in.id][0]
-            try:
-                check_gamma_hypothesis(A, entries, alpha)
-            except ValueError as e:
-                return _fail(st.id, str(e))
-            b = general_gamma_form(Gamma, A, entries)
-            if len(payload) != n or any(x != y for x, y in zip(payload, b)):
-                return _fail(st.id, "payload does not match the contraction formula")
-            want = min(min(i.order for i in row_ins), alpha_in.order) / 2
-            if st.order != want:
-                return _fail(st.id, "order must be half of min(row orders, alpha order)")
-
-        else:
-            return _fail(st.id, f"unknown rule {st.rule!r}")
-
-        if not (0 < st.order <= 1):
-            return _fail(st.id, "orders must lie in (0, 1]")
 
     return VerifyResult(
         True,

@@ -1,15 +1,22 @@
 """Derivation rules, order bookkeeping, and certificate replay."""
 
+import functools
+import hashlib
 import json
 from fractions import Fraction
 
 import pytest
 
+from kohnmult import cli
+from kohnmult.catlin_dangelo import CDParams, run_effective_chain
+from kohnmult.kohn_effective3d import run_effective3d
 from kohnmult.polyring import Poly, gr, parse_poly
 from kohnmult.multiplier_core import (
+    RULES,
     Derivation,
     DerivationCertificate,
     DomainError,
+    ScalarMultiplier,
     SpecialDomain,
     certificate_verify,
     matrix_to_vector_form,
@@ -285,3 +292,129 @@ def test_steps_carry_descriptive_citations():
 def test_order_string_round_trip():
     for f in (Fraction(1, 4), Fraction(3, 1024), Fraction(7)):
         assert parse_order(order_str(f)) == f
+
+
+# -- the rule table ----------------------------------------------------------
+
+@functools.lru_cache(maxsize=None)
+def _all_rules_text():
+    """The CD(2,3,5) chain followed by an assumed diagonal matrix, its
+    adjugate contraction and a general_gamma step: all ten rules."""
+    cert = run_effective_chain(CDParams(2, 3, 5)).certificate
+    der = Derivation(cert.domain)
+    der.cert = cert
+    one = ScalarMultiplier(Poly.one(2), cert.final.order, cert.final.id)
+    zero = Poly.zero(2)
+    a = der.assume_matrix(
+        ((_p("z1"), zero), (zero, _p("z2"))), (Fraction(1, 4), Fraction(1, 4))
+    )
+    der.rule_matrix_to_vector(a)
+    alpha = der.rule_combine([_p("z1*z2")], [one])
+    der.rule_general_gamma(
+        ((Poly.one(2), zero), (zero, Poly.one(2))),
+        ((_p("z2"), zero), (zero, _p("z1"))),
+        a,
+        alpha,
+    )
+    return json.dumps(cert.to_json())
+
+
+def _all_rules():
+    data = json.loads(_all_rules_text())
+    dom = SpecialDomain.from_strings(
+        data["domain"]["variables"], data["domain"]["generators"]
+    )
+    return dom, data
+
+
+def _replay(dom, data):
+    return certificate_verify(DerivationCertificate.from_json(data), dom)
+
+
+def test_all_rules_certificate_verifies():
+    dom, data = _all_rules()
+    assert {s["rule"] for s in data["steps"]} == set(RULES)
+    res = _replay(dom, data)
+    assert res.ok, res.reason
+    assert len(res.assumptions) == 2
+
+
+@pytest.mark.parametrize("rule", sorted(RULES))
+def test_tampered_step_is_rejected_at_that_step(rule):
+    dom, data = _all_rules()
+    victims = [s["id"] for s in data["steps"] if s["rule"] == rule]
+    assert victims, f"no {rule} step in the all-rules certificate"
+    for k in victims:
+        tampered = json.loads(json.dumps(data))
+        step = tampered["steps"][k]
+        if RULES[rule].order is None:
+            step["order"] = "3/2"  # a hypothesis must lie in (0, 1]
+        else:
+            step["order"] = order_str(parse_order(step["order"]) / 2)
+        res = _replay(dom, tampered)
+        assert (res.ok, res.failed_step) == (False, k), (rule, k, res.reason)
+        if data["steps"][k]["inputs"]:
+            tampered = json.loads(json.dumps(data))
+            tampered["steps"][k]["inputs"].pop()
+            res = _replay(dom, tampered)
+            assert (res.ok, res.failed_step) == (False, k), (rule, k, res.reason)
+
+
+def _set_aux(rule, edit):
+    def apply(data):
+        step = next(s for s in data["steps"] if s["rule"] == rule)
+        edit(step)
+        return step["id"]
+    return apply
+
+
+MALFORMED_AUX = {
+    "root-aux-list": _set_aux("root", lambda s: s.update(aux=[])),
+    "combine-int-coeff": _set_aux("combine", lambda s: s["aux"].update(coeffs=[3])),
+    "root-null-cofactor": _set_aux("root", lambda s: s["aux"].update(cofactors=[None])),
+    "gamma-short-rows": _set_aux(
+        "general_gamma", lambda s: s["aux"].update(gamma=[r[:-1] for r in s["aux"]["gamma"]])
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_AUX))
+def test_malformed_aux_is_rejected_at_its_step(case):
+    dom, data = _all_rules()
+    k = MALFORMED_AUX[case](data)
+    res = _replay(dom, data)
+    assert (res.ok, res.failed_step) == (False, k), res.reason
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_AUX))
+def test_cli_verify_rejects_malformed_aux(case, tmp_path, capsys):
+    dom, data = _all_rules()
+    k = MALFORMED_AUX[case](data)
+    dom_path = tmp_path / "domain.json"
+    dom_path.write_text(json.dumps(dom.to_json()))
+    cert_path = tmp_path / "cert.json"
+    cert_path.write_text(json.dumps(data))
+    code = cli.main(["verify", str(dom_path), str(cert_path)])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert out.startswith(f"certificate rejected at step {k}:")
+
+
+# -- byte identity -----------------------------------------------------------
+
+PINNED = {
+    "catlin-dangelo-2-3-5": (
+        lambda: run_effective_chain(CDParams(2, 3, 5)).certificate,
+        "715cd82d3df019b61052fead2a415b3f890fd62325cb700a99b9efbc850d7e1c",
+    ),
+    "effective3d-z1^2-z2^2-seed-0": (
+        lambda: run_effective3d(_dom(["z1^2", "z2^2"]), seed=0).certificate,
+        "f4e6853086bc318b0a5f29d7481c0a8b3209b950d60369a3e8c2771edbedca5e",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED))
+def test_certificate_bytes_are_pinned(case):
+    make, digest = PINNED[case]
+    assert hashlib.sha256(make().dumps().encode()).hexdigest() == digest
