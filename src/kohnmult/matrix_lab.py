@@ -6,13 +6,15 @@ difference is decomposed against the row module.  A divergence identity
 
     b - grad(det a) = - sum_k div(adj(a) column k) * row_k
 
-holds for every square size, so the symbolic verdict is reducibility
-whenever the module arithmetic is sound; the decomposition is recomputed
-independently through a module basis rather than assumed.  The triangular
-three-variable lab additionally reports the narrated shortcut difference
-alongside the computed one, flagging when the two disagree, and carries
-the slice obstruction test that compares a single weighted derivative
-against the ideal of the bottom corner entry.
+holds for every square size, so the symbolic verdict is always
+reducibility.  The decomposition is recomputed independently rather than
+assumed: module membership answers it on the scalar Groebner core, through
+the reduction of submodule membership to ideal membership, and a
+disagreement with the identity is an engine defect, not a verdict.  The
+triangular three-variable lab additionally reports the narrated shortcut
+difference alongside the computed one, flagging when the two disagree, and
+carries the slice obstruction test that compares a single weighted
+derivative against the ideal of the bottom corner entry.
 """
 
 from __future__ import annotations
@@ -64,7 +66,7 @@ class ComparisonReport:
     b_form: tuple
     grad_det: tuple
     difference: tuple
-    decomposition: tuple | None
+    decomposition: tuple
     verdict: str
 
     def to_json(self) -> dict:
@@ -77,9 +79,7 @@ class ComparisonReport:
             "b_form": [s(c) for c in self.b_form],
             "grad_det": [s(c) for c in self.grad_det],
             "difference": [s(c) for c in self.difference],
-            "decomposition": None
-            if self.decomposition is None
-            else [s(c) for c in self.decomposition],
+            "decomposition": [s(c) for c in self.decomposition],
             "verdict": self.verdict,
         }
 
@@ -91,11 +91,17 @@ def compare_procedures(entries, names=None) -> ComparisonReport:
     """Both procedures, their exact difference, and a row-module verdict.
 
     The matrix must be square with as many rows as ring variables.  The
-    decomposition is found by module membership; the divergence identity is
-    replayed as an internal consistency check on the engine itself.
+    closed-form divergence decomposition is replayed first; the reported
+    decomposition then comes from module membership, which reduces to ideal
+    membership on the scalar Groebner core, and is replayed as well.  Either
+    replay failing, or membership denying what the identity just proved,
+    raises VerificationError: it is an engine defect, never the verdict
+    ``new``.
     """
     entries = tuple(tuple(row) for row in entries)
     n = len(entries)
+    if n == 0:
+        raise ValueError("matrix needs at least one row")
     if any(len(row) != n for row in entries):
         raise ValueError("matrix must be square")
     nv = entries[0][0].nvars
@@ -118,21 +124,24 @@ def compare_procedures(entries, names=None) -> ComparisonReport:
             raise VerificationError("divergence identity failed; engine defect")
 
     member, cofs = module_membership(VecPoly(diff), [VecPoly(r) for r in entries])
-    if member:
-        for j in range(n):
-            acc = Poly.zero(nv)
-            for k in range(n):
-                acc = acc + cofs[k] * entries[k][j]
-            if acc != diff[j]:
-                raise VerificationError("module cofactors fail to replay")
+    if not member:
+        raise VerificationError(
+            "module membership denies the divergence decomposition; engine defect"
+        )
+    for j in range(n):
+        acc = Poly.zero(nv)
+        for k in range(n):
+            acc = acc + cofs[k] * entries[k][j]
+        if acc != diff[j]:
+            raise VerificationError("module cofactors fail to replay")
     return ComparisonReport(
         names=names,
         entries=entries,
         b_form=tuple(b),
         grad_det=tuple(g),
         difference=tuple(diff),
-        decomposition=None if not member else tuple(cofs),
-        verdict="reducible" if member else "new",
+        decomposition=tuple(cofs),
+        verdict="reducible",
     )
 
 
@@ -250,5 +259,7 @@ def load_matrix(data: dict):
 
     names = list(data["vars"])
     rows = data["entries"]
+    if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+        raise ValueError("matrix entries must be a list of rows, each a list")
     entries = [[parse_poly(s, names) for s in row] for row in rows]
     return names, entries

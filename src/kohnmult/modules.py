@@ -1,27 +1,22 @@
-"""Submodules of free modules over Q(i)[z]: bases and membership.
+"""Submodules of free modules over Q(i)[z]: membership with cofactors.
 
-Vectors of polynomials are compared position-over-term: component index
-first (lower index larger), graded lex inside a component.  S-vectors only
-form between vectors whose leading terms sit in the same position, and the
-coprime shortcut from the scalar case is not sound here, so every pair is
-reduced.  Membership reduction tracks cofactors over the original
-generators, which is what the matrix comparisons need to exhibit an
-explicit decomposition.
+Membership is reduced to ideal membership and answered by the scalar
+Groebner core (Cox, Little & O'Shea, *Using Algebraic Geometry*, ch. 5).
+A vector v of rank r lifts to ``sum_i v_i*e_i`` in Q(i)[e_1..e_r, z], the
+markers coming first.  v lies in the submodule spanned by g_1..g_m exactly
+when lift(v) lies in the ideal of lift(g_1)..lift(g_m) and every e_i*e_j:
+lifts are e-linear and the products e-quadratic, so the e-degree-one part
+of ``lift(v) = sum_k c_k*lift(g_k) + (e-quadratic)`` reads
+``v = sum_k c_k|_{e=0} * g_k``.  The elimination order on the markers
+compares positions first (lower index larger), then graded lex on z.
 """
 
 from __future__ import annotations
 
-import heapq
 from typing import Sequence
 
-from kohnmult.polyring import (
-    GR_ONE,
-    Poly,
-    grlex_key,
-    mono_divides,
-    mono_lcm,
-    mono_quot,
-)
+from kohnmult.groebner import MonomialOrder, groebner_basis
+from kohnmult.polyring import Poly
 
 
 class VecPoly:
@@ -56,210 +51,54 @@ class VecPoly:
     def __add__(self, other: "VecPoly") -> "VecPoly":
         return VecPoly([a + b for a, b in zip(self.parts, other.parts)])
 
-    def __sub__(self, other: "VecPoly") -> "VecPoly":
-        return VecPoly([a - b for a, b in zip(self.parts, other.parts)])
-
-    def scale(self, c) -> "VecPoly":
-        return VecPoly([p.scale(c) for p in self.parts])
-
     def mul_poly(self, q: Poly) -> "VecPoly":
         return VecPoly([p * q for p in self.parts])
-
-    def mul_term(self, mono, c) -> "VecPoly":
-        return VecPoly([p.mul_term(mono, c) for p in self.parts])
-
-    def leading(self):
-        """(position, monomial, coefficient) of the leading term."""
-        for pos, p in enumerate(self.parts):
-            if not p.is_zero():
-                mono, c = p.leading(grlex_key)
-                return pos, mono, c
-        raise ValueError("zero vector has no leading term")
 
     def __repr__(self):
         return f"VecPoly({list(self.parts)!r})"
 
 
-def _lt_key(lead):
-    pos, mono, _ = lead
-    return (-pos, grlex_key(mono))
+def _marker(r: int, *positions: int) -> tuple:
+    return tuple(positions.count(i) for i in range(r))
 
 
-def _vec_divide(v: VecPoly, basis: Sequence[VecPoly], want_quotients: bool):
-    """Full division in the free module; remainder has no term divisible by
-    any basis leading term (same position, dividing monomial)."""
-    nv = v.nvars
-    lts = [b.leading() for b in basis]
-    quots = [Poly.zero(nv) for _ in basis] if want_quotients else None
-    rem = v
-    out_parts = [Poly.zero(nv) for _ in v.parts]
-    while not rem.is_zero():
-        pos, mono, c = rem.leading()
-        reduced = False
-        for idx, (bpos, bmono, bc) in enumerate(lts):
-            if bpos == pos and mono_divides(bmono, mono):
-                qm = mono_quot(bmono, mono)
-                qc = c / bc
-                if want_quotients:
-                    quots[idx] = quots[idx] + Poly.monomial(nv, qm, qc)
-                rem = rem - basis[idx].mul_term(qm, qc)
-                reduced = True
-                break
-        if not reduced:
-            out_parts[pos] = out_parts[pos] + Poly.monomial(nv, mono, c)
-            stripped = list(rem.parts)
-            stripped[pos] = stripped[pos] - Poly.monomial(nv, mono, c)
-            rem = VecPoly(stripped)
-    return quots, VecPoly(out_parts)
-
-
-class ModuleBasis:
-    """Reduced basis of a submodule, with cofactor provenance."""
-
-    def __init__(self, gens, basis, provenance):
-        self.gens = tuple(gens)
-        self.basis = tuple(basis)
-        self.provenance = provenance
-
-    def normal_form(self, v: VecPoly) -> VecPoly:
-        if not self.basis:
-            return v
-        _, r = _vec_divide(v, self.basis, want_quotients=False)
-        return r
-
-    def contains(self, v: VecPoly) -> bool:
-        return self.normal_form(v).is_zero()
-
-    def cofactors(self, v: VecPoly):
-        """(cofactors over the original generators, remainder)."""
-        if not self.basis:
-            return [Poly.zero(v.nvars) for _ in self.gens], v
-        quots, r = _vec_divide(v, self.basis, want_quotients=True)
-        nv = v.nvars
-        cofs = [Poly.zero(nv) for _ in self.gens]
-        for q, prow in zip(quots, self.provenance):
-            if q.is_zero():
-                continue
-            for j, a in enumerate(prow):
-                if not a.is_zero():
-                    cofs[j] = cofs[j] + q * a
-        return cofs, r
-
-
-def module_basis(gens: Sequence[VecPoly]) -> ModuleBasis:
-    gens = list(gens)
-    if not gens:
-        raise ValueError("need at least one generator")
-    nv = gens[0].nvars
-    rank = gens[0].rank
-    for g in gens:
-        if g.rank != rank:
-            raise ValueError("generators have different ranks")
-
-    work: list[VecPoly] = []
-    provs: list[list[Poly]] = []
-    for j, g in enumerate(gens):
-        if g.is_zero():
-            continue
-        _, _, c = g.leading()
-        inv = c.inverse()
-        work.append(g.scale(inv))
-        row = [Poly.zero(nv) for _ in gens]
-        row[j] = Poly.const(nv, inv)
-        provs.append(row)
-    if not work:
-        return ModuleBasis(gens, [], [])
-
-    def combine(qs, rows):
-        out = [Poly.zero(nv) for _ in gens]
-        for q, row in zip(qs, rows):
-            if q.is_zero():
-                continue
-            for j, a in enumerate(row):
-                if not a.is_zero():
-                    out[j] = out[j] + q * a
-        return out
-
-    heap: list = []
-
-    def push_pairs(new_idx):
-        pos_n, mono_n, _ = work[new_idx].leading()
-        for t in range(new_idx):
-            pos_t, mono_t, _ = work[t].leading()
-            if pos_t != pos_n:
-                continue
-            lcm = mono_lcm(mono_t, mono_n)
-            heapq.heappush(heap, (sum(lcm), lcm, pos_t, t, new_idx))
-
-    for i in range(len(work)):
-        push_pairs(i)
-
-    while heap:
-        _, lcm, _, i, j = heapq.heappop(heap)
-        _, mi, _ = work[i].leading()
-        _, mj, _ = work[j].leading()
-        s = work[i].mul_term(mono_quot(mi, lcm), GR_ONE) - work[j].mul_term(
-            mono_quot(mj, lcm), GR_ONE
-        )
-        if s.is_zero():
-            continue
-        quots, r = _vec_divide(s, work, want_quotients=True)
-        if r.is_zero():
-            continue
-        _, _, c = r.leading()
-        inv = c.inverse()
-        r = r.scale(inv)
-        prow = [Poly.zero(nv) for _ in gens]
-        qi, qj = mono_quot(mi, lcm), mono_quot(mj, lcm)
-        for t, a in enumerate(provs[i]):
-            if not a.is_zero():
-                prow[t] = prow[t] + a.mul_term(qi, GR_ONE)
-        for t, a in enumerate(provs[j]):
-            if not a.is_zero():
-                prow[t] = prow[t] - a.mul_term(qj, GR_ONE)
-        used = combine(quots, provs)
-        for t in range(len(gens)):
-            prow[t] = (prow[t] - used[t]).scale(inv)
-        work.append(r)
-        provs.append(prow)
-        push_pairs(len(work) - 1)
-
-    # interreduce
-    idx_sorted = sorted(range(len(work)), key=lambda t: _lt_key(work[t].leading()))
-    kept: list[int] = []
-    for t in idx_sorted:
-        pos_t, mono_t, _ = work[t].leading()
-        drop = False
-        for s_i in kept:
-            pos_s, mono_s, _ = work[s_i].leading()
-            if pos_s == pos_t and mono_divides(mono_s, mono_t):
-                drop = True
-                break
-        if not drop:
-            kept.append(t)
-    final: list[VecPoly] = []
-    final_prov: list[list[Poly]] = []
-    for t in kept:
-        others = [work[s_i] for s_i in kept if s_i != t]
-        if others:
-            quots, r = _vec_divide(work[t], others, want_quotients=True)
-        else:
-            quots, r = [], work[t]
-        _, _, c = r.leading()
-        inv = c.inverse()
-        final.append(r.scale(inv))
-        used = combine(quots, [provs[s_i] for s_i in kept if s_i != t])
-        final_prov.append([(provs[t][j] - used[j]).scale(inv) for j in range(len(gens))])
-    order = sorted(range(len(final)), key=lambda t: _lt_key(final[t].leading()))
-    return ModuleBasis(
-        gens, [final[t] for t in order], [final_prov[t] for t in order]
-    )
+def _lift(v: VecPoly) -> Poly:
+    """sum_i v_i*e_i in Q(i)[e_1..e_r, z]."""
+    terms = {}
+    for i, p in enumerate(v.parts):
+        e_i = _marker(v.rank, i)
+        for mono, c in p.terms.items():
+            terms[e_i + mono] = c
+    return Poly._raw(v.rank + v.nvars, terms)
 
 
 def module_membership(v: VecPoly, gens: Sequence[VecPoly]):
-    """(is_member, cofactors) with v == sum(cof_j * gens_j) when a member."""
-    mb = module_basis(gens)
-    cofs, r = mb.cofactors(v)
-    if r.is_zero():
-        return True, cofs
-    return False, None
+    """(is_member, cofactors) with v == sum(cof_k * gens_k) when a member."""
+    gens = list(gens)
+    if not gens:
+        raise ValueError("need at least one generator")
+    r, nv = gens[0].rank, gens[0].nvars
+    if any(g.rank != r for g in gens):
+        raise ValueError("generators have different ranks")
+    if v.rank != r:
+        raise ValueError(f"vector has rank {v.rank}, generators have rank {r}")
+    if any(w.nvars != nv for w in (v, *gens)):
+        raise ValueError("vector and generators live in different rings")
+
+    z0 = (0,) * nv
+    quadrics = [
+        Poly.monomial(r + nv, _marker(r, i, j) + z0)
+        for i in range(r)
+        for j in range(i, r)
+    ]
+    gb = groebner_basis(
+        [_lift(g) for g in gens] + quadrics, MonomialOrder.elim(r), provenance=True
+    )
+    cofs, rem = gb.cofactors(_lift(v))
+    if not rem.is_zero():
+        return False, None
+    e0 = _marker(r)
+    return True, [
+        Poly._raw(nv, {m[r:]: c for m, c in cof.terms.items() if m[:r] == e0})
+        for cof in cofs[: len(gens)]
+    ]

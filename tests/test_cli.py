@@ -235,6 +235,26 @@ def test_matrix_lab_rejects_non_square(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "names, entries",
+    [
+        (["z1", "z2"], []),
+        (["z1", "z2"], [[]]),
+        (["z1"], ["1"]),  # the string row must not read as the 1x1 matrix (1)
+        (["z1", "z2"], "z1"),
+        (["z1", "z2"], [["z1", "z2"], ["z1"]]),
+    ],
+    ids=["empty", "empty-row", "row-not-list", "entries-not-list", "ragged"],
+)
+def test_matrix_lab_malformed_entries_are_input_errors(tmp_path, capsys, names, entries):
+    mat = _write(tmp_path, "mat.json", {"vars": names, "entries": entries})
+    code = cli.main(["matrix-lab", mat])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("input error:")
+    assert "Traceback" not in err
+
+
 # -- error handling ----------------------------------------------------------
 
 def test_missing_file_is_input_error(tmp_path, capsys):

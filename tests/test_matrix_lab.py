@@ -4,7 +4,7 @@ import pytest
 
 from kohnmult.polyring import Poly, parse_poly, poly_matrix_det
 from kohnmult.modules import VecPoly, module_membership
-from kohnmult.multiplier_core import matrix_to_vector_form
+from kohnmult.multiplier_core import VerificationError, matrix_to_vector_form
 from kohnmult.matrix_lab import (
     adjugate_divergence,
     compare_procedures,
@@ -81,6 +81,17 @@ def test_compare_procedures_validates_shape():
         compare_procedures(
             ((_p2("z1"), _p2("z2")),)  # non-square
         )
+
+
+def test_membership_denial_is_an_engine_defect(monkeypatch):
+    # the divergence identity has just been replayed, so a "not a member"
+    # answer contradicts it and must not surface as the verdict "new"
+    import kohnmult.matrix_lab as lab
+
+    monkeypatch.setattr(lab, "module_membership", lambda v, gens: (False, None))
+    entries = ((_p2("z1"), _p2("z2")), (_p2("z2^2"), _p2("z1")))
+    with pytest.raises(VerificationError, match="engine defect"):
+        compare_procedures(entries)
 
 
 def test_comparison_report_json():

@@ -1,7 +1,9 @@
 """Submodule membership for tuples of polynomials."""
 
+import pytest
+
 from kohnmult.polyring import Poly, gr, parse_poly
-from kohnmult.modules import VecPoly, module_basis, module_membership
+from kohnmult.modules import VecPoly, module_membership
 
 from oracles import make_rng, random_poly
 
@@ -62,19 +64,6 @@ def test_random_combinations_replay():
         assert acc == target
 
 
-def test_module_basis_normal_form_idempotent():
-    rng = make_rng("module-nf")
-    rows = [
-        VecPoly([random_poly(rng, 2, 2, max_terms=2) for _ in range(2)])
-        for _ in range(2)
-    ]
-    mb = module_basis(rows)
-    v = VecPoly([random_poly(rng, 2, 3) for _ in range(2)])
-    nf = mb.normal_form(v)
-    assert mb.normal_form(nf) == nf
-    assert mb.contains(v - nf)
-
-
 def test_syzygy_of_clearing_pair():
     # z2 * (z1, 0) - z1 * (z2, 0) = 0: membership of each generator in the
     # other two must still report exact cofactors
@@ -96,3 +85,26 @@ def test_membership_is_deterministic():
     ok2, cofs2 = module_membership(target, rows)
     assert ok1 and ok2
     assert [c.terms for c in cofs1] == [c.terms for c in cofs2]
+
+
+@pytest.mark.parametrize(
+    "v, gens, message",
+    [
+        (_vec("z1", "0", "0"), [], "at least one generator"),
+        (
+            _vec("z1", "0", "0"),
+            [_vec("z1", "0", "0"), VecPoly([_p("z2"), _p("z3")])],
+            "different ranks",
+        ),
+        (VecPoly([_p("z1"), _p("z2")]), [_vec("z1", "0", "0")], "rank 2"),
+        (
+            VecPoly([Poly.variable(2, 1)] * 3),
+            [_vec("z1", "0", "0")],
+            "different rings",
+        ),
+    ],
+    ids=["no-generators", "mixed-generator-ranks", "vector-rank", "vector-ring"],
+)
+def test_membership_rejects_malformed_input(v, gens, message):
+    with pytest.raises(ValueError, match=message):
+        module_membership(v, gens)
