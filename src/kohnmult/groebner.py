@@ -155,12 +155,6 @@ class GroebnerBasis:
     def contains(self, p: Poly) -> bool:
         return self.normal_form(p).is_zero()
 
-    def reduce_with_quotients(self, p: Poly):
-        """(quotients over the reduced basis, remainder)."""
-        if not self.basis:
-            return [], p
-        return _divide(p, self.basis, self.order.key, want_quotients=True)
-
     def cofactors(self, p: Poly):
         """(cofactors over the original generators, remainder).
 
@@ -317,46 +311,29 @@ def ideal_membership(p: Poly, gens_or_gb) -> bool:
 
 
 def quotient_dimension(gens_or_gb):
-    """dim of k[z]/I as a vector space; math.inf when not finite.
-
-    Finite iff for every variable some leading monomial is a pure power of
-    it; then the standard monomials form a box-bounded staircase complement.
-    """
-    gb = _as_gb(gens_or_gb)
-    if gb.is_unit_ideal():
-        return 0
-    if gb.is_zero_ideal():
-        return math.inf
-    n = gb.nvars
-    lms = gb.leading_monomials()
-    bounds = [None] * n
-    for m in lms:
-        nz = [k for k, e in enumerate(m) if e]
-        if len(nz) == 1:
-            k = nz[0]
-            if bounds[k] is None or m[k] < bounds[k]:
-                bounds[k] = m[k]
-    if any(b is None for b in bounds):
-        return math.inf
-    count = 0
-    for mono in itertools.product(*(range(b) for b in bounds)):
-        if not any(mono_divides(m, mono) for m in lms):
-            count += 1
-    return count
+    """dim of k[z]/I as a vector space; math.inf when not finite."""
+    stairs = standard_monomials(gens_or_gb)
+    return math.inf if stairs is None else len(stairs)
 
 
 def standard_monomials(gens_or_gb):
-    """Monomials spanning k[z]/I, graded-lex ascending; None when infinite."""
+    """Monomials spanning k[z]/I, graded-lex ascending; None when infinite.
+
+    Finite iff for every variable some leading monomial is a pure power of
+    it; then the standard monomials lie in the box those powers bound.
+    """
     gb = _as_gb(gens_or_gb)
     if gb.is_unit_ideal():
         return []
-    if quotient_dimension(gb) == math.inf:
+    if gb.is_zero_ideal():
         return None
-    n = gb.nvars
     lms = gb.leading_monomials()
     bounds = []
-    for k in range(n):
-        bounds.append(min(m[k] for m in lms if sum(m) == m[k] and m[k] > 0))
+    for k in range(gb.nvars):
+        pure = [m[k] for m in lms if m[k] and sum(m) == m[k]]
+        if not pure:
+            return None
+        bounds.append(min(pure))
     out = [
         mono
         for mono in itertools.product(*(range(b) for b in bounds))

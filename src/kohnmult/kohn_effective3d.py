@@ -6,7 +6,10 @@ h1 and coordinate change verified against the three finiteness conditions and
 the Skoda cofactor identity (step two), then the Weierstrass image curve of
 V(h2_hat) under (h1, w2) drives a derivative recursion whose every wedge
 identity is checked exactly, ending in the constant multiplier 1 (step three).
-Each stage appends certificate steps; the emitted certificate is self-verified.
+`run_effective3d` is the one entry point: it checks the domain, sets up the
+derivation, its premultipliers and the multiplicity q that the steps take as
+inputs, then checks the final order against the paper's floor and replays the
+emitted certificate once.
 """
 from __future__ import annotations
 
@@ -44,7 +47,6 @@ from .polyring import (
     exact_divide,
     gr,
     jacobian_det,
-    poly_to_string,
     vanishing_order,
 )
 
@@ -53,15 +55,9 @@ RETRY_BUDGET = 64
 
 @dataclass(frozen=True)
 class StepOneResult:
-    Fhat1: Poly
-    Fhat2: Poly
-    h2_star: Poly
     h2_hat: Poly
     k1: int
-    seed: int
     attempt: int
-    coeffs: tuple
-    h2_star_mult: ScalarMultiplier
     h2_hat_mult: ScalarMultiplier
 
 
@@ -74,23 +70,18 @@ class StepTwoResult:
     D: Poly  # dh1/dw1 in the new coordinates
     alpha: Poly
     beta: Poly
-    seed: int
     attempt: int
-    quotient_dims: tuple
     h1_pm: object  # PreMultiplier certificate handle
 
 
 @dataclass(frozen=True)
 class WeierstrassData:
-    image_poly: Poly  # reduced equation T(u, v) of the image curve
-    prefix_r: int  # maximal power of u dividing T
+    prefix_r: int  # maximal power of u dividing the image equation T(u, v)
     wpoly: Poly  # monic-in-v factor W with T = unit * u^r * W
     degree: int  # ell_tilde = deg_v W
     ell: int
-    padding: int  # ell - ell_tilde
     distinguished: bool  # all lower v-coefficients of W vanish at u = 0
     chain: tuple  # h_{2,nu}(u,v): u^r*W then successive d/dv
-    etas: tuple  # d/du of each chain element
     substituted: Poly  # (u^r W)(zeta1, zeta2)
     cofactor: Poly | None  # E with substituted = E * H when division is exact
     division_exact: bool
@@ -144,33 +135,22 @@ def _multiplicity(domain: SpecialDomain) -> int:
     return q
 
 
-def step_one(domain, seed=0, der=None, pms=None, q=None, budget=RETRY_BUDGET) -> StepOneResult:
+def _combination(coeffs, pms) -> Poly:
+    acc = Poly.zero(2)
+    for c, pm in zip(coeffs, pms):
+        acc = acc + pm.poly.scale(gr(c))
+    return acc
+
+
+def step_one(der: Derivation, pms: list, q: int, seed: int) -> StepOneResult:
     """Generic Jacobian of two combinations of the defining functions, with its
     squarefree part certified as a multiplier of order 1/(4*k1)."""
-    if domain.nvars != 2:
-        raise DomainError("the effective chain needs exactly two variables")
-    if q is None:
-        q = _multiplicity(domain)
-    if der is None:
-        der = Derivation(domain)
-    if pms is None:
-        pms = der.init_premultipliers()
-
     last = "no admissible draw"
-    for attempt in range(budget):
+    for attempt in range(RETRY_BUDGET):
         rng = random.Random(f"one:{seed}:{attempt}")
         bound = 2 + attempt
-        rows = [
-            [_nonzero_int(rng, bound) for _ in pms],
-            [_nonzero_int(rng, bound) for _ in pms],
-        ]
-        fh = []
-        for row in rows:
-            acc = Poly.zero(2)
-            for c, pm in zip(row, pms):
-                acc = acc + pm.poly.scale(gr(c))
-            fh.append(acc)
-        h2s = jacobian_det(fh)
+        rows = [[_nonzero_int(rng, bound) for _ in pms] for _ in range(2)]
+        h2s = jacobian_det([_combination(row, pms) for row in rows])
         if h2s.is_zero():
             last = "Jacobian vanished identically"
             continue
@@ -184,25 +164,10 @@ def step_one(domain, seed=0, der=None, pms=None, q=None, budget=RETRY_BUDGET) ->
             last = "squarefree part has no power witness within q"
             continue
 
-        pm1 = der.premultiplier_combine([gr(c) for c in rows[0]], pms)
-        pm2 = der.premultiplier_combine([gr(c) for c in rows[1]], pms)
-        d1 = der.rule_premultiplier_differential(pm1)
-        d2 = der.rule_premultiplier_differential(pm2)
-        star = der.rule_det([d1, d2])
-        hat = der.rule_root(h2h, k1, [star])
-        return StepOneResult(
-            Fhat1=fh[0],
-            Fhat2=fh[1],
-            h2_star=h2s,
-            h2_hat=h2h,
-            k1=k1,
-            seed=seed,
-            attempt=attempt,
-            coeffs=(tuple(rows[0]), tuple(rows[1])),
-            h2_star_mult=star,
-            h2_hat_mult=hat,
-        )
-    raise GenericityError(f"step one: retry budget {budget} exhausted ({last})")
+        fhat = [der.premultiplier_combine([gr(c) for c in row], pms) for row in rows]
+        hat = der.rule_root(h2h, k1, [der.rule_jacobian_of_premultipliers(fhat)])
+        return StepOneResult(h2_hat=h2h, k1=k1, attempt=attempt, h2_hat_mult=hat)
+    raise GenericityError(f"step one: retry budget {RETRY_BUDGET} exhausted ({last})")
 
 
 def skoda_verify(f: Poly):
@@ -221,28 +186,18 @@ def skoda_verify(f: Poly):
     return False, None
 
 
-def step_two(domain, h2_hat, seed=0, der=None, pms=None, q=None, budget=RETRY_BUDGET) -> StepTwoResult:
+def step_two(der: Derivation, pms: list, q: int, seed: int, h2_hat: Poly) -> StepTwoResult:
     """Generic h1 and coordinates (w1, w2) with the three finiteness conditions
     verified exactly, plus the Skoda cofactor identity
     h1^(3q^2) = alpha*h2_hat + beta*(dh1/dw1)."""
-    if domain.nvars != 2:
-        raise DomainError("the effective chain needs exactly two variables")
-    if q is None:
-        q = _multiplicity(domain)
-    if der is None:
-        der = Derivation(domain)
-    if pms is None:
-        pms = der.init_premultipliers()
     three_q2 = 3 * q * q
 
     last = "no admissible draw"
-    for attempt in range(budget):
+    for attempt in range(RETRY_BUDGET):
         rng = random.Random(f"two:{seed}:{attempt}")
         bound = 2 + attempt
         avec = [_nonzero_int(rng, bound) for _ in pms]
-        h1 = Poly.zero(2)
-        for c, pm in zip(avec, pms):
-            h1 = h1 + pm.poly.scale(gr(c))
+        h1 = _combination(avec, pms)
         if h1.is_zero():
             last = "h1 vanished identically"
             continue
@@ -287,12 +242,13 @@ def step_two(domain, h2_hat, seed=0, der=None, pms=None, q=None, budget=RETRY_BU
         if qd3 == math.inf or qd3 > three_q2:
             last = f"condition (iii): dim(h2_hat, dh1/dw1) = {qd3} not within 3q^2 = {three_q2}"
             continue
-        cofs, rem = gb3.cofactors(h1 ** three_q2)
+        h1_s = h1 ** three_q2
+        cofs, rem = gb3.cofactors(h1_s)
         if not rem.is_zero():
             last = "Skoda membership h1^(3q^2) in (h2_hat, dh1/dw1) failed"
             continue
         alpha, beta = cofs
-        assert alpha * h2_hat + beta * d == h1 ** three_q2
+        assert alpha * h2_hat + beta * d == h1_s
 
         h1_pm = der.premultiplier_combine([gr(c) for c in avec], pms)
         return StepTwoResult(
@@ -303,12 +259,10 @@ def step_two(domain, h2_hat, seed=0, der=None, pms=None, q=None, budget=RETRY_BU
             D=d,
             alpha=alpha,
             beta=beta,
-            seed=seed,
             attempt=attempt,
-            quotient_dims=(qd2, qd3),
             h1_pm=h1_pm,
         )
-    raise GenericityError(f"step two: retry budget {budget} exhausted ({last})")
+    raise GenericityError(f"step two: retry budget {RETRY_BUDGET} exhausted ({last})")
 
 
 def _lift4(p: Poly) -> Poly:
@@ -368,11 +322,9 @@ def weierstrass_from_image(H: Poly, zeta1: Poly, zeta2: Poly, ell: int) -> Weier
     chain = [h2uv]
     for _ in range(ell_tilde):
         chain.append(differentiate(chain[-1], 2))
-    etas = tuple(differentiate(c, 1) for c in chain)
-    fact = 1
-    for j in range(2, ell_tilde + 1):
-        fact *= j
-    assert chain[-1] == Poly.monomial(2, (r, 0), gr(fact)), "chain terminus is not ell!*u^r"
+    assert chain[-1] == Poly.monomial(2, (r, 0), gr(math.factorial(ell_tilde))), (
+        "chain terminus is not ell!*u^r"
+    )
 
     S = h2uv.compose([zeta1, zeta2])
     E = exact_divide(S, H)
@@ -383,15 +335,12 @@ def weierstrass_from_image(H: Poly, zeta1: Poly, zeta2: Poly, ell: int) -> Weier
             raise ValueError("substituted image equation is not even radically in (H)")
 
     return WeierstrassData(
-        image_poly=T,
         prefix_r=r,
         wpoly=W,
         degree=ell_tilde,
         ell=ell,
-        padding=ell - ell_tilde,
         distinguished=distinguished,
         chain=tuple(chain),
-        etas=etas,
         substituted=S,
         cofactor=E,
         division_exact=division_exact,
@@ -399,15 +348,15 @@ def weierstrass_from_image(H: Poly, zeta1: Poly, zeta2: Poly, ell: int) -> Weier
     )
 
 
-def step_three(domain, s1: StepOneResult, s2: StepTwoResult, der: Derivation, q=None):
+def step_three(der: Derivation, q: int, s1: StepOneResult, s2: StepTwoResult):
     """Derivative recursion ending in the constant multiplier 1.
 
-    Returns (certificate, weierstrass_data, final_multiplier).  Every wedge
-    identity and every combination payload is checked exactly; any failure
-    aborts with the offending recursion index.
+    Returns (weierstrass_data, final_multiplier).  Every wedge identity and
+    every combination payload is checked exactly; any failure aborts with the
+    offending recursion index.  The w1, w2 root steps consume the membership
+    m^(q^2) in (h1, h2_hat) that step two has checked, and `rule_root`
+    re-derives their cofactors.
     """
-    if q is None:
-        q = _multiplicity(domain)
     three_q2 = 3 * q * q
     h2m = s1.h2_hat_mult
     h1 = s2.h1
@@ -432,13 +381,12 @@ def step_three(domain, s1: StepOneResult, s2: StepTwoResult, der: Derivation, q=
     h1_s = h1 ** three_q2
     h1_pow = Poly.one(2)  # h1^(3q^2*nu)
     inv_detg = GaussRat(Fraction(1, det_g))
-    det_g_gr = gr(det_g)
 
     for nu in range(w.degree):
         dx = der.rule_differential(x)
         t = der.rule_det([dh1, dx])
         succ = sub(w.chain[nu + 1])
-        rhs = (s2.D * succ * h1_pow).scale(det_g_gr)
+        rhs = (s2.D * succ * h1_pow).scale(gr(det_g))
         if t.poly != rhs:
             raise VerificationError(f"wedge identity failed at nu={nu}")
         y = h1_pow * succ
@@ -447,86 +395,64 @@ def step_three(domain, s1: StepOneResult, s2: StepTwoResult, der: Derivation, q=
         if x.poly != h1_pow * succ:
             raise VerificationError(f"recursion payload mismatch at nu={nu}")
 
-    fact = 1
-    for j in range(2, w.degree + 1):
-        fact *= j
-    p_final = der.rule_combine([Poly.const(2, GaussRat(Fraction(1, fact)))], [x])
+    inv_fact = GaussRat(Fraction(1, math.factorial(w.degree)))
+    p_final = der.rule_combine([Poly.const(2, inv_fact)], [x])
     m_h1 = three_q2 * w.degree + w.prefix_r
     if p_final.poly != h1 ** m_h1:
         raise VerificationError("chain terminus is not the expected power of h1")
     h1m = der.rule_root(h1, m_h1, [p_final])
 
-    if not contains_maximal_power(groebner_basis([h1, s1.h2_hat]), q * q):
-        raise VerificationError("(h1, h2_hat) does not contain the q^2 power of the maximal ideal")
     w1m = der.rule_root(s2.w1, q * q, [h1m, h2m])
     w2m = der.rule_root(s2.w2, q * q, [h1m, h2m])
-    dw1 = der.rule_differential(w1m)
-    dw2 = der.rule_differential(w2m)
-    fin = der.rule_det([dw1, dw2])
+    fin = der.rule_det([der.rule_differential(w1m), der.rule_differential(w2m)])
     one = der.rule_combine([Poly.const(2, inv_detg)], [fin])
     if not one.poly.is_unit() or one.poly.constant_value() != GaussRat(1):
         raise VerificationError("final payload is not the constant 1")
-    return der.cert, w, one
+    return w, one
+
+
+def _floor(q: int, r: int) -> Fraction:
+    return Fraction(1, 3 * q**7 * 2 ** (q * q + r + 3))
 
 
 def run_effective3d(domain: SpecialDomain, seed: int = 0) -> Effective3dResult:
-    """Full pipeline with a final self-verification of the emitted certificate."""
+    """Steps one to three on a two-variable domain, then one floor check and
+    one self-verification of the emitted certificate.
+
+    A constant h2_hat ends the chain after step one (the short circuit): its
+    root step has already emitted the constant multiplier 1.
+    """
+    if domain.nvars != 2:
+        raise DomainError("the effective chain needs exactly two variables")
     q = _multiplicity(domain)
     der = Derivation(domain)
     pms = der.init_premultipliers()
-    s1 = step_one(domain, seed=seed, der=der, pms=pms, q=q)
+    s1 = step_one(der, pms, q, seed)
+    s2 = wdata = None
+    final = s1.h2_hat_mult
+    if not s1.h2_hat.is_constant():
+        s2 = step_two(der, pms, q, seed, s1.h2_hat)
+        wdata, final = step_three(der, q, s1, s2)
 
-    if s1.h2_hat.is_constant():
-        # the root step already emitted the constant multiplier 1 at order 1/4
-        vr = certificate_verify(der.cert, domain)
-        if not vr.ok:
-            raise VerificationError(
-                f"self-verification failed at step {vr.failed_step}: {vr.reason}"
-            )
-        final = s1.h2_hat_mult.order
-        return Effective3dResult(
-            domain=domain,
-            q=q,
-            seed=seed,
-            short_circuit=True,
-            k1=s1.k1,
-            final_order=final,
-            floor_order=Fraction(1, 3 * q**7 * 2 ** (q * q + 3)),
-            floor_order_prefixed=Fraction(1, 3 * q**7 * 2 ** (q * q + 3)),
-            ell=None,
-            ell_tilde=None,
-            prefix_r=None,
-            certificate=der.cert,
-            step_one=s1,
-            step_two=None,
-            weierstrass=None,
-        )
-
-    s2 = step_two(domain, s1.h2_hat, seed=seed, der=der, pms=pms, q=q)
-    cert, wdata, one = step_three(domain, s1, s2, der, q=q)
-
-    floor_plain = Fraction(1, 3 * q**7 * 2 ** (q * q + 3))
-    floor_prefixed = Fraction(1, 3 * q**7 * 2 ** (q * q + wdata.prefix_r + 3))
-    if one.order < floor_prefixed:
-        raise VerificationError(
-            f"final order {one.order} fell below the floor {floor_prefixed}"
-        )
-    vr = certificate_verify(cert, domain)
+    floor_prefixed = _floor(q, 0 if wdata is None else wdata.prefix_r)
+    if final.order < floor_prefixed:
+        raise VerificationError(f"final order {final.order} fell below the floor {floor_prefixed}")
+    vr = certificate_verify(der.cert, domain)
     if not vr.ok:
         raise VerificationError(f"self-verification failed at step {vr.failed_step}: {vr.reason}")
     return Effective3dResult(
         domain=domain,
         q=q,
         seed=seed,
-        short_circuit=False,
+        short_circuit=wdata is None,
         k1=s1.k1,
-        final_order=one.order,
-        floor_order=floor_plain,
+        final_order=final.order,
+        floor_order=_floor(q, 0),
         floor_order_prefixed=floor_prefixed,
-        ell=wdata.ell,
-        ell_tilde=wdata.degree,
-        prefix_r=wdata.prefix_r,
-        certificate=cert,
+        ell=None if wdata is None else wdata.ell,
+        ell_tilde=None if wdata is None else wdata.degree,
+        prefix_r=None if wdata is None else wdata.prefix_r,
+        certificate=der.cert,
         step_one=s1,
         step_two=s2,
         weierstrass=wdata,

@@ -166,32 +166,32 @@ def _certified_radical(
 
 
 def _uniform_power(i_gens: tuple[Poly, ...], j_gb: GroebnerBasis, cap: int) -> int | None:
-    """Least s ≤ cap with every s-fold product of the I-generators in J, else None."""
+    """Least s ≤ cap with every s-fold product of the I-generators in J, else None.
+
+    One ascending scan over s.  Layer s holds the nonzero normal forms of the
+    s-fold products, taken as multisets: a product is extended only by
+    generators at or after its last factor.  NF(NF(p)*g) = NF(p*g), and a
+    product in J stays in J when extended, so the first empty layer is the
+    least s; membership is monotone in s.
+    """
     gens = [g for g in i_gens if not g.is_zero()]
     if not gens:
         return None
     if any(g.is_constant() for g in gens):
         return 1 if j_gb.is_unit_ideal() else None
 
-    def holds(s: int) -> bool:
-        for combo in itertools.combinations_with_replacement(gens, s):
-            prod = combo[0]
-            for f in combo[1:]:
-                prod = prod * f
-            if not j_gb.normal_form(prod).is_zero():
-                return False
-        return True
-
-    if not holds(cap):
-        return None
-    lo, hi = 1, cap
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if holds(mid):
-            hi = mid
-        else:
-            lo = mid + 1
-    return hi
+    layer = [(0, Poly.one(gens[0].nvars))]  # (index of the last factor, normal form)
+    for s in range(1, cap + 1):
+        nxt = []
+        for last, p in layer:
+            for j in range(last, len(gens)):
+                r = j_gb.normal_form(p * gens[j])
+                if not r.is_zero():
+                    nxt.append((j, r))
+        if not nxt:
+            return s
+        layer = nxt
+    return None
 
 
 def run_full_radical(

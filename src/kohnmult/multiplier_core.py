@@ -27,6 +27,7 @@ Acta Math. 142 (1979).
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, NamedTuple, Sequence
@@ -53,7 +54,19 @@ def order_str(x: Fraction) -> str:
 
 
 def parse_order(s: str) -> Fraction:
-    return Fraction(s)
+    """An order as `order_str` writes it: a string "n/d" or "n"."""
+    if not isinstance(s, str) or not re.fullmatch(r"[+-]?\d+(/\d+)?", s):
+        raise ValueError(f"an order must be a string n/d, got {s!r:.40}")
+    try:
+        return Fraction(s)
+    except ZeroDivisionError:
+        raise ValueError(f"order {s!r:.40} has a zero denominator") from None
+
+
+def _step_id(v) -> int:
+    if isinstance(v, bool) or not isinstance(v, int):
+        raise ValueError(f"step ids and inputs must be integers, got {v!r:.40}")
+    return v
 
 
 class DomainError(ValueError):
@@ -217,11 +230,13 @@ class DerivationCertificate:
         )
         cert = DerivationCertificate(dom)
         for s in data["steps"]:
+            if not isinstance(s["inputs"], list):
+                raise ValueError("step inputs must be a list of step ids")
             cert.steps.append(
                 Step(
-                    id=int(s["id"]),
+                    id=_step_id(s["id"]),
                     rule=s["rule"],
-                    inputs=tuple(int(t) for t in s["inputs"]),
+                    inputs=tuple(_step_id(t) for t in s["inputs"]),
                     payload=tuple(s["payload"]),
                     order=parse_order(s["order"]),
                     paper_ref=s.get("paper_ref", ""),
@@ -427,7 +442,7 @@ def _input(m) -> _In:
 
 def _integer(least: int):
     def read(v, parse, n, k):
-        if not isinstance(v, int) or v < least:
+        if isinstance(v, bool) or not isinstance(v, int) or v < least:
             raise RuleError(f"must be an integer >= {least}")
         return v
 

@@ -117,10 +117,6 @@ def mono_lcm(a: tuple, b: tuple) -> tuple:
     return tuple(max(x, y) for x, y in zip(a, b))
 
 
-def mono_degree(a: tuple) -> int:
-    return sum(a)
-
-
 def grlex_key(mono: tuple):
     """Sort key for graded lexicographic order with z1 > z2 > ... ."""
     return (sum(mono), mono)
@@ -452,10 +448,6 @@ def jacobian_det(fs: Sequence[Poly]) -> Poly:
         raise ValueError(f"need exactly {n} polynomials in {n} variables, got {len(fs)}")
     rows = [[differentiate(f, j + 1) for j in range(n)] for f in fs]
     return poly_matrix_det(rows)
-
-
-def jacobian_matrix(fs: Sequence[Poly]) -> list:
-    return [[differentiate(f, j + 1) for j in range(f.nvars)] for f in fs]
 
 
 def equal_up_to_unit(p: Poly, q: Poly):

@@ -171,6 +171,42 @@ def all_antichains(max_degree=4):
 
 
 # ---------------------------------------------------------------------------
+# uniform power of a generator list in an ideal
+# ---------------------------------------------------------------------------
+
+def uniform_power_brute(gens, in_ideal, cap):
+    """Least s <= cap with every s-fold product of gens in the ideal, else None.
+
+    Every cap-fold product is multiplied out in full and tested with the
+    membership predicate `in_ideal`; when all lie in the ideal, bisection
+    finds the least s the same way.
+    """
+    gens = [g for g in gens if not g.is_zero()]
+    if not gens:
+        return None
+
+    def holds(s):
+        for combo in itertools.combinations_with_replacement(gens, s):
+            prod = combo[0]
+            for f in combo[1:]:
+                prod = prod * f
+            if not in_ideal(prod):
+                return False
+        return True
+
+    if not holds(cap):
+        return None
+    lo, hi = 1, cap
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if holds(mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    return hi
+
+
+# ---------------------------------------------------------------------------
 # random polynomial builders (never via the parser: constructed term by term)
 # ---------------------------------------------------------------------------
 

@@ -8,6 +8,8 @@ import sys
 import pytest
 
 from kohnmult import cli
+from kohnmult.kohn_effective3d import run_effective3d
+from kohnmult.multiplier_core import SpecialDomain
 
 
 def _write(tmp_path, name, obj):
@@ -141,10 +143,67 @@ def test_verify_rejects_foreign_domain(tmp_path, capsys):
     assert code == 1
 
 
+@pytest.fixture(scope="module")
+def square_certificate():
+    """Domain and certificate JSON of the q=4 run on z1^2, z2^2 (seed 0)."""
+    dom = SpecialDomain.from_strings(("z1", "z2"), ["z1^2", "z2^2"])
+    return dom.to_json(), run_effective3d(dom, seed=0).certificate.to_json()
+
+
+def _order_1_over_0(steps):
+    steps[-1]["order"] = "1/0"
+
+
+def _order_float(steps):
+    steps[-1]["order"] = "__FLOAT__"  # written as the JSON number 1e400
+
+
+def _fractional_id(steps):
+    steps[3]["id"] = 3.7
+
+
+def _inputs_as_string(steps):
+    step = next(s for s in steps if len(s["inputs"]) > 1)
+    step["inputs"] = "".join(str(i) for i in step["inputs"])
+
+
+def _boolean_root_exponent(steps):
+    step = next(s for s in steps if s["rule"] == "root" and s["aux"]["m"] == 1)
+    step["aux"]["m"] = True
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [_order_1_over_0, _order_float, _fractional_id, _inputs_as_string, _boolean_root_exponent],
+    ids=["order-1/0", "order-1e400", "id-3.7", "inputs-string", "m-true"],
+)
+def test_verify_rejects_mistyped_certificate_fields(tmp_path, capsys, square_certificate, mutate):
+    domain, cert = square_certificate
+    cert = json.loads(json.dumps(cert))
+    mutate(cert["steps"])
+    dom = _write(tmp_path, "domain.json", domain)
+    cert_path = tmp_path / "cert.json"
+    cert_path.write_text(json.dumps(cert).replace('"__FLOAT__"', "1e400"))
+    code = cli.main(["verify", dom, str(cert_path)])
+    captured = capsys.readouterr()
+    assert code in (1, 2)
+    assert "certificate ok" not in captured.out
+    assert "internal error" not in captured.err
+
+
 def test_effective3d_rejects_degenerate_family(tmp_path, capsys):
     dom = _domain_file(tmp_path, ["z1^2", "z2^3 + z2*z1^4"])
     code, _ = _run(capsys, ["effective3d", dom])
     assert code == 3
+
+
+def test_effective3d_rejects_a_zero_away_from_the_origin(tmp_path, capsys):
+    # V(z1 - z1^2, z2) = {0, (1, 0)}: the quotient is finite (q = 2), yet the
+    # origin is not the only common zero
+    dom = _domain_file(tmp_path, ["z1 - z1^2", "z2"])
+    code = cli.main(["effective3d", dom])
+    assert code == 2
+    assert "origin as an isolated zero" in capsys.readouterr().err
 
 
 # -- catlin-dangelo ----------------------------------------------------------

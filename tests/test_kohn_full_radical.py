@@ -6,12 +6,15 @@ from fractions import Fraction
 import pytest
 
 from kohnmult.polyring import Poly, parse_poly
-from kohnmult.groebner import ideal_membership, radical_membership
+from kohnmult.groebner import groebner_basis, ideal_membership, radical_membership
 from kohnmult.multiplier_core import SpecialDomain
 from kohnmult.kohn_full_radical import (
+    _uniform_power,
     ineffectiveness_witness,
     run_full_radical,
 )
+
+from oracles import uniform_power_brute
 
 
 def _dom(gens):
@@ -112,3 +115,24 @@ def test_ineffectiveness_witness_from_loop_round():
     z1 = Poly.variable(2, 1)
     s = ineffectiveness_witness(dom, z1, round_index=1)
     assert s == 6
+
+
+@pytest.mark.parametrize(
+    "variables, i_gens, j_gens, cap, expect",
+    [
+        (("z1", "z2"), ["z1", "z2"], ["z1^2", "z2^2"], 8, 3),
+        (("z1", "z2"), ["z1", "z2"], ["z1^3", "z2^3"], 8, 5),
+        (("z1", "z2"), ["z1", "z2"], ["z1^3", "z2^3"], 4, None),
+        (("z1", "z2"), ["z1*z2", "z2^2"], ["z1^3", "z2^2"], 8, 2),
+        (("z1", "z2"), ["z1 + z2", "z1 - z2"], ["z1^2", "z1*z2", "z2^3"], 8, 3),
+        (("z1", "z2"), ["z1"], ["z2"], 8, None),
+        (("z1", "z2"), ["1", "z1"], ["z1^2", "z2"], 8, None),
+        (("z1", "z2", "z3"), ["z1", "z2", "z3"], ["z1^2", "z2^2", "z3^2"], 8, 4),
+    ],
+    ids=["squares", "cubes", "cubes-past-cap", "mixed", "non-monomial", "never",
+         "constant", "three-variables"],
+)
+def test_uniform_power_scan_matches_brute_force(variables, i_gens, j_gens, cap, expect):
+    gb = groebner_basis([parse_poly(t, variables) for t in j_gens])
+    gens = tuple(parse_poly(t, variables) for t in i_gens)
+    assert _uniform_power(gens, gb, cap) == uniform_power_brute(gens, gb.contains, cap) == expect
