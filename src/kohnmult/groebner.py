@@ -21,9 +21,9 @@ from typing import Sequence
 
 from kohnmult.polyring import (
     GR_ONE,
-    GaussRat,
     Poly,
     differentiate,
+    divide,
     exact_divide,
     grlex_key,
     mono_divides,
@@ -58,10 +58,6 @@ class MonomialOrder:
         return MonomialOrder("grlex", grlex_key)
 
     @staticmethod
-    def lex() -> "MonomialOrder":
-        return MonomialOrder("lex", lambda m: m)
-
-    @staticmethod
     def elim(k: int) -> "MonomialOrder":
         def key(m):
             head, tail = m[:k], m[k:]
@@ -73,55 +69,16 @@ class MonomialOrder:
 GRLEX = MonomialOrder.grlex()
 
 
-def _leading(terms: dict, key):
-    mono = max(terms, key=key)
-    return mono, terms[mono]
-
-
-def _divide(p: Poly, basis: Sequence[Poly], key, want_quotients: bool):
-    """Full multivariate division of p by the basis list.
-
-    Returns (quotients, remainder) with p == sum(q_i * basis_i) + remainder
-    and no remainder term divisible by any basis leading term.  Divisor
-    selection is first-match in list order, so the quotients are
-    deterministic even where the remainder alone would be.
-    """
-    nv = p.nvars
-    lts = [b.leading(key) for b in basis]
-    quots = [dict() for _ in basis] if want_quotients else None
-    rem: dict = {}
-    work = dict(p.terms)
-    while work:
-        mono, c = _leading(work, key)
-        del work[mono]
-        for idx, (ltm, ltc) in enumerate(lts):
-            if mono_divides(ltm, mono):
-                qm = mono_quot(ltm, mono)
-                qc = c / ltc
-                if want_quotients:
-                    qd = quots[idx]
-                    s = qd.get(qm)
-                    s = qc if s is None else s + qc
-                    if s:
-                        qd[qm] = s
-                    else:
-                        del qd[qm]
-                for bm, bc in basis[idx].terms.items():
-                    if bm == ltm:
-                        continue
-                    tm = mono_mul(bm, qm)
-                    tc = bc * qc
-                    s = work.get(tm)
-                    s = -tc if s is None else s - tc
-                    if s:
-                        work[tm] = s
-                    else:
-                        work.pop(tm, None)
-                break
-        else:
-            rem[mono] = c
-    qpolys = [Poly(nv, q) for q in quots] if want_quotients else None
-    return qpolys, Poly(nv, rem)
+def _combine(quots, rows, ngens: int, nv: int) -> list:
+    """sum_i quots[i] * rows[i], one entry per original generator."""
+    out = [Poly.zero(nv) for _ in range(ngens)]
+    for q, row in zip(quots, rows):
+        if q.is_zero():
+            continue
+        for j, a in enumerate(row):
+            if not a.is_zero():
+                out[j] = out[j] + q * a
+    return out
 
 
 class GroebnerBasis:
@@ -149,7 +106,7 @@ class GroebnerBasis:
     def normal_form(self, p: Poly) -> Poly:
         if not self.basis:
             return p
-        _, r = _divide(p, self.basis, self.order.key, want_quotients=False)
+        _, r = divide(p, self.basis, self.order.key, False)
         return r
 
     def contains(self, p: Poly) -> bool:
@@ -162,17 +119,8 @@ class GroebnerBasis:
         """
         if self.provenance is None:
             raise ValueError("basis was computed without provenance tracking")
-        if not self.basis:
-            return [Poly.zero(self.nvars) for _ in self.gens], p
-        quots, r = _divide(p, self.basis, self.order.key, want_quotients=True)
-        cofs = [Poly.zero(self.nvars) for _ in self.gens]
-        for qi, prow in zip(quots, self.provenance):
-            if qi.is_zero():
-                continue
-            for j, a in enumerate(prow):
-                if not a.is_zero():
-                    cofs[j] = cofs[j] + qi * a
-        return cofs, r
+        quots, r = divide(p, self.basis, self.order.key, True)
+        return _combine(quots, self.provenance, len(self.gens), self.nvars), r
 
     def leading_monomials(self):
         return [b.leading(self.order.key)[0] for b in self.basis]
@@ -213,16 +161,6 @@ def groebner_basis(
     if not work:
         return GroebnerBasis(gens, [], order, [] if provenance else None)
 
-    def prov_combine(qs, rows):
-        out = [Poly.zero(nv) for _ in gens]
-        for q, row in zip(qs, rows):
-            if q.is_zero():
-                continue
-            for j, a in enumerate(row):
-                if not a.is_zero():
-                    out[j] = out[j] + q * a
-        return out
-
     heap: list = []
     for i in range(len(work)):
         for j in range(i + 1, len(work)):
@@ -240,7 +178,7 @@ def groebner_basis(
         )
         if s.is_zero():
             continue
-        quots, r = _divide(s, work, key, want_quotients=provenance)
+        quots, r = divide(s, work, key, provenance)
         if r.is_zero():
             continue
         _, c = r.leading(key)
@@ -256,7 +194,7 @@ def groebner_basis(
             for t, a in enumerate(pj):
                 if not a.is_zero():
                     prow[t] = prow[t] - a.mul_term(qj, GR_ONE)
-            used = prov_combine(quots, provs)
+            used = _combine(quots, provs, len(gens), nv)
             for t in range(len(gens)):
                 prow[t] = (prow[t] - used[t]).scale(inv)
             provs.append(prow)
@@ -281,14 +219,14 @@ def groebner_basis(
     for t in kept:
         others = [work[s] for s in kept if s != t]
         if others:
-            quots, r = _divide(work[t], others, key, want_quotients=provenance)
+            quots, r = divide(work[t], others, key, provenance)
         else:
             quots, r = [], work[t]
         _, c = r.leading(key)
         inv = c.inverse()
         final.append(r.scale(inv))
         if provenance:
-            used = prov_combine(quots, [provs[s] for s in kept if s != t])
+            used = _combine(quots, [provs[s] for s in kept if s != t], len(gens), nv)
             prow = [(provs[t][j] - used[j]).scale(inv) for j in range(len(gens))]
             final_prov.append(prow)
     pairs = sorted(
@@ -398,18 +336,21 @@ def radical_membership(p: Poly, gens: Sequence[Poly]) -> bool:
         return True
     gens = list(gens)
     n = p.nvars
-    lifted = [Poly(n + 1, {m + (0,): c for m, c in g.terms.items()}) for g in gens]
-    tp = Poly(n + 1, {m + (1,): c for m, c in p.terms.items()})
-    one = Poly.one(n + 1)
-    gb = groebner_basis(lifted + [one - tp])
+    places = range(1, n + 1)
+    lifted = [g.remap(n + 1, places) for g in gens]
+    tp = p.remap(n + 1, places).mul_term((0,) * n + (1,), GR_ONE)
+    gb = groebner_basis(lifted + [Poly.one(n + 1) - tp])
     return gb.is_unit_ideal()
 
 
-def origin_isolated(gens: Sequence[Poly], quick_cap: int = 32) -> bool:
+QUICK_POWER_CAP = 32
+
+
+def origin_isolated(gens: Sequence[Poly]) -> bool:
     """Whether every variable lies in the radical of the ideal.
 
     Cheap route first: some power of the variable reduces to zero.  Only
-    when no power up to ``quick_cap`` works does the adjoined-variable
+    when no power up to ``QUICK_POWER_CAP`` works does the adjoined-variable
     radical test run.
     """
     gens = list(gens)
@@ -417,7 +358,7 @@ def origin_isolated(gens: Sequence[Poly], quick_cap: int = 32) -> bool:
     n = gb.nvars
     for j in range(1, n + 1):
         v = Poly.variable(n, j)
-        if min_power_in_ideal(v, gb, quick_cap) is not None:
+        if min_power_in_ideal(v, gb, QUICK_POWER_CAP) is not None:
             continue
         if not radical_membership(v, gens):
             return False
@@ -454,47 +395,34 @@ def eliminate(gens: Sequence[Poly], drop: Sequence[int]) -> list:
         if not 1 <= d <= n:
             raise ValueError(f"variable index {d} out of range 1..{n}")
     keep = [j for j in range(1, n + 1) if j not in drop_set]
-    perm = [d - 1 for d in drop_set] + [j - 1 for j in keep]
     k = len(drop_set)
-    permuted = [
-        Poly(n, {tuple(m[t] for t in perm): c for m, c in g.terms.items()})
-        for g in gens
+    # dropped variables first, so the elimination order makes them expensive
+    layout = drop_set + keep
+    places = [layout.index(j) + 1 for j in range(1, n + 1)]
+    gb = groebner_basis([g.remap(n, places) for g in gens], order=MonomialOrder.elim(k))
+    restrict = [None] * k + list(range(1, len(keep) + 1))
+    return [
+        b.remap(len(keep), restrict)
+        for b in gb.basis
+        if all(b.degree_in(j) == 0 for j in range(1, k + 1))
     ]
-    gb = groebner_basis(permuted, order=MonomialOrder.elim(k))
-    out = []
-    for b in gb.basis:
-        if all(all(e == 0 for e in m[:k]) for m in b.terms):
-            out.append(Poly(len(keep), {m[k:]: c for m, c in b.terms.items()}))
-    return out
 
 
 # ---------------------------------------------------------------------------
 # gcd by subresultant pseudo-remainder sequences
 
-def _highest_var(*ps: Poly):
-    h = 0
-    for p in ps:
-        for m in p.terms:
-            for k in range(len(m) - 1, h - 1, -1):
-                if m[k]:
-                    h = max(h, k + 1)
-                    break
-    return h
-
-
-def _dense(p: Poly, var: int):
-    """Dense coefficient list in the 1-based variable, low degree first."""
-    return p.coefficients_in(var)
+def _highest_var(p: Poly, q: Poly) -> int:
+    """1-based index of the last variable p or q uses; 0 for constants."""
+    return next(
+        (j for j in range(p.nvars, 0, -1) if p.degree_in(j) > 0 or q.degree_in(j) > 0), 0
+    )
 
 
 def _from_dense(coeffs, var: int, nv: int) -> Poly:
-    i = var - 1
-    acc: dict = {}
+    acc = Poly.zero(nv)
     for e, c in enumerate(coeffs):
-        for m, k in c.terms.items():
-            mono = m[:i] + (m[i] + e,) + m[i + 1:]
-            acc[mono] = k
-    return Poly(nv, acc)
+        acc = acc + c.mul_term(tuple(e if j == var - 1 else 0 for j in range(nv)), GR_ONE)
+    return acc
 
 
 def _strip(coeffs):
@@ -549,8 +477,8 @@ def multivariate_gcd(p: Poly, q: Poly) -> Poly:
     var = _highest_var(p, q)
     if var == 0:
         return Poly.one(nv)
-    A = _strip(_dense(p, var))
-    B = _strip(_dense(q, var))
+    A = _strip(p.coefficients_in(var))
+    B = _strip(q.coefficients_in(var))
     if len(A) < len(B):
         A, B = B, A
     cont_a = _content(A, nv)

@@ -41,6 +41,7 @@ from .multiplier_core import (
     certificate_verify,
 )
 from .polyring import (
+    GR_ONE,
     GaussRat,
     Poly,
     differentiate,
@@ -68,6 +69,7 @@ class StepTwoResult:
     w1: Poly
     w2: Poly
     D: Poly  # dh1/dw1 in the new coordinates
+    h1_s: Poly  # h1^(3q^2) = alpha*h2_hat + beta*D
     alpha: Poly
     beta: Poly
     attempt: int
@@ -242,12 +244,12 @@ def step_two(der: Derivation, pms: list, q: int, seed: int, h2_hat: Poly) -> Ste
         if qd3 == math.inf or qd3 > three_q2:
             last = f"condition (iii): dim(h2_hat, dh1/dw1) = {qd3} not within 3q^2 = {three_q2}"
             continue
-        h1_s = h1 ** three_q2
-        cofs, rem = gb3.cofactors(h1_s)
-        if not rem.is_zero():
+        if not power_in_ideal(h1, three_q2, gb3):
+            # decided on normal forms, before the power is expanded and divided
             last = "Skoda membership h1^(3q^2) in (h2_hat, dh1/dw1) failed"
             continue
-        alpha, beta = cofs
+        h1_s = h1 ** three_q2
+        (alpha, beta), _ = gb3.cofactors(h1_s)
         assert alpha * h2_hat + beta * d == h1_s
 
         h1_pm = der.premultiplier_combine([gr(c) for c in avec], pms)
@@ -257,16 +259,13 @@ def step_two(der: Derivation, pms: list, q: int, seed: int, h2_hat: Poly) -> Ste
             w1=w1,
             w2=w2,
             D=d,
+            h1_s=h1_s,
             alpha=alpha,
             beta=beta,
             attempt=attempt,
             h1_pm=h1_pm,
         )
     raise GenericityError(f"step two: retry budget {RETRY_BUDGET} exhausted ({last})")
-
-
-def _lift4(p: Poly) -> Poly:
-    return Poly._raw(4, {m + (0, 0): c for m, c in p.terms.items()})
 
 
 def weierstrass_from_image(H: Poly, zeta1: Poly, zeta2: Poly, ell: int) -> WeierstrassData:
@@ -286,7 +285,7 @@ def weierstrass_from_image(H: Poly, zeta1: Poly, zeta2: Poly, ell: int) -> Weier
 
     u = Poly.variable(4, 3)
     v = Poly.variable(4, 4)
-    gens4 = [_lift4(H), u - _lift4(zeta1), v - _lift4(zeta2)]
+    gens4 = [H.remap(4, (1, 2)), u - zeta1.remap(4, (1, 2)), v - zeta2.remap(4, (1, 2))]
     img = eliminate(gens4, [1, 2])
     img = [p for p in img if not p.is_zero()]
     if not img:
@@ -301,8 +300,8 @@ def weierstrass_from_image(H: Poly, zeta1: Poly, zeta2: Poly, ell: int) -> Weier
         if T.is_constant():
             raise ValueError("the image ideal has no common curve equation")
 
-    r = min(m[0] for m in T.terms)
-    W = Poly._raw(2, {(m[0] - r, m[1]): c for m, c in T.terms.items()})
+    r = next(k for k, c in enumerate(T.coefficients_in(1)) if not c.is_zero())
+    W = exact_divide(T, Poly.monomial(2, (r, 0)))
     ell_tilde = W.degree_in(2)
     if ell_tilde == 0:
         raise ValueError("the image curve is a pure u-power; preconditions exclude this")
@@ -318,7 +317,7 @@ def weierstrass_from_image(H: Poly, zeta1: Poly, zeta2: Poly, ell: int) -> Weier
     if not distinguished:
         flags.append("non_distinguished")
 
-    h2uv = Poly._raw(2, {(m[0] + r, m[1]): c for m, c in W.terms.items()})
+    h2uv = W.mul_term((r, 0), GR_ONE)
     chain = [h2uv]
     for _ in range(ell_tilde):
         chain.append(differentiate(chain[-1], 2))
@@ -378,7 +377,6 @@ def step_three(der: Derivation, q: int, s1: StepOneResult, s2: StepTwoResult):
         raise VerificationError("substituted image payload mismatch at nu=0")
 
     dh1 = der.rule_premultiplier_differential(s2.h1_pm)
-    h1_s = h1 ** three_q2
     h1_pow = Poly.one(2)  # h1^(3q^2*nu)
     inv_detg = GaussRat(Fraction(1, det_g))
 
@@ -391,14 +389,14 @@ def step_three(der: Derivation, q: int, s1: StepOneResult, s2: StepTwoResult):
             raise VerificationError(f"wedge identity failed at nu={nu}")
         y = h1_pow * succ
         x = der.rule_combine([s2.alpha * y, s2.beta.scale(inv_detg)], [h2m, t])
-        h1_pow = h1_pow * h1_s
+        h1_pow = h1_pow * s2.h1_s
         if x.poly != h1_pow * succ:
             raise VerificationError(f"recursion payload mismatch at nu={nu}")
 
     inv_fact = GaussRat(Fraction(1, math.factorial(w.degree)))
     p_final = der.rule_combine([Poly.const(2, inv_fact)], [x])
     m_h1 = three_q2 * w.degree + w.prefix_r
-    if p_final.poly != h1 ** m_h1:
+    if p_final.poly != h1_pow * h1 ** w.prefix_r:
         raise VerificationError("chain terminus is not the expected power of h1")
     h1m = der.rule_root(h1, m_h1, [p_final])
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from kohnmult.groebner import MonomialOrder, groebner_basis
-from kohnmult.polyring import Poly
+from kohnmult.polyring import GR_ONE, Poly
 
 
 class VecPoly:
@@ -64,12 +64,12 @@ def _marker(r: int, *positions: int) -> tuple:
 
 def _lift(v: VecPoly) -> Poly:
     """sum_i v_i*e_i in Q(i)[e_1..e_r, z]."""
-    terms = {}
+    r, nv = v.rank, v.nvars
+    places = range(r + 1, r + nv + 1)
+    acc = Poly.zero(r + nv)
     for i, p in enumerate(v.parts):
-        e_i = _marker(v.rank, i)
-        for mono, c in p.terms.items():
-            terms[e_i + mono] = c
-    return Poly._raw(v.rank + v.nvars, terms)
+        acc = acc + p.remap(r + nv, places).mul_term(_marker(r, i) + (0,) * nv, GR_ONE)
+    return acc
 
 
 def module_membership(v: VecPoly, gens: Sequence[VecPoly]):
@@ -97,8 +97,5 @@ def module_membership(v: VecPoly, gens: Sequence[VecPoly]):
     cofs, rem = gb.cofactors(_lift(v))
     if not rem.is_zero():
         return False, None
-    e0 = _marker(r)
-    return True, [
-        Poly._raw(nv, {m[r:]: c for m, c in cof.terms.items() if m[:r] == e0})
-        for cof in cofs[: len(gens)]
-    ]
+    e_free = [None] * r + list(range(1, nv + 1))
+    return True, [cof.remap(nv, e_free) for cof in cofs[: len(gens)]]

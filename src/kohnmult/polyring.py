@@ -363,6 +363,28 @@ class Poly:
             acc = acc + piece
         return acc
 
+    def remap(self, nvars: int, places: Sequence[int | None]) -> "Poly":
+        """The polynomial in a ring of ``nvars`` variables, the (k+1)-th
+        variable moved to the 1-based index ``places[k]``.  Where
+        ``places[k]`` is None, every term that uses that variable is dropped.
+        """
+        if len(places) != self.nvars:
+            raise ValueError("need one place per variable")
+        moved = [(k, t - 1) for k, t in enumerate(places) if t is not None]
+        targets = [t for _, t in moved]
+        if len(set(targets)) != len(targets) or not all(0 <= t < nvars for t in targets):
+            raise ValueError(f"places must be distinct indices in 1..{nvars}")
+        dropped = [k for k, t in enumerate(places) if t is None]
+        out = {}
+        for mono, c in self.terms.items():
+            if any(mono[k] for k in dropped):
+                continue
+            new = [0] * nvars
+            for k, t in moved:
+                new[t] = mono[k]
+            out[tuple(new)] = c
+        return Poly._raw(nvars, out)
+
     def __repr__(self):
         return f"Poly({self.nvars}, {poly_to_string(self, default_names(self.nvars))!r})"
 
@@ -466,30 +488,58 @@ def equal_up_to_unit(p: Poly, q: Poly):
     return ratio if p == q.scale(ratio) else None
 
 
+def divide(p: Poly, divisors: Sequence[Poly], key, want_quotients: bool):
+    """Multivariate division of p by the divisor list under the order ``key``.
+
+    Returns (quotients, remainder) with p == sum(q_i * divisors_i) + remainder
+    and no remainder term divisible by any divisor's leading term; quotients
+    is None unless ``want_quotients``.  Divisor selection is first-match in
+    list order, so the quotients are deterministic even where the remainder
+    alone would be.
+    """
+    lts = [d.leading(key) for d in divisors]
+    quots = [{} for _ in divisors] if want_quotients else None
+    rem: dict = {}
+    work = dict(p.terms)
+    while work:
+        mono = max(work, key=key)
+        c = work.pop(mono)
+        for idx, (ltm, ltc) in enumerate(lts):
+            if mono_divides(ltm, mono):
+                qm = mono_quot(ltm, mono)
+                qc = c / ltc
+                if want_quotients:
+                    # leading monomials strictly decrease, so qm is new here
+                    quots[idx][qm] = qc
+                for bm, bc in divisors[idx].terms.items():
+                    if bm == ltm:
+                        continue
+                    tm = mono_mul(bm, qm)
+                    tc = bc * qc
+                    s = work.get(tm)
+                    s = -tc if s is None else s - tc
+                    if s:
+                        work[tm] = s
+                    else:
+                        work.pop(tm, None)
+                break
+        else:
+            rem[mono] = c
+    nv = p.nvars
+    qpolys = [Poly._raw(nv, q) for q in quots] if want_quotients else None
+    return qpolys, Poly._raw(nv, rem)
+
+
 def exact_divide(p: Poly, d: Poly):
     """Quotient q with p == q*d, or None when d does not divide p exactly.
 
-    Single-divisor division: repeatedly cancel the graded-lex leading term.
-    If at some point the leading term of the remainder is not divisible by
-    the leading term of d, then d cannot divide p (any element of the
-    principal ideal (d) has leading term divisible by that of d).
+    (d) has the Groebner basis {d}, so the remainder of dividing by d alone
+    is zero exactly when d divides p.
     """
     if d.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
-    if p.is_zero():
-        return Poly.zero(p.nvars)
-    dm, dc = d.leading()
-    quot: dict = {}
-    work = p
-    while work.terms:
-        m, c = work.leading()
-        if not mono_divides(dm, m):
-            return None
-        qm = mono_quot(dm, m)
-        qc = c / dc
-        quot[qm] = qc
-        work = work - d.mul_term(qm, qc)
-    return Poly._raw(p.nvars, quot)
+    quots, rem = divide(p, [d], grlex_key, True)
+    return quots[0] if rem.is_zero() else None
 
 
 # ---------------------------------------------------------------------------

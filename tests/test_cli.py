@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -204,6 +205,19 @@ def test_effective3d_rejects_a_zero_away_from_the_origin(tmp_path, capsys):
     code = cli.main(["effective3d", dom])
     assert code == 2
     assert "origin as an isolated zero" in capsys.readouterr().err
+
+
+def test_effective3d_rejects_failing_skoda_draws_quickly(tmp_path, capsys):
+    # V(z1^2, z2^2 + z1*z2^2) = {0}, but (h2_hat, dh1/dw1) has zeros away from
+    # the origin where h1 does not vanish, so every draw fails the Skoda
+    # membership; each is rejected on normal forms before h1^(3q^2) is divided
+    dom = _domain_file(tmp_path, ["z1^2", "z2^2 + z1*z2^2"])
+    start = time.perf_counter()
+    code = cli.main(["effective3d", dom])
+    elapsed = time.perf_counter() - start
+    assert code == 3
+    assert "Skoda membership h1^(3q^2)" in capsys.readouterr().err
+    assert elapsed < 30
 
 
 # -- catlin-dangelo ----------------------------------------------------------

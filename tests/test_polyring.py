@@ -225,3 +225,23 @@ def test_equal_up_to_unit():
     assert equal_up_to_unit(z1.scale(gr(0, 1)), z1)
     assert not equal_up_to_unit(z1, z1**2)
     assert not equal_up_to_unit(z1, Poly.zero(2))
+
+
+@settings(max_examples=40, deadline=None)
+@given(poly_strategy(2))
+def test_remap_lift_then_restrict_round_trip(p):
+    lifted = p.remap(4, (3, 1))
+    assert lifted == p.compose([Poly.variable(4, 3), Poly.variable(4, 1)])
+    assert lifted.remap(2, (2, None, 1, None)) == p
+
+
+def test_remap_drops_terms_that_use_a_dropped_variable():
+    z1, z2, z3 = (Poly.variable(3, j) for j in (1, 2, 3))
+    p = z1 * z1 + z1 * z2 + z3.scale(gr(5))
+    assert p.remap(2, (1, None, 2)) == parse_poly("z1^2 + 5*z2", ["z1", "z2"])
+    with pytest.raises(ValueError):
+        p.remap(2, (1, 1, None))
+    with pytest.raises(ValueError):
+        p.remap(2, (1, 3, None))
+    with pytest.raises(ValueError):
+        p.remap(3, (1, 2))

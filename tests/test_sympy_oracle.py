@@ -1,4 +1,5 @@
-"""Differential oracle: Groebner bases and module membership against sympy.
+"""Differential oracle: division, Groebner bases and module membership
+against sympy.
 
 sympy is a test-only dependency; the module is skipped where it is absent.
 Inputs are small random polynomials over QQ from a fixed seed.
@@ -12,7 +13,7 @@ sympy = pytest.importorskip("sympy")
 
 from kohnmult.groebner import groebner_basis
 from kohnmult.modules import VecPoly, module_membership
-from kohnmult.polyring import Poly, poly_matrix_det
+from kohnmult.polyring import Poly, divide, exact_divide, grlex_key, poly_matrix_det
 
 from oracles import make_rng, random_poly
 
@@ -38,8 +39,47 @@ def _terms(p: Poly):
 
 def _sympy_terms(poly):
     return frozenset(
-        (mono, Fraction(int(c.p), int(c.q))) for mono, c in poly.terms()
+        (mono, Fraction(int(c.p), int(c.q))) for mono, c in poly.terms() if c
     )
+
+
+@pytest.mark.parametrize("nv", [2, 3])
+def test_division_by_one_divisor_matches_sympy(nv):
+    # sympy.div divides recursively in the first variable, so its quotient
+    # is not the graded-lex one; reduced() runs the multivariate division
+    # algorithm under the order it is given
+    rng = make_rng(f"sympy-divide-{nv}")
+    zs = _symbols(nv)
+    for _ in range(20):
+        p = random_poly(rng, nv, 4, max_terms=5)
+        d = random_poly(rng, nv, 2, max_terms=3)
+        (q,), r = divide(p, [d], grlex_key, True)
+        (sq,), sr = sympy.reduced(
+            _to_sympy(p, zs), [_to_sympy(d, zs)], *zs, order="grlex", domain="QQ",
+            polys=True,
+        )
+        assert (_terms(q), _terms(r)) == (_sympy_terms(sq), _sympy_terms(sr))
+        assert q * d + r == p
+
+
+@pytest.mark.parametrize("nv", [2, 3])
+def test_exact_divide_matches_sympy_divisibility(nv):
+    rng = make_rng(f"sympy-exact-{nv}")
+    zs = _symbols(nv)
+    exact = 0
+    for trial in range(20):
+        d = random_poly(rng, nv, 2, max_terms=3)
+        p = random_poly(rng, nv, 2, max_terms=3)
+        assert exact_divide(p * d, d) == p
+        if trial % 2:
+            p = p * d + random_poly(rng, nv, 1, max_terms=1)
+        _, sr = sympy.div(_to_sympy(p, zs), _to_sympy(d, zs), *zs, domain="QQ")
+        got = exact_divide(p, d)
+        assert (got is None) == (sr != 0)
+        if got is not None:
+            assert got * d == p
+            exact += 1
+    assert 0 < exact < 20
 
 
 @pytest.mark.parametrize("nv", [2, 3])
