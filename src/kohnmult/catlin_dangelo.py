@@ -323,7 +323,7 @@ def run_effective_chain(params: CDParams) -> EffectiveChain:
     z2n_pm = der.premultiplier_combine([1, -1], [pm2, tail])
     if z2n_pm.poly != Poly.monomial(2, (0, n)):
         raise VerificationError("pre-multiplier payload is off")
-    if z2n_pm.differential_order != omega / 2:
+    if z2n_pm.order != omega / 2:
         raise VerificationError("pre-multiplier differential order is off")
 
     d_z2n = der.rule_premultiplier_differential(z2n_pm)
@@ -427,8 +427,6 @@ def run(params: CDParams, power_cap: int | None = None) -> CDReport:
     report = CDReport(params=params, q=params.M * params.N, trace=trace, chain=chain)
     if report.final_order < report.floor_order:
         raise VerificationError("final order fell below the multiplicity floor")
-    if trace.p1_lower < params.M + params.K - 2:
-        raise VerificationError("p1 lower bound fell below M+K-2")
     return report
 
 

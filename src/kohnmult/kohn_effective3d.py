@@ -35,7 +35,7 @@ from .multiplier_core import (
     DerivationCertificate,
     DomainError,
     GenericityError,
-    ScalarMultiplier,
+    Multiplier,
     SpecialDomain,
     VerificationError,
     certificate_verify,
@@ -59,7 +59,7 @@ class StepOneResult:
     h2_hat: Poly
     k1: int
     attempt: int
-    h2_hat_mult: ScalarMultiplier
+    h2_hat_mult: Multiplier
 
 
 @dataclass(frozen=True)
@@ -73,7 +73,7 @@ class StepTwoResult:
     alpha: Poly
     beta: Poly
     attempt: int
-    h1_pm: object  # PreMultiplier certificate handle
+    h1_pm: Multiplier  # pre-multiplier
 
 
 @dataclass(frozen=True)
@@ -131,10 +131,7 @@ def _multiplicity(domain: SpecialDomain) -> int:
     gens = list(domain.generators)
     if not origin_isolated(gens):
         raise DomainError("the defining functions must have the origin as an isolated zero")
-    q = quotient_dimension(groebner_basis(gens))
-    if q == math.inf:
-        raise DomainError("the defining functions must generate a finite-codimension ideal")
-    return q
+    return quotient_dimension(groebner_basis(gens))
 
 
 def _combination(coeffs, pms) -> Poly:

@@ -19,6 +19,7 @@ from .groebner import (
     min_power_in_ideal,
     multivariate_gcd,
     origin_isolated,
+    power_in_ideal,
     radical_membership,
     squarefree_part,
 )
@@ -114,7 +115,7 @@ def _push_unique(acc: list[Poly], p: Poly) -> None:
 
 def _certify(candidate: Poly, j_gb: GroebnerBasis, j_gens: list[Poly], power_cap: int) -> bool:
     # a bounded-power witness is preferred; Rabinowitsch decides the leftovers
-    if min_power_in_ideal(candidate, j_gb, power_cap) is not None:
+    if power_in_ideal(candidate, power_cap, j_gb):
         return True
     return radical_membership(candidate, j_gens)
 

@@ -6,12 +6,14 @@ steps it consumed, the payload polynomial(s) it produced, and the exact
 rational subellipticity order the rule arithmetic assigns.  `RULES` is the
 single statement of the ten rules: for each, the kind of multiplier it
 yields, the kinds of its inputs, its aux fields, its payload formula, its
-side check and its order arithmetic.  `Derivation` reads the table to emit
-steps, and `certificate_verify` reads it to replay every step from the
-payload strings alone: it re-derives the polynomials, runs the side checks
-(root cofactors are replayed by plain multiplication), and re-computes every
-order, so a certificate stands on its own without trusting the code that
-emitted it.
+side check and its order arithmetic.  A rule's inputs and its output are
+`Multiplier` records: kind, payload polynomials, order and step id.
+`Derivation` reads the table to emit steps and returns the record each step
+yields; `certificate_verify` reads it to replay every step from the payload
+strings alone, rebuilding the same records from the parsed payloads: it
+re-derives the polynomials, runs the side checks (root cofactors are
+replayed by plain multiplication), and re-computes every order, so a
+certificate stands on its own without trusting the code that emitted it.
 
 Scalar multipliers form an ideal: sums with arbitrary polynomial
 coefficients keep the minimum order.  Differentials halve the order.
@@ -121,44 +123,21 @@ class SpecialDomain:
         }
 
 
-@dataclass(frozen=True)
-class ScalarMultiplier:
-    poly: Poly
+class Multiplier(NamedTuple):
+    """A multiplier as a step yields it, the one record the emitter returns
+    and the verifier replays.  `polys` is the payload: one polynomial for a
+    scalar or pre-multiplier, n for a vector multiplier (the coefficient of
+    dz_j at slot j).  `order` is the certified order; for a pre-multiplier
+    it is the order of its differential.  `step` is the yielding step's id."""
+
+    kind: str
+    polys: tuple
     order: Fraction
     step: int
 
-
-@dataclass(frozen=True)
-class VectorMultiplier:
-    form: tuple  # n Polys, coefficient of dz_j at slot j
-    order: Fraction
-    step: int
-
-
-@dataclass(frozen=True)
-class PreMultiplier:
-    poly: Poly
-    differential_order: Fraction
-    step: int
-
-
-@dataclass(frozen=True)
-class MatrixMultiplier:
-    """n x n matrix whose rows are vector multipliers (row ell is the form
-    sum_j entries[ell][j] dz_j, certified at row_orders[ell])."""
-
-    entries: tuple  # tuple of n row-tuples of Polys
-    row_orders: tuple  # n Fractions
-    row_steps: tuple  # n step ids of the row vector-multiplier steps
-
     @property
-    def size(self) -> int:
-        return len(self.entries)
-
-    @property
-    def rows(self) -> list:
-        return [VectorMultiplier(tuple(r), w, s)
-                for r, w, s in zip(self.entries, self.row_orders, self.row_steps)]
+    def poly(self) -> Poly:
+        return self.polys[0]
 
 
 @dataclass(frozen=True)
@@ -260,29 +239,28 @@ class Derivation:
     def _s(self, p: Poly) -> str:
         return poly_to_string(p, self.domain.variables)
 
-    def _apply(self, name, ms, aux=None, payload=None, order=None):
+    def _apply(self, name, ms, aux=None, payload=None, order=None) -> Multiplier:
         """Log one step of rule `name` on the input multipliers `ms` and
         return the multiplier it yields.  Payload and order come from the
         rule's entry unless the rule leaves them to the caller."""
         rule = RULES[name]
-        ins = [_input(m) for m in ms]
-        rule.check_inputs(self.domain.nvars, ins)
+        for m in ms:
+            if not isinstance(m, Multiplier):
+                raise TypeError(f"{type(m).__name__} is not a multiplier")
+        rule.check_inputs(self.domain.nvars, ms)
         aux = aux or {}
         if payload is None:
-            payload = rule.payload(self.domain, ins, aux)
+            payload = rule.payload(self.domain, ms, aux)
         if order is None:
-            order = rule.order(ins, aux)
+            order = rule.order(ms, aux)
         step = self.cert.add(
             name,
-            [i.step for i in ins],
+            [m.step for m in ms],
             [self._s(p) for p in payload],
             order,
             aux={k: _render(aux[k], self._s) for k in rule.aux},
         )
-        if rule.kind == VECTOR:
-            return VectorMultiplier(tuple(payload), order, step.id)
-        kind = ScalarMultiplier if rule.kind == SCALAR else PreMultiplier
-        return kind(payload[0], order, step.id)
+        return Multiplier(rule.kind, tuple(payload), order, step.id)
 
     # -- rules --------------------------------------------------------------
 
@@ -292,7 +270,7 @@ class Derivation:
         return [self._apply("premultiplier", [], {"generator_index": j})
                 for j in range(len(self.domain.generators))]
 
-    def premultiplier_combine(self, coeffs, inputs) -> PreMultiplier:
+    def premultiplier_combine(self, coeffs, inputs) -> Multiplier:
         """Constant-coefficient combination; scalar-multiplier inputs
         contribute half their order (their differential's order)."""
         if len(coeffs) != len(inputs):
@@ -301,21 +279,21 @@ class Derivation:
         return self._apply("premultiplier_combine", inputs,
                            {"coeffs": [Poly.const(nv, c) for c in coeffs]})
 
-    def rule_premultiplier_differential(self, pm: PreMultiplier) -> VectorMultiplier:
+    def rule_premultiplier_differential(self, pm: Multiplier) -> Multiplier:
         return self._apply("premultiplier_differential", [pm])
 
-    def rule_differential(self, f: ScalarMultiplier) -> VectorMultiplier:
+    def rule_differential(self, f: Multiplier) -> Multiplier:
         return self._apply("differential", [f])
 
-    def rule_det(self, thetas) -> ScalarMultiplier:
+    def rule_det(self, thetas) -> Multiplier:
         return self._apply("det", thetas)
 
-    def rule_jacobian_of_premultipliers(self, gs) -> ScalarMultiplier:
+    def rule_jacobian_of_premultipliers(self, gs) -> Multiplier:
         """Differentiate each pre-multiplier, then take the determinant."""
         thetas = [self.rule_premultiplier_differential(g) for g in gs]
         return self.rule_det(thetas)
 
-    def rule_root(self, f: Poly, m: int, known) -> ScalarMultiplier:
+    def rule_root(self, f: Poly, m: int, known) -> Multiplier:
         """f with f^m in the ideal of known multipliers; order = min/m.
         The membership cofactors are computed here and stored so the
         verifier can replay the identity by multiplication alone."""
@@ -330,111 +308,72 @@ class Derivation:
             )
         return self._apply("root", known, {"m": m, "cofactors": cofs}, payload=[f])
 
-    def rule_combine(self, coeffs, ms) -> ScalarMultiplier:
+    def rule_combine(self, coeffs, ms) -> Multiplier:
         """Polynomial-coefficient combination of scalar multipliers."""
         if len(coeffs) != len(ms):
             raise ValueError("one coefficient per multiplier")
         return self._apply("combine", ms, {"coeffs": list(coeffs)})
 
-    def rule_assume_vector(self, form, order: Fraction) -> VectorMultiplier:
+    def rule_assume_vector(self, form, order: Fraction) -> Multiplier:
         """Record a vector multiplier as a hypothesis (used for matrix rows
         whose multiplier property is an assumption, not a derivation)."""
         return self._apply("assume_vector", [], payload=tuple(form), order=order)
 
-    def assume_matrix(self, entries, row_orders) -> MatrixMultiplier:
-        rows = []
-        for row, w in zip(entries, row_orders):
-            rows.append(self.rule_assume_vector(tuple(row), w))
-        return MatrixMultiplier(
-            tuple(tuple(r) for r in entries),
-            tuple(row_orders),
-            tuple(r.step for r in rows),
-        )
+    def assume_matrix(self, entries, row_orders) -> list:
+        """The rows of a matrix multiplier, each an assumed vector multiplier
+        (row ell is the form sum_j entries[ell][j] dz_j at row_orders[ell])."""
+        return [self.rule_assume_vector(row, w) for row, w in zip(entries, row_orders)]
 
-    def rule_matrix_to_vector(self, a: MatrixMultiplier) -> VectorMultiplier:
+    def rule_matrix_to_vector(self, rows) -> Multiplier:
         """b_j = sum_{p,l} adj(a)_{pl} * d_p a_{lj}; order = (min row)/2."""
-        return self._apply("matrix_to_vector", a.rows)
+        return self._apply("matrix_to_vector", rows)
 
-    def rule_general_gamma(self, Gamma, A, a: MatrixMultiplier, alpha: ScalarMultiplier) -> VectorMultiplier:
+    def rule_general_gamma(self, Gamma, A, rows, alpha: Multiplier) -> Multiplier:
         """b_j = sum_{p,k,l} Gamma_{pk} A_{kl} d_p a_{lj}, requiring the
         exact identity A * a = alpha * I; order = min(rows, alpha)/2."""
         n = self.domain.nvars
-        if a.size != n or len(Gamma) != n or len(A) != n:
+        if len(rows) != n or len(Gamma) != n or len(A) != n:
             raise ValueError("all matrices must be n x n")
-        check_gamma_hypothesis(A, a.entries, alpha.poly)
-        return self._apply("general_gamma", a.rows + [alpha], {"gamma": Gamma, "A": A})
+        check_gamma_hypothesis(A, [r.polys for r in rows], alpha.poly)
+        return self._apply("general_gamma", [*rows, alpha], {"gamma": Gamma, "A": A})
+
+
+def _matmul(X, Y) -> list:
+    nv = Y[0][0].nvars
+    return [[_sum(nv, (x * Y[k][j] for k, x in enumerate(row))) for j in range(len(Y[0]))]
+            for row in X]
+
+
+def _contract(M, entries) -> list:
+    """Components b_j = sum_{p,l} M_{pl} * d_p a_{lj}."""
+    n = len(entries)
+    nv = entries[0][0].nvars
+    return [_sum(nv, (M[p][ell] * differentiate(entries[ell][j], p + 1)
+                      for p in range(n) for ell in range(n)))
+            for j in range(n)]
 
 
 def matrix_to_vector_form(entries) -> list:
-    """Components b_j = sum_{p,l} adj(a)_{pl} * d_p a_{lj}."""
-    n = len(entries)
-    nv = entries[0][0].nvars
-    adj = poly_matrix_adjugate([list(r) for r in entries])
-    b = []
-    for j in range(n):
-        acc = Poly.zero(nv)
-        for p in range(n):
-            for ell in range(n):
-                acc = acc + adj[p][ell] * differentiate(entries[ell][j], p + 1)
-        b.append(acc)
-    return b
+    """The contraction by M = adj(a)."""
+    return _contract(poly_matrix_adjugate([list(r) for r in entries]), entries)
 
 
 def general_gamma_form(Gamma, A, entries) -> list:
-    n = len(entries)
-    nv = entries[0][0].nvars
-    b = []
-    for j in range(n):
-        acc = Poly.zero(nv)
-        for p in range(n):
-            for k in range(n):
-                if Gamma[p][k].is_zero():
-                    continue
-                for ell in range(n):
-                    acc = acc + Gamma[p][k] * A[k][ell] * differentiate(
-                        entries[ell][j], p + 1
-                    )
-        b.append(acc)
-    return b
+    """The contraction by M = Gamma * A."""
+    return _contract(_matmul(Gamma, A), entries)
 
 
 def check_gamma_hypothesis(A, entries, alpha: Poly):
     """A * a must equal alpha * Identity exactly."""
-    n = len(entries)
-    nv = alpha.nvars
-    for j in range(n):
-        for k in range(n):
-            acc = Poly.zero(nv)
-            for ell in range(n):
-                acc = acc + A[j][ell] * entries[ell][k]
-            want = alpha if j == k else Poly.zero(nv)
-            if acc != want:
-                raise RuleError(
-                    f"hypothesis A*a = alpha*I fails at entry ({j + 1},{k + 1})"
-                )
+    zero = Poly.zero(alpha.nvars)
+    for j, row in enumerate(_matmul(A, entries)):
+        for k, x in enumerate(row):
+            if x != (alpha if j == k else zero):
+                raise RuleError(f"hypothesis A*a = alpha*I fails at entry ({j + 1},{k + 1})")
 
 
 # ---------------------------------------------------------------------------
 # the rule table
-
-
-class _In(NamedTuple):
-    """A rule input as the emitter and the verifier both see it."""
-
-    kind: str
-    polys: tuple
-    order: Fraction
-    step: int
-
-
-def _input(m) -> _In:
-    if isinstance(m, PreMultiplier):
-        return _In(PREMULT, (m.poly,), m.differential_order, m.step)
-    if isinstance(m, ScalarMultiplier):
-        return _In(SCALAR, (m.poly,), m.order, m.step)
-    if isinstance(m, VectorMultiplier):
-        return _In(VECTOR, tuple(m.form), m.order, m.step)
-    raise TypeError(f"{type(m).__name__} is not a multiplier")
 
 
 # aux field readers: read(value, parse, n, k) checks and parses the JSON value
@@ -524,13 +463,13 @@ def _generator_index(dom, ins, aux, payload):
 
 
 def _root_identity(dom, ins, aux, payload):
-    acc = _sum(dom.nvars, (c * i.polys[0] for c, i in zip(aux["cofactors"], ins)))
+    acc = _sum(dom.nvars, (c * i.poly for c, i in zip(aux["cofactors"], ins)))
     if payload[0] ** aux["m"] != acc:
         raise RuleError("cofactor identity payload^m = sum(c_i * g_i) fails")
 
 
 def _gamma_hypothesis(dom, ins, aux, payload):
-    check_gamma_hypothesis(aux["A"], [i.polys for i in ins[:-1]], ins[-1].polys[0])
+    check_gamma_hypothesis(aux["A"], [i.polys for i in ins[:-1]], ins[-1].poly)
 
 
 RULES = {
@@ -549,7 +488,7 @@ RULES = {
         inputs=lambda n, k: [(PREMULT, SCALAR)] * max(k, 1),
         aux={"coeffs": _per_input(constant=True)},
         payload=lambda dom, ins, aux: [_sum(dom.nvars, (
-            i.polys[0].scale(c.constant_value()) for c, i in zip(aux["coeffs"], ins)
+            i.poly.scale(c.constant_value()) for c, i in zip(aux["coeffs"], ins)
         ))],
         # a scalar multiplier contributes its differential's order
         order=lambda ins, aux: min(i.order if i.kind == PREMULT else i.order / 2 for i in ins),
@@ -558,14 +497,14 @@ RULES = {
         cite="differential of a pre-multiplier",
         kind=VECTOR,
         inputs=lambda n, k: [(PREMULT,)],
-        payload=lambda dom, ins, aux: gradient(ins[0].polys[0]),
+        payload=lambda dom, ins, aux: gradient(ins[0].poly),
         order=lambda ins, aux: ins[0].order,
     ),
     "differential": Rule(
         cite="differential of a scalar multiplier",
         kind=VECTOR,
         inputs=lambda n, k: [(SCALAR,)],
-        payload=lambda dom, ins, aux: gradient(ins[0].polys[0]),
+        payload=lambda dom, ins, aux: gradient(ins[0].poly),
         order=lambda ins, aux: ins[0].order / 2,
     ),
     "det": Rule(
@@ -589,7 +528,7 @@ RULES = {
         inputs=lambda n, k: [(SCALAR,)] * max(k, 1),
         aux={"coeffs": _per_input()},
         payload=lambda dom, ins, aux: [_sum(dom.nvars, (
-            c * i.polys[0] for c, i in zip(aux["coeffs"], ins)
+            c * i.poly for c, i in zip(aux["coeffs"], ins)
         ))],
         order=lambda ins, aux: _min(ins),
     ),
@@ -687,7 +626,7 @@ def certificate_verify(cert: DerivationCertificate, domain: SpecialDomain) -> Ve
             except RuleError as e:
                 raise RuleError(f"payload {e}") from None
             ins = [
-                _In(RULES[cert.steps[i].rule].kind, polys[i], cert.steps[i].order, i)
+                Multiplier(RULES[cert.steps[i].rule].kind, polys[i], cert.steps[i].order, i)
                 for i in st.inputs
             ]
             rule.check_inputs(n, ins)

@@ -11,7 +11,7 @@ import math
 import random
 from fractions import Fraction
 
-from kohnmult.polyring import GaussRat, Poly, gr
+from kohnmult.polyring import GaussRat, Poly, differentiate, gr, poly_matrix_adjugate
 
 
 # ---------------------------------------------------------------------------
@@ -204,6 +204,44 @@ def uniform_power_brute(gens, in_ideal, cap):
         else:
             lo = mid + 1
     return hi
+
+
+# ---------------------------------------------------------------------------
+# matrix contractions to a vector multiplier, as literal triple sums
+# ---------------------------------------------------------------------------
+
+def matrix_to_vector_brute(entries):
+    """b_j = sum_{p,l} adj(a)_{pl} * d_p a_{lj}, one term at a time."""
+    n = len(entries)
+    nv = entries[0][0].nvars
+    adj = poly_matrix_adjugate([list(r) for r in entries])
+    b = []
+    for j in range(n):
+        acc = Poly.zero(nv)
+        for p in range(n):
+            for ell in range(n):
+                acc = acc + adj[p][ell] * differentiate(entries[ell][j], p + 1)
+        b.append(acc)
+    return b
+
+
+def general_gamma_brute(Gamma, A, entries):
+    """b_j = sum_{p,k,l} Gamma_{pk} A_{kl} * d_p a_{lj}, one term at a time."""
+    n = len(entries)
+    nv = entries[0][0].nvars
+    b = []
+    for j in range(n):
+        acc = Poly.zero(nv)
+        for p in range(n):
+            for k in range(n):
+                if Gamma[p][k].is_zero():
+                    continue
+                for ell in range(n):
+                    acc = acc + Gamma[p][k] * A[k][ell] * differentiate(
+                        entries[ell][j], p + 1
+                    )
+        b.append(acc)
+    return b
 
 
 # ---------------------------------------------------------------------------

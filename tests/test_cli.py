@@ -263,6 +263,21 @@ def test_catlin_dangelo_cap_exit(tmp_path, capsys):
     assert code == 3
 
 
+def test_catlin_dangelo_capped_run_exits_3_in_both_modes(capsys):
+    # the least power p1 >= M+K-2 = 5 lies above the cap of 3: a capped
+    # run, not a verification failure, whichever halves run
+    for mode in ("ineffective", "both"):
+        code, out = _run(
+            capsys,
+            ["catlin-dangelo", "--M", "2", "--N", "3", "--K", "5",
+             "--mode", mode, "--power-cap", "3"],
+        )
+        assert code == 3, mode
+        data = json.loads(out)
+        trace = data["trace"] if mode == "both" else data
+        assert trace["p1_exact"] is None, mode
+
+
 # -- matrix-lab --------------------------------------------------------------
 
 def test_matrix_lab_triangular_report(tmp_path, capsys):

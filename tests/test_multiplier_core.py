@@ -6,6 +6,8 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from kohnmult import cli
 from kohnmult.catlin_dangelo import CDParams, run_effective_chain
@@ -13,16 +15,20 @@ from kohnmult.kohn_effective3d import run_effective3d
 from kohnmult.polyring import Poly, gr, parse_poly
 from kohnmult.multiplier_core import (
     RULES,
+    SCALAR,
     Derivation,
     DerivationCertificate,
     DomainError,
-    ScalarMultiplier,
+    Multiplier,
     SpecialDomain,
     certificate_verify,
+    general_gamma_form,
     matrix_to_vector_form,
     order_str,
     parse_order,
 )
+
+from oracles import general_gamma_brute, matrix_to_vector_brute
 
 
 def _dom(gens, variables=("z1", "z2")):
@@ -62,7 +68,7 @@ def test_domain_json_round_trip():
 def test_init_premultipliers_order():
     der = Derivation(_dom(["z1", "z2"]))
     pms = der.init_premultipliers()
-    assert [pm.differential_order for pm in pms] == [
+    assert [pm.order for pm in pms] == [
         Fraction(1, 4),
         Fraction(1, 4),
     ]
@@ -86,7 +92,7 @@ def test_differential_halves_order():
     g = der.rule_jacobian_of_premultipliers(der.init_premultipliers())
     theta = der.rule_differential(g)
     assert theta.order == g.order / 2
-    assert theta.form == (
+    assert theta.polys == (
         Poly.monomial(2, (0, 1), gr(4)),
         Poly.monomial(2, (1, 0), gr(4)),
     )
@@ -147,7 +153,7 @@ def test_premultiplier_combine_halves_scalar_orders():
     pms = der.init_premultipliers()
     g = der.rule_jacobian_of_premultipliers(pms)  # scalar at 1/4
     mixed = der.premultiplier_combine([1, -1], [pms[0], g])
-    assert mixed.differential_order == min(
+    assert mixed.order == min(
         Fraction(1, 4), g.order / 2
     )
     assert mixed.poly == pms[0].poly - g.poly
@@ -164,7 +170,7 @@ def test_matrix_to_vector_diagonal_case():
         (Fraction(1, 4), Fraction(1, 4)),
     )
     b = der.rule_matrix_to_vector(a)
-    assert b.form == (_p("z2"), _p("z1"))
+    assert b.polys == (_p("z2"), _p("z1"))
     assert b.order == Fraction(1, 8)
 
 
@@ -173,6 +179,38 @@ def test_matrix_to_vector_identity_matrix_gives_zero_form():
         ((Poly.one(2), Poly.zero(2)), (Poly.zero(2), Poly.one(2)))
     )
     assert all(p.is_zero() for p in form)
+
+
+def _matrix(n):
+    """n x n matrices over n variables: entries of degree <= 2 in each
+    variable, some zero, with integer and sometimes Gaussian coefficients."""
+    coeff = st.one_of(st.integers(-3, 3).map(gr), st.just(gr(2, -1)))
+    term = st.tuples(st.tuples(*[st.integers(0, 2)] * n), coeff)
+    entry = st.lists(term, max_size=3).map(
+        lambda ts: sum((Poly.monomial(n, m, c) for m, c in ts), Poly.zero(n))
+    )
+    return st.tuples(*[st.tuples(*[entry] * n)] * n)
+
+
+_contraction_inputs = st.integers(2, 3).flatmap(
+    lambda n: st.tuples(_matrix(n), _matrix(n), _matrix(n))
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_contraction_inputs)
+@example((
+    ((_p("0"), _p("1")), (_p("1"), _p("1"))),
+    ((_p("z2"), _p("0")), (_p("0"), _p("z1"))),
+    ((_p("z1"), _p("0")), (_p("z1*z2"), Poly.monomial(2, (0, 2), gr(2, -1)))),
+))
+def test_contractions_match_the_triple_sums(mats):
+    Gamma, A, a = mats
+    n = len(a)
+    assume(any(Gamma[p][k] != (Poly.one(n) if p == k else Poly.zero(n))
+               for p in range(n) for k in range(n)))
+    assert matrix_to_vector_form(a) == matrix_to_vector_brute(a)
+    assert general_gamma_form(Gamma, A, a) == general_gamma_brute(Gamma, A, a)
 
 
 def test_general_gamma_requires_exact_hypothesis():
@@ -303,7 +341,7 @@ def _all_rules_text():
     cert = run_effective_chain(CDParams(2, 3, 5)).certificate
     der = Derivation(cert.domain)
     der.cert = cert
-    one = ScalarMultiplier(Poly.one(2), cert.final.order, cert.final.id)
+    one = Multiplier(SCALAR, (Poly.one(2),), cert.final.order, cert.final.id)
     zero = Poly.zero(2)
     a = der.assume_matrix(
         ((_p("z1"), zero), (zero, _p("z2"))), (Fraction(1, 4), Fraction(1, 4))
