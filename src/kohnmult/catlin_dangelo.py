@@ -83,8 +83,8 @@ class IneffectiveTrace:
 
     p1_exact is the least p with z1^p in the first Jacobian ideal when the
     search cap reaches it, else None; p1_lower is a certified lower bound
-    either way (the exact value, or cap + 1 when the cap-power is still
-    outside the ideal)."""
+    either way (the exact value, or, when the cap-power is still outside the
+    ideal, the larger of cap + 1 and the benchmark bound M+K-2)."""
 
     params: CDParams
     j0: tuple
@@ -179,7 +179,8 @@ def run_ineffective_trace(params: CDParams, power_cap: int | None = None) -> Ine
         raise VerificationError("stage 2: upper power certificate failed")
     p1_exact = min_power_in_ideal(z1, gb1, power_cap)
     if p1_exact is None:
-        p1_lower = power_cap + 1
+        # z1^p in J1 puts it in the benchmark ideal too, so p >= M+K-2
+        p1_lower = max(power_cap + 1, m + k - 2)
     else:
         p1_lower = p1_exact
         if p1_exact < m + k - 2:

@@ -11,6 +11,7 @@ anything unexpected.  Output files are written atomically.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import math
 import os
@@ -148,11 +149,15 @@ def cmd_effective3d(args) -> int:
         "floor_order": order_str(result.floor_order),
         "floor_order_prefixed": order_str(result.floor_order_prefixed),
         "steps": len(result.certificate.steps),
-        "certificate": cert_json,
     }
     if getattr(args, "out", None):
-        # the output file is the bare certificate so it replays under verify
-        _atomic_write(args.out, json.dumps(cert_json, indent=2, sort_keys=True))
+        # the output file is the bare certificate so it replays under verify;
+        # the report names it by hash instead of repeating it
+        text = json.dumps(cert_json, indent=2, sort_keys=True)
+        _atomic_write(args.out, text)
+        data["certificate_sha256"] = hashlib.sha256(text.encode("utf-8")).hexdigest()
+    else:
+        data["certificate"] = cert_json
     lines = [
         f"multiplicity      {result.q}",
         f"seed              {result.seed}",

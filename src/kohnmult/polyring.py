@@ -7,6 +7,12 @@ keeps a dict mapping monomials to nonzero coefficients; the zero polynomial
 is the empty dict.  All operations are exact -- there is no floating point
 anywhere in this package.
 
+That storage is what every caller sees, but products and powers do not run
+on it: they pack each exponent tuple into one int and each coefficient into
+integer numerators over a common denominator (see "the integer product
+kernel" below), and build one GaussRat per output term.  ``parse_poly``
+likewise writes each term of its input straight into the term dict.
+
 Variable indices in the public operations are 1-based (``differentiate(p, 1)``
 differentiates with respect to the first variable).
 """
@@ -14,12 +20,12 @@ differentiates with respect to the first variable).
 from __future__ import annotations
 
 import math
+import operator
 import re
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 _F0 = Fraction(0)
-_F1 = Fraction(1)
 
 
 class GaussRat:
@@ -86,6 +92,14 @@ class GaussRat:
         return f"GaussRat({self.re}, {self.im})"
 
 
+def _real(re: Fraction) -> GaussRat:
+    """GaussRat(re) for a Fraction ``re``, without the conversion checks."""
+    c = object.__new__(GaussRat)
+    object.__setattr__(c, "re", re)
+    object.__setattr__(c, "im", _F0)
+    return c
+
+
 GR_ZERO = GaussRat(0)
 GR_ONE = GaussRat(1)
 GR_I = GaussRat(0, 1)
@@ -100,7 +114,7 @@ def gr(re, im=0):
 # monomial helpers
 
 def mono_mul(a: tuple, b: tuple) -> tuple:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(operator.add, a, b))
 
 
 def mono_divides(a: tuple, b: tuple) -> bool:
@@ -252,44 +266,50 @@ class Poly:
     def mul_term(self, mono: tuple, c: GaussRat) -> "Poly":
         if not c:
             return Poly.zero(self.nvars)
+        if c == GR_ONE:
+            return Poly._raw(self.nvars, {mono_mul(m, mono): k for m, k in self.terms.items()})
         return Poly._raw(
             self.nvars, {mono_mul(m, mono): k * c for m, k in self.terms.items()}
         )
 
     def __mul__(self, other: "Poly") -> "Poly":
-        if not self.terms or not other.terms:
-            return Poly.zero(self.nvars)
         a, b = self.terms, other.terms
-        if len(a) > len(b):
-            a, b = b, a
-        out: dict = {}
-        for m1, c1 in a.items():
-            for m2, c2 in b.items():
-                mono = tuple(x + y for x, y in zip(m1, m2))
-                c = c1 * c2
-                s = out.get(mono)
-                if s is None:
-                    out[mono] = c
-                else:
-                    s = s + c
-                    if s:
-                        out[mono] = s
-                    else:
-                        del out[mono]
-        return Poly._raw(self.nvars, out)
+        if not a or not b:
+            return Poly.zero(self.nvars)
+        if len(a) == 1:
+            (mono, c), = a.items()
+            return other.mul_term(mono, c)
+        if len(b) == 1:
+            (mono, c), = b.items()
+            return self.mul_term(mono, c)
+        width = _field_width(self.total_degree() + other.total_degree())
+        pa, da = _pack(a, width)
+        pb, db = _pack(b, width)
+        return _unpack(self.nvars, width, _gauss_mul(pa, pb), da * db)
 
     def __pow__(self, n: int) -> "Poly":
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        result = Poly.one(self.nvars)
-        base = self
-        while n:
+        if n == 0:
+            return Poly.one(self.nvars)
+        if len(self.terms) <= 1:
+            # zero or one term: scale its exponents, power its coefficient
+            return Poly._raw(self.nvars, {
+                tuple(e * n for e in mono): _gauss_pow(c, n)
+                for mono, c in self.terms.items()
+            })
+        width = _field_width(self.total_degree() * n)
+        base, den = _pack(self.terms, width)
+        den = den ** n
+        result = None
+        while True:
             if n & 1:
-                result = result * base
+                result = base if result is None else _gauss_mul(result, base)
             n >>= 1
-            if n:
-                base = base * base
-        return result
+            if not n:
+                break
+            base = _gauss_mul(base, base)
+        return _unpack(self.nvars, width, result, den)
 
     # -- structure ----------------------------------------------------------
 
@@ -387,6 +407,108 @@ class Poly:
 
     def __repr__(self):
         return f"Poly({self.nvars}, {poly_to_string(self, default_names(self.nvars))!r})"
+
+
+# ---------------------------------------------------------------------------
+# the integer product kernel
+#
+# Products and powers run on packed integers.  An exponent tuple becomes one
+# int, its exponents side by side in fields of ``width`` bits (the first
+# variable in the highest field), so that adding two packed ints multiplies
+# the monomials while no field overflows.  The width comes from the total
+# degree of the result, which bounds each of its exponents.  An operand's
+# coefficients become integer numerators over one common denominator, real
+# and imaginary parts in two dicts keyed by packed int.  The product is
+# accumulated there, and one Fraction is built per output term.
+
+def _field_width(degree: int) -> int:
+    """Bits per exponent field that hold every exponent up to ``degree``."""
+    return max(degree, 1).bit_length()
+
+
+def _pack(terms: dict, width: int):
+    """((real, imag), den): dicts packed monomial -> integer numerator over
+    the common denominator ``den``.  A zero part has no entry."""
+    den = 1
+    for c in terms.values():
+        if c.re.denominator != 1 or c.im.denominator != 1:
+            den = math.lcm(den, c.re.denominator, c.im.denominator)
+    real, imag = {}, {}
+    for mono, c in terms.items():
+        key = 0
+        for e in mono:
+            key = (key << width) | e
+        if c.re:
+            real[key] = c.re.numerator * (den // c.re.denominator)
+        if c.im:
+            imag[key] = c.im.numerator * (den // c.im.denominator)
+    return (real, imag), den
+
+
+def _int_mul(a: dict, b: dict) -> dict:
+    """Product of two packed integer polynomials; zero entries may remain."""
+    if len(a) > len(b):
+        a, b = b, a
+    out: dict = {}
+    get = out.get
+    b_items = list(b.items())
+    for ka, ca in a.items():
+        for kb, cb in b_items:
+            k = ka + kb
+            out[k] = get(k, 0) + ca * cb
+    return out
+
+
+def _add_into(x: dict, y: dict, sign: int) -> dict:
+    """x + sign*y, updating x in place."""
+    get = x.get
+    for k, c in y.items():
+        x[k] = get(k, 0) + sign * c
+    return x
+
+
+def _gauss_mul(a: tuple, b: tuple) -> tuple:
+    """(ar + i*ai)(br + i*bi) on (real, imag) pairs of packed dicts."""
+    ar, ai = a
+    br, bi = b
+    real = _int_mul(ar, br)
+    if not ai and not bi:
+        return real, {}
+    _add_into(real, _int_mul(ai, bi), -1)
+    return real, _add_into(_int_mul(ar, bi), _int_mul(ai, br), 1)
+
+
+def _unpack(nvars: int, width: int, parts: tuple, den: int) -> "Poly":
+    """The Poly of packed (real, imag) numerator dicts over ``den``."""
+    real, imag = parts
+    mask = (1 << width) - 1
+    shifts = [width * (nvars - 1 - j) for j in range(nvars)]
+
+    def mono(key):
+        return tuple((key >> s) & mask for s in shifts)
+
+    out = {}
+    if not imag:
+        for key, r in real.items():
+            if r:
+                out[mono(key)] = _real(Fraction(r, den) if den != 1 else Fraction(r))
+        return Poly._raw(nvars, out)
+    for key in real.keys() | imag.keys():
+        r, i = real.get(key, 0), imag.get(key, 0)
+        if r or i:
+            out[mono(key)] = GaussRat(Fraction(r, den), Fraction(i, den))
+    return Poly._raw(nvars, out)
+
+
+def _gauss_pow(c: GaussRat, n: int) -> GaussRat:
+    result = GR_ONE
+    while n:
+        if n & 1:
+            result = result * c
+        n >>= 1
+        if n:
+            c = c * c
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -558,23 +680,24 @@ class ParseError(ValueError):
 
 
 _TOKEN = re.compile(
-    r"(?P<ws>\s+)"
-    r"|(?P<num>\d+(?:/\d+)?)"
+    r"\s*(?:(?P<num>\d+(?:/\d+)?)"
     r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
     r"|(?P<op>[-+*^()])"
+    r"|(?P<bad>\S))"
 )
 
 
 def _tokenize(text: str):
+    """(kind, text, position) per token in one regex pass.  The kind of an
+    operator is the operator itself; the last token has kind "end"."""
     tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", pos)
-        if m.lastgroup != "ws":
-            tokens.append((m.lastgroup, m.group(), pos))
-        pos = m.end()
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        val = m.group(kind)
+        pos = m.start(kind)
+        if kind == "bad":
+            raise ParseError(f"unexpected character {val!r}", pos)
+        tokens.append((val if kind == "op" else kind, val, pos))
     tokens.append(("end", "", len(text)))
     return tokens
 
@@ -582,94 +705,107 @@ def _tokenize(text: str):
 class _Parser:
     """Recursive descent for:  expr := ['-'] term (('+'|'-') term)*
     term := factor ('*' factor)* ; factor := atom ['^' INT] ;
-    atom := '(' expr ')' | NUMBER | 'i' | VARIABLE."""
+    atom := '(' expr ')' | NUMBER | 'i' | VARIABLE.
+
+    ``expr`` sums its terms into one dict monomial -> coefficient.  A term
+    made of numbers, ``i`` and variables is one entry of it; only a
+    parenthesised factor is expanded with Poly products."""
 
     def __init__(self, text: str, names: Sequence[str]):
         self.tokens = _tokenize(text)
         self.k = 0
-        self.names = list(names)
-        self.nvars = len(self.names)
-        if "i" in self.names:
+        self.nvars = len(names)
+        self.index = {}
+        for j, name in enumerate(names):
+            self.index.setdefault(name, j)
+        if "i" in self.index:
             raise ParseError("'i' is reserved for the imaginary unit", 0)
 
-    def peek(self):
-        return self.tokens[self.k]
-
-    def take(self):
-        t = self.tokens[self.k]
-        self.k += 1
-        return t
-
     def parse(self) -> Poly:
-        p = self.expr()
-        kind, val, pos = self.peek()
+        terms = self.expr()
+        kind, val, pos = self.tokens[self.k]
         if kind != "end":
             raise ParseError(f"unexpected {val!r}", pos)
-        return p
+        return Poly(self.nvars, terms)
 
-    def expr(self) -> Poly:
-        kind, val, _ = self.peek()
-        negate = False
-        if kind == "op" and val == "-":
-            self.take()
-            negate = True
-        acc = self.term()
-        if negate:
-            acc = -acc
+    def expr(self) -> dict:
+        acc: dict = {}
+        sign = 1
+        if self.tokens[self.k][0] == "-":
+            self.k += 1
+            sign = -1
         while True:
-            kind, val, _ = self.peek()
-            if kind == "op" and val in "+-":
-                self.take()
-                rhs = self.term()
-                acc = acc + rhs if val == "+" else acc - rhs
+            self.term(acc, sign)
+            kind = self.tokens[self.k][0]
+            if kind == "+":
+                sign = 1
+            elif kind == "-":
+                sign = -1
             else:
                 return acc
+            self.k += 1
 
-    def term(self) -> Poly:
-        acc = self.factor()
+    def term(self, acc: dict, sign: int) -> None:
+        """Add sign * (the next term) into ``acc``."""
+        tokens = self.tokens
+        num, den, ipow = sign, 1, 0
+        mono = [0] * self.nvars
+        product = None  # of the parenthesised factors
         while True:
-            kind, val, _ = self.peek()
-            if kind == "op" and val == "*":
-                self.take()
-                acc = acc * self.factor()
-            else:
-                return acc
-
-    def factor(self) -> Poly:
-        base = self.atom()
-        kind, val, pos = self.peek()
-        if kind == "op" and val == "^":
-            self.take()
-            kind, val, pos = self.take()
-            if kind != "num" or "/" in val:
-                raise ParseError("exponent must be a non-negative integer", pos)
-            return base ** int(val)
-        return base
-
-    def atom(self) -> Poly:
-        kind, val, pos = self.take()
-        if kind == "op" and val == "(":
-            inner = self.expr()
-            kind, val, pos = self.take()
-            if not (kind == "op" and val == ")"):
-                raise ParseError("expected ')'", pos)
-            return inner
-        if kind == "num":
-            if "/" in val:
-                a, b = val.split("/")
-                if int(b) == 0:
+            kind, val, pos = tokens[self.k]
+            self.k += 1
+            group = None
+            if kind == "(":
+                inner = self.expr()
+                kind, _, close = tokens[self.k]
+                self.k += 1
+                if kind != ")":
+                    raise ParseError("expected ')'", close)
+                group = Poly(self.nvars, inner)
+            elif kind == "num":
+                a, _, b = val.partition("/")
+                a, b = int(a), int(b or "1")
+                if not b:
                     raise ParseError("zero denominator", pos)
-                return Poly.const(self.nvars, GaussRat(Fraction(int(a), int(b))))
-            return Poly.const(self.nvars, GaussRat(int(val)))
-        if kind == "name":
-            if val == "i":
-                return Poly.const(self.nvars, GR_I)
-            try:
-                idx = self.names.index(val)
-            except ValueError:
-                raise ParseError(f"unknown variable {val!r}", pos) from None
-            return Poly.variable(self.nvars, idx + 1)
-        raise ParseError(f"unexpected {val!r}", pos)
+            elif kind != "name":
+                raise ParseError(f"unexpected {val!r}", pos)
+            elif val != "i" and val not in self.index:
+                raise ParseError(f"unknown variable {val!r}", pos)
+            e = 1
+            if tokens[self.k][0] == "^":
+                ekind, etext, epos = tokens[self.k + 1]
+                if ekind != "num" or "/" in etext:
+                    raise ParseError("exponent must be a non-negative integer", epos)
+                e = int(etext)
+                self.k += 2
+            if group is not None:
+                group = group ** e
+                product = group if product is None else product * group
+            elif kind == "num":
+                num *= a ** e
+                den *= b ** e
+            elif val == "i":
+                ipow += e
+            else:
+                mono[self.index[val]] += e
+            if tokens[self.k][0] != "*":
+                break
+            self.k += 1
+        coef = Fraction(num, den) if den != 1 else Fraction(num)
+        ipow %= 4
+        if ipow == 0:
+            c = _real(coef)
+        elif ipow == 2:
+            c = _real(-coef)
+        else:
+            c = GaussRat(_F0, coef if ipow == 1 else -coef)
+        if product is None:
+            items = ((tuple(mono), c),)
+        else:
+            items = product.mul_term(tuple(mono), c).terms.items()
+        for m, c in items:
+            old = acc.get(m)
+            acc[m] = c if old is None else old + c
 
 
 def parse_poly(text: str, variables: Sequence[str]) -> Poly:

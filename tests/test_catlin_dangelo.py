@@ -97,6 +97,15 @@ def test_power_cap_reports_honest_lower_bound():
     assert t.p1_upper == 2 * (2 + 9 - 1)
 
 
+def test_capped_lower_bound_keeps_the_benchmark_bound():
+    # the cap of 3 is below M+K-2 = 5, which the J1 containment proves
+    t = run_ineffective_trace(CDParams(2, 3, 5), power_cap=3)
+    assert t.p1_exact is None
+    assert t.p1_lower == 5
+    # and stays a lower bound: the uncapped run finds p1 = 7
+    assert run_ineffective_trace(CDParams(2, 3, 5)).p1_exact >= t.p1_lower
+
+
 def test_trace_stage_count_is_constant():
     for k in (4, 7):
         t = run_ineffective_trace(CDParams(2, 3, k))

@@ -1,5 +1,6 @@
 """Command line interface: subcommands, formats, exit codes, files."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -114,6 +115,26 @@ def test_effective3d_writes_verifiable_certificate(tmp_path, capsys):
     )
     assert code2 == 0
     assert "certificate ok" in out2
+
+
+def test_effective3d_report_names_the_written_certificate_by_hash(tmp_path, capsys):
+    dom = _domain_file(tmp_path, ["z1", "z2"])
+    code, out = _run(capsys, ["effective3d", dom])
+    assert code == 0
+    inline = json.loads(out)
+    assert inline["certificate"]["schema"] == "kohn-cert/1"
+    assert "certificate_sha256" not in inline
+
+    cert_path = tmp_path / "cert.json"
+    code, out = _run(capsys, ["effective3d", dom, "--out", str(cert_path)])
+    assert code == 0
+    report = json.loads(out)
+    assert "certificate" not in report
+    written = cert_path.read_bytes()
+    assert report["certificate_sha256"] == hashlib.sha256(written).hexdigest()
+    assert json.loads(written) == inline["certificate"]
+    slim = {k: v for k, v in report.items() if k != "certificate_sha256"}
+    assert slim == {k: v for k, v in inline.items() if k != "certificate"}
 
 
 def test_verify_rejects_tampered_certificate(tmp_path, capsys):
@@ -276,6 +297,17 @@ def test_catlin_dangelo_capped_run_exits_3_in_both_modes(capsys):
         data = json.loads(out)
         trace = data["trace"] if mode == "both" else data
         assert trace["p1_exact"] is None, mode
+        assert trace["p1_lower"] == 5, mode
+
+
+def test_catlin_dangelo_capped_table_prints_the_benchmark_bound(capsys):
+    code, out = _run(
+        capsys,
+        ["catlin-dangelo", "--M", "2", "--N", "3", "--K", "5",
+         "--mode", "ineffective", "--power-cap", "3", "--format", "table"],
+    )
+    assert code == 3
+    assert "p1 lower bound    5" in out
 
 
 # -- matrix-lab --------------------------------------------------------------

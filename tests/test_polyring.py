@@ -170,6 +170,25 @@ def test_parser_rejects_malformed_input():
             parse_poly(bad, ("z1", "z2"))
 
 
+@pytest.mark.parametrize("text, message, position", [
+    ("z1 + $", "unexpected character '$'", 5),
+    ("z1 +", "unexpected ''", 4),
+    ("(z1", "expected ')'", 3),
+    ("z1 z2", "unexpected 'z2'", 3),
+    ("z9*z1", "unknown variable 'z9'", 0),
+    ("z1^z2", "exponent must be a non-negative integer", 3),
+    ("  z1 ^ 1/2", "exponent must be a non-negative integer", 7),
+    ("3 + 1/0*z1", "zero denominator", 4),
+    ("z1 + -z2", "unexpected '-'", 5),
+    ("1//2", "unexpected character '/'", 1),
+])
+def test_parse_errors_name_their_position(text, message, position):
+    with pytest.raises(ParseError) as err:
+        parse_poly(text, ("z1", "z2"))
+    assert str(err.value) == f"{message} (at position {position})"
+    assert err.value.position == position
+
+
 def test_parser_accepts_documented_forms():
     names = ("z1", "z2")
     assert parse_poly("z1^2*z2 - 3*z1", names) == Poly.variable(
