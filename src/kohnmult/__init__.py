@@ -13,7 +13,7 @@ from kohnmult.polyring import (
 from kohnmult.groebner import (
     groebner_basis,
     ideal_membership,
-    min_power_in_ideal,
+    least_power,
     origin_isolated,
     quotient_dimension,
     radical_membership,
@@ -44,7 +44,7 @@ __all__ = [
     "vanishing_order",
     "groebner_basis",
     "ideal_membership",
-    "min_power_in_ideal",
+    "least_power",
     "origin_isolated",
     "quotient_dimension",
     "radical_membership",

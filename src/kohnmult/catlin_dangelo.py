@@ -26,7 +26,7 @@ from .polyring import (
 from .groebner import (
     groebner_basis,
     ideal_membership,
-    min_power_in_ideal,
+    least_power,
     power_in_ideal,
     quotient_dimension,
     radical_membership,
@@ -177,7 +177,7 @@ def run_ineffective_trace(params: CDParams, power_cap: int | None = None) -> Ine
     upper = 2 * (m + k - 1)
     if not power_in_ideal(z1, upper, gb1):
         raise VerificationError("stage 2: upper power certificate failed")
-    p1_exact = min_power_in_ideal(z1, gb1, power_cap)
+    p1_exact = least_power([z1], gb1, power_cap)
     if p1_exact is None:
         # z1^p in J1 puts it in the benchmark ideal too, so p >= M+K-2
         p1_lower = max(power_cap + 1, m + k - 2)

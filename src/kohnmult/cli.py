@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
 import os
 import sys
 
@@ -21,7 +20,6 @@ from .polyring import ParseError, Poly, poly_to_string
 from .groebner import (
     groebner_basis,
     origin_isolated,
-    quotient_dimension,
     standard_monomials,
 )
 from .multiplier_core import (
@@ -54,16 +52,15 @@ def _atomic_write(path: str, text: str) -> None:
 
 def _load_json(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        data = json.load(fh)
+    if not isinstance(data, dict):
+        raise ValueError(f"{path} must hold a JSON object")
+    return data
 
 
 def _load_domain(path: str) -> SpecialDomain:
     data = _load_json(path)
-    variables = data["variables"]
-    generators = data["generators"]
-    if not generators:
-        raise DomainError("domain file needs at least one generator")
-    return SpecialDomain.from_strings(variables, generators)
+    return SpecialDomain.from_strings(data["variables"], data["generators"])
 
 
 def _emit(args, data: dict, table: str) -> None:
@@ -76,28 +73,23 @@ def _emit(args, data: dict, table: str) -> None:
         print(text)
 
 
-def _mono_str(mono, names) -> str:
-    return poly_to_string(Poly.monomial(len(names), tuple(mono)), list(names))
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
 def cmd_multiplicity(args) -> int:
     domain = _load_domain(args.domain)
     gb = groebner_basis(list(domain.generators))
-    q = quotient_dimension(gb)
-    isolated = origin_isolated(list(domain.generators))
-    finite = q != math.inf
-    stairs = standard_monomials(gb) if finite else None
-    names = domain.variables
+    isolated = origin_isolated(gb)
+    stairs = standard_monomials(gb)
     data = {
         "schema": "kohn-report/1",
         "kind": "multiplicity",
         "domain": domain.to_json(),
-        "multiplicity": q if finite else "infinite",
+        "multiplicity": "infinite" if stairs is None else len(stairs),
         "origin_isolated": isolated,
-        "staircase": None if stairs is None else [_mono_str(m, names) for m in stairs],
+        "staircase": None if stairs is None else [
+            poly_to_string(Poly.monomial(domain.nvars, m), domain.variables) for m in stairs
+        ],
     }
     lines = [
         f"multiplicity      {data['multiplicity']}",

@@ -7,9 +7,9 @@ byte for byte.
 
 Ideal-theoretic operations used by the multiplier algorithms live here as
 well: normal forms with cofactor tracking, vector-space dimension of the
-quotient, radical membership (Rabinowitsch trick), least power of an element
-lying in an ideal, elimination, gcd by subresultant pseudo-remainders, and
-squarefree parts.
+quotient, radical membership (Rabinowitsch trick), the least power of a list
+of elements lying in an ideal, isolation of the origin, elimination, gcd by
+subresultant pseudo-remainders, and squarefree parts.
 """
 
 from __future__ import annotations
@@ -238,10 +238,10 @@ def groebner_basis(
     return GroebnerBasis(gens, final, order, final_prov if provenance else None)
 
 
-def _as_gb(gens_or_gb, provenance=False) -> GroebnerBasis:
+def _as_gb(gens_or_gb) -> GroebnerBasis:
     if isinstance(gens_or_gb, GroebnerBasis):
         return gens_or_gb
-    return groebner_basis(list(gens_or_gb), provenance=provenance)
+    return groebner_basis(list(gens_or_gb))
 
 
 def ideal_membership(p: Poly, gens_or_gb) -> bool:
@@ -307,27 +307,35 @@ def power_in_ideal(p: Poly, s: int, gens_or_gb) -> bool:
             return True
 
 
-def min_power_in_ideal(p: Poly, gens_or_gb, cap: int):
-    """Least s <= cap with p^s in the ideal, or None.
+def least_power(gens: Sequence[Poly], gens_or_gb, cap: int):
+    """Least s <= cap with every s-fold product of ``gens`` in the ideal, else
+    None: for one element its least power, for the variables the least m^s.
 
-    Membership of powers is monotone in s, so test the cap first, then
-    bracket by doubling and finish with bisection.
+    One ascending scan over s.  Layer s holds the nonzero normal forms of the
+    s-fold products, taken as multisets: a product is extended only by
+    generators at or after its last factor.  NF(NF(p)*g) = NF(p*g), and a
+    product in the ideal stays there when extended, so the first empty layer
+    is the least s.
     """
     if cap < 1:
         raise ValueError("cap must be >= 1")
     gb = _as_gb(gens_or_gb)
-    if not power_in_ideal(p, cap, gb):
-        return None
-    lo, hi = 0, 1
-    while hi < cap and not power_in_ideal(p, hi, gb):
-        lo, hi = hi, min(2 * hi, cap)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if power_in_ideal(p, mid, gb):
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    gens = [g for g in gens if not g.is_zero()]
+    if any(g.is_constant() for g in gens):
+        return 1 if gb.is_unit_ideal() else None
+
+    layer = [(0, Poly.one(gb.nvars))]  # (index of the last factor, normal form)
+    for s in range(1, cap + 1):
+        nxt = []
+        for last, p in layer:
+            for j in range(last, len(gens)):
+                r = gb.normal_form(p * gens[j])
+                if not r.is_zero():
+                    nxt.append((j, r))
+        if not nxt:
+            return s
+        layer = nxt
+    return None
 
 
 def radical_membership(p: Poly, gens: Sequence[Poly]) -> bool:
@@ -343,45 +351,20 @@ def radical_membership(p: Poly, gens: Sequence[Poly]) -> bool:
     return gb.is_unit_ideal()
 
 
-QUICK_POWER_CAP = 32
+def origin_isolated(gens_or_gb) -> bool:
+    """Whether the ideal has no zero other than the origin.
 
-
-def origin_isolated(gens: Sequence[Poly]) -> bool:
-    """Whether every variable lies in the radical of the ideal.
-
-    Cheap route first: some power of the variable reduces to zero.  Only
-    when no power up to ``QUICK_POWER_CAP`` works does the adjoined-variable
-    radical test run.
+    Infinitely many zeros make the quotient infinite (finiteness theorem).
+    A finite quotient of dimension q with no zero but 0 is local, and its
+    maximal ideal m loses a dimension at each power, so m^q = 0 and each
+    z_j^q lies in the ideal; a zero away from 0 keeps some z_j's powers out.
     """
-    gens = list(gens)
-    gb = _as_gb(gens)
-    n = gb.nvars
-    for j in range(1, n + 1):
-        v = Poly.variable(n, j)
-        if power_in_ideal(v, QUICK_POWER_CAP, gb):
-            continue
-        if not radical_membership(v, gens):
-            return False
-    return True
-
-
-def _compositions(total: int, parts: int):
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
-
-
-def contains_maximal_power(gens_or_gb, k: int) -> bool:
-    """Whether every monomial of total degree k lies in the ideal."""
     gb = _as_gb(gens_or_gb)
+    q = quotient_dimension(gb)
+    if q == math.inf:
+        return False
     n = gb.nvars
-    for mono in _compositions(k, n):
-        if not gb.contains(Poly.monomial(n, mono)):
-            return False
-    return True
+    return all(power_in_ideal(Poly.variable(n, j), max(q, 1), gb) for j in range(1, n + 1))
 
 
 def eliminate(gens: Sequence[Poly], drop: Sequence[int]) -> list:

@@ -19,10 +19,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .groebner import (
-    contains_maximal_power,
     eliminate,
     groebner_basis,
-    min_power_in_ideal,
+    least_power,
     multivariate_gcd,
     origin_isolated,
     power_in_ideal,
@@ -127,13 +126,6 @@ def _isolated_at_origin(polys) -> bool:
     return quotient_dimension(groebner_basis(list(polys))) != math.inf
 
 
-def _multiplicity(domain: SpecialDomain) -> int:
-    gens = list(domain.generators)
-    if not origin_isolated(gens):
-        raise DomainError("the defining functions must have the origin as an isolated zero")
-    return quotient_dimension(groebner_basis(gens))
-
-
 def _combination(coeffs, pms) -> Poly:
     acc = Poly.zero(2)
     for c, pm in zip(coeffs, pms):
@@ -157,7 +149,7 @@ def step_one(der: Derivation, pms: list, q: int, seed: int) -> StepOneResult:
             last = f"Jacobian vanishing order {vanishing_order(h2s)} exceeds q={q}"
             continue
         h2h = Poly.one(2) if h2s.is_constant() else squarefree_part(h2s)
-        k1 = min_power_in_ideal(h2h, groebner_basis([h2s]), q)
+        k1 = least_power([h2h], groebner_basis([h2s]), q)
         if k1 is None:
             # a factor repeats beyond q times away from the origin
             last = "squarefree part has no power witness within q"
@@ -231,9 +223,10 @@ def step_two(der: Derivation, pms: list, q: int, seed: int, h2_hat: Poly) -> Ste
         if qd2 == math.inf or qd2 > q * q:
             last = f"condition (ii): dim(h1, h2_hat) = {qd2} not within q^2 = {q * q}"
             continue
-        if not contains_maximal_power(gb2, q * q):
-            # the root steps for w1, w2 consume this membership; condition
-            # (ii) alone only gives its local analytic analogue
+        if least_power([z1, z2], gb2, q * q) is None:
+            # m^(q^2) in (h1, h2_hat): every q^2-fold product of the
+            # variables.  The root steps for w1, w2 consume this membership;
+            # condition (ii) alone only gives its local analytic analogue
             last = "(h1, h2_hat) misses the q^2 power of the maximal ideal"
             continue
         gb3 = groebner_basis([h2_hat, d], provenance=True)
@@ -419,7 +412,10 @@ def run_effective3d(domain: SpecialDomain, seed: int = 0) -> Effective3dResult:
     """
     if domain.nvars != 2:
         raise DomainError("the effective chain needs exactly two variables")
-    q = _multiplicity(domain)
+    gb = groebner_basis(list(domain.generators))
+    if not origin_isolated(gb):
+        raise DomainError("the defining functions must have the origin as an isolated zero")
+    q = quotient_dimension(gb)
     der = Derivation(domain)
     pms = der.init_premultipliers()
     s1 = step_one(der, pms, q, seed)

@@ -16,7 +16,7 @@ from fractions import Fraction
 from .groebner import (
     GroebnerBasis,
     groebner_basis,
-    min_power_in_ideal,
+    least_power,
     multivariate_gcd,
     origin_isolated,
     power_in_ideal,
@@ -113,13 +113,6 @@ def _push_unique(acc: list[Poly], p: Poly) -> None:
         acc.append(pm)
 
 
-def _certify(candidate: Poly, j_gb: GroebnerBasis, j_gens: list[Poly], power_cap: int) -> bool:
-    # a bounded-power witness is preferred; Rabinowitsch decides the leftovers
-    if power_in_ideal(candidate, power_cap, j_gb):
-        return True
-    return radical_membership(candidate, j_gens)
-
-
 def _certified_radical(
     j_gens: list[Poly],
     j_gb: GroebnerBasis,
@@ -154,7 +147,11 @@ def _certified_radical(
         if 0 < d.total_degree() <= degree_cap:
             _push_unique(candidates, squarefree_part(d))
 
-    certified = [c for c in candidates if _certify(c, j_gb, j_gens, power_cap)]
+    # a bounded-power witness is preferred; Rabinowitsch decides the leftovers
+    certified = [
+        c for c in candidates
+        if power_in_ideal(c, power_cap, j_gb) or radical_membership(c, j_gens)
+    ]
 
     if all(any(v == c for c in certified) for v in variables):
         # V(J) = {0}: the radical is the maximal ideal, generated by the variables
@@ -164,35 +161,6 @@ def _certified_radical(
     for g in j_gens:
         _push_unique(i_out, g)
     return tuple(i_out), False
-
-
-def _uniform_power(i_gens: tuple[Poly, ...], j_gb: GroebnerBasis, cap: int) -> int | None:
-    """Least s ≤ cap with every s-fold product of the I-generators in J, else None.
-
-    One ascending scan over s.  Layer s holds the nonzero normal forms of the
-    s-fold products, taken as multisets: a product is extended only by
-    generators at or after its last factor.  NF(NF(p)*g) = NF(p*g), and a
-    product in J stays in J when extended, so the first empty layer is the
-    least s; membership is monotone in s.
-    """
-    gens = [g for g in i_gens if not g.is_zero()]
-    if not gens:
-        return None
-    if any(g.is_constant() for g in gens):
-        return 1 if j_gb.is_unit_ideal() else None
-
-    layer = [(0, Poly.one(gens[0].nvars))]  # (index of the last factor, normal form)
-    for s in range(1, cap + 1):
-        nxt = []
-        for last, p in layer:
-            for j in range(last, len(gens)):
-                r = j_gb.normal_form(p * gens[j])
-                if not r.is_zero():
-                    nxt.append((j, r))
-        if not nxt:
-            return s
-        layer = nxt
-    return None
 
 
 def run_full_radical(
@@ -237,7 +205,7 @@ def run_full_radical(
             nu_star = nu
             break
 
-        p_nu = _uniform_power(i_gens, j_gb, power_cap)
+        p_nu = least_power(i_gens, j_gb, power_cap)
         trace.append(
             RadicalRoundState(
                 nu, tuple(v_list), j_gb, i_gens, p_nu,
@@ -307,4 +275,4 @@ def ineffectiveness_witness(
         gb = groebner_basis(gens_list)
     if not radical_membership(probe, gens_list):
         raise ValueError("probe is not certified in the radical of the round ideal")
-    return min_power_in_ideal(probe, gb, cap)
+    return least_power([probe], gb, cap)

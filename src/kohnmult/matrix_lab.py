@@ -24,9 +24,11 @@ from dataclasses import dataclass
 
 from .polyring import (
     Poly,
+    check_names,
     default_names,
     differentiate,
     equal_up_to_unit,
+    parse_poly,
     poly_matrix_adjugate,
     poly_matrix_det,
     poly_to_string,
@@ -241,9 +243,7 @@ def triangular_comparison(a11, a22, a33, xi, eta, names=("z1", "z2", "z3")) -> T
 
 def load_matrix(data: dict):
     """Matrix-file JSON {"vars": [...], "entries": [[poly strings]]}."""
-    from .polyring import parse_poly
-
-    names = list(data["vars"])
+    names = list(check_names(data["vars"]))
     rows = data["entries"]
     if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
         raise ValueError("matrix entries must be a list of rows, each a list")

@@ -36,6 +36,7 @@ from typing import Callable, NamedTuple, Sequence
 
 from kohnmult.polyring import (
     Poly,
+    check_names,
     differentiate,
     gradient,
     parse_poly,
@@ -69,6 +70,12 @@ def _step_id(v) -> int:
     if isinstance(v, bool) or not isinstance(v, int):
         raise ValueError(f"step ids and inputs must be integers, got {v!r:.40}")
     return v
+
+
+def _strings(v, what) -> tuple:
+    if not isinstance(v, (list, tuple)) or not all(isinstance(s, str) for s in v):
+        raise ValueError(f"{what} must be a list of strings")
+    return tuple(v)
 
 
 class DomainError(ValueError):
@@ -112,8 +119,8 @@ class SpecialDomain:
 
     @staticmethod
     def from_strings(variables: Sequence[str], gens: Sequence[str]) -> "SpecialDomain":
-        vs = tuple(variables)
-        polys = tuple(parse_poly(g, vs) for g in gens)
+        vs = check_names(variables)
+        polys = tuple(parse_poly(g, vs) for g in _strings(gens, "generators"))
         return SpecialDomain(vs, polys)
 
     def to_json(self) -> dict:
@@ -216,7 +223,7 @@ class DerivationCertificate:
                     id=_step_id(s["id"]),
                     rule=s["rule"],
                     inputs=tuple(_step_id(t) for t in s["inputs"]),
-                    payload=tuple(s["payload"]),
+                    payload=_strings(s["payload"], "a step payload"),
                     order=parse_order(s["order"]),
                     paper_ref=s.get("paper_ref", ""),
                     aux=s.get("aux", {}),

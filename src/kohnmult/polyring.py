@@ -667,6 +667,10 @@ def exact_divide(p: Poly, d: Poly):
 # ---------------------------------------------------------------------------
 # parsing and printing
 
+# Deepest parenthesis nesting the parser accepts (the printer writes depth 1)
+MAX_NESTING = 100
+
+
 def default_names(nvars: int) -> tuple:
     return tuple(f"z{j + 1}" for j in range(nvars))
 
@@ -679,12 +683,24 @@ class ParseError(ValueError):
         self.position = position
 
 
+_NAME = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
 _TOKEN = re.compile(
     r"\s*(?:(?P<num>\d+(?:/\d+)?)"
-    r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
+    rf"|(?P<name>{_NAME.pattern})"
     r"|(?P<op>[-+*^()])"
     r"|(?P<bad>\S))"
 )
+
+
+def check_names(names) -> tuple:
+    """The variable names as a tuple: a list (a string is not one) of
+    distinct names of the parser's grammar, without the imaginary unit ``i``."""
+    ok = isinstance(names, (list, tuple)) and all(
+        isinstance(v, str) and _NAME.fullmatch(v) and v != "i" for v in names
+    )
+    if not ok or len(set(names)) != len(names):
+        raise ValueError(f"variables must be a list of distinct names, not i: {names!r:.30}")
+    return tuple(names)
 
 
 def _tokenize(text: str):
@@ -714,12 +730,9 @@ class _Parser:
     def __init__(self, text: str, names: Sequence[str]):
         self.tokens = _tokenize(text)
         self.k = 0
-        self.nvars = len(names)
-        self.index = {}
-        for j, name in enumerate(names):
-            self.index.setdefault(name, j)
-        if "i" in self.index:
-            raise ParseError("'i' is reserved for the imaginary unit", 0)
+        self.depth = 0
+        self.index = {name: j for j, name in enumerate(check_names(names))}
+        self.nvars = len(self.index)
 
     def parse(self) -> Poly:
         terms = self.expr()
@@ -756,7 +769,11 @@ class _Parser:
             self.k += 1
             group = None
             if kind == "(":
+                if self.depth == MAX_NESTING:
+                    raise ParseError(f"parentheses nested deeper than {MAX_NESTING}", pos)
+                self.depth += 1
                 inner = self.expr()
+                self.depth -= 1
                 kind, _, close = tokens[self.k]
                 self.k += 1
                 if kind != ")":
@@ -812,8 +829,9 @@ def parse_poly(text: str, variables: Sequence[str]) -> Poly:
     """Parse ``text`` over the given variable names.
 
     Coefficients are integers or a/b fractions, the imaginary unit is ``i``,
-    operators are + - * ^ with parentheses; exponents are non-negative
-    integer literals.
+    operators are + - * ^ with parentheses, nested at most ``MAX_NESTING``
+    deep; exponents are non-negative integer literals.  ``variables`` must
+    pass :func:`check_names`.
     """
     return _Parser(text, variables).parse()
 

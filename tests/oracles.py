@@ -171,7 +171,7 @@ def all_antichains(max_degree=4):
 
 
 # ---------------------------------------------------------------------------
-# uniform power of a generator list in an ideal
+# least powers in an ideal, m^k containment and isolation of the origin
 # ---------------------------------------------------------------------------
 
 def uniform_power_brute(gens, in_ideal, cap):
@@ -179,11 +179,10 @@ def uniform_power_brute(gens, in_ideal, cap):
 
     Every cap-fold product is multiplied out in full and tested with the
     membership predicate `in_ideal`; when all lie in the ideal, bisection
-    finds the least s the same way.
+    finds the least s the same way.  Products with a zero factor are zero,
+    so with no nonzero generator every product lies in the ideal.
     """
     gens = [g for g in gens if not g.is_zero()]
-    if not gens:
-        return None
 
     def holds(s):
         for combo in itertools.combinations_with_replacement(gens, s):
@@ -204,6 +203,36 @@ def uniform_power_brute(gens, in_ideal, cap):
         else:
             lo = mid + 1
     return hi
+
+
+def min_power_brute(p, in_ideal, cap):
+    """Least s <= cap with p^s in the ideal, else None: test the cap, bracket
+    by doubling, finish by bisection, expanding p^s in full at every probe."""
+    if not in_ideal(p**cap):
+        return None
+    lo, hi = 0, 1
+    while hi < cap and not in_ideal(p**hi):
+        lo, hi = hi, min(2 * hi, cap)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if in_ideal(p**mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def maximal_power_brute(nvars, in_ideal, k):
+    """Whether every monomial of total degree k lies in the ideal."""
+    return all(
+        in_ideal(Poly.monomial(nvars, mono)) for mono in monomials_below(nvars, k + 1)
+        if sum(mono) == k
+    )
+
+
+def origin_isolated_brute(nvars, in_radical):
+    """Whether every variable lies in the radical, one membership test each."""
+    return all(in_radical(Poly.variable(nvars, j)) for j in range(1, nvars + 1))
 
 
 # ---------------------------------------------------------------------------

@@ -172,45 +172,94 @@ def square_certificate():
     return dom.to_json(), run_effective3d(dom, seed=0).certificate.to_json()
 
 
-def _order_1_over_0(steps):
-    steps[-1]["order"] = "1/0"
+def _order_1_over_0(cert):
+    cert["steps"][-1]["order"] = "1/0"
+    return cert
 
 
-def _order_float(steps):
-    steps[-1]["order"] = "__FLOAT__"  # written as the JSON number 1e400
+def _order_float(cert):
+    cert["steps"][-1]["order"] = "__FLOAT__"  # written as the JSON number 1e400
+    return cert
 
 
-def _fractional_id(steps):
-    steps[3]["id"] = 3.7
+def _fractional_id(cert):
+    cert["steps"][3]["id"] = 3.7
+    return cert
 
 
-def _inputs_as_string(steps):
-    step = next(s for s in steps if len(s["inputs"]) > 1)
+def _inputs_as_string(cert):
+    step = next(s for s in cert["steps"] if len(s["inputs"]) > 1)
     step["inputs"] = "".join(str(i) for i in step["inputs"])
+    return cert
 
 
-def _boolean_root_exponent(steps):
-    step = next(s for s in steps if s["rule"] == "root" and s["aux"]["m"] == 1)
+def _boolean_root_exponent(cert):
+    step = next(s for s in cert["steps"] if s["rule"] == "root" and s["aux"]["m"] == 1)
     step["aux"]["m"] = True
+    return cert
+
+
+def _repeated_variable(cert):
+    cert["domain"]["variables"].append("z1")
+    return cert
+
+
+def _variables_as_string(cert):
+    # read as a list this would be the one-letter names z and w
+    cert["domain"] = {"variables": "zw", "generators": ["z^2", "w^2"]}
+    return cert
+
+
+def _payload_as_string(cert):
+    cert["steps"][0]["payload"] = cert["steps"][0]["payload"][0]
+    return cert
+
+
+def _certificate_in_a_list(cert):
+    return [cert]
 
 
 @pytest.mark.parametrize(
-    "mutate",
-    [_order_1_over_0, _order_float, _fractional_id, _inputs_as_string, _boolean_root_exponent],
-    ids=["order-1/0", "order-1e400", "id-3.7", "inputs-string", "m-true"],
+    "mutate, codes",
+    [
+        (_order_1_over_0, (1, 2)),
+        (_order_float, (1, 2)),
+        (_fractional_id, (1, 2)),
+        (_inputs_as_string, (1, 2)),
+        (_boolean_root_exponent, (1, 2)),
+        (_repeated_variable, (2,)),
+        (_variables_as_string, (2,)),
+        (_payload_as_string, (2,)),
+        (_certificate_in_a_list, (2,)),
+    ],
+    ids=["order-1/0", "order-1e400", "id-3.7", "inputs-string", "m-true",
+         "variables-repeated", "variables-string", "payload-string", "json-array"],
 )
-def test_verify_rejects_mistyped_certificate_fields(tmp_path, capsys, square_certificate, mutate):
+def test_verify_rejects_mistyped_certificate_fields(
+    tmp_path, capsys, square_certificate, mutate, codes
+):
     domain, cert = square_certificate
-    cert = json.loads(json.dumps(cert))
-    mutate(cert["steps"])
+    cert = mutate(json.loads(json.dumps(cert)))
     dom = _write(tmp_path, "domain.json", domain)
     cert_path = tmp_path / "cert.json"
     cert_path.write_text(json.dumps(cert).replace('"__FLOAT__"', "1e400"))
     code = cli.main(["verify", dom, str(cert_path)])
     captured = capsys.readouterr()
-    assert code in (1, 2)
+    assert code in codes
     assert "certificate ok" not in captured.out
     assert "internal error" not in captured.err
+
+
+def test_verify_rejects_deeply_nested_payload_at_its_step(tmp_path, capsys, square_certificate):
+    domain, cert = square_certificate
+    cert = json.loads(json.dumps(cert))
+    cert["steps"][1]["payload"] = ["(" * 600 + cert["steps"][1]["payload"][0] + ")" * 600]
+    dom = _write(tmp_path, "domain.json", domain)
+    cert_path = _write(tmp_path, "cert.json", cert)
+    code, out = _run(capsys, ["verify", dom, cert_path])
+    assert code == 1
+    assert out.startswith("certificate rejected at step 1:")
+    assert "nested deeper than" in out
 
 
 def test_effective3d_rejects_degenerate_family(tmp_path, capsys):
@@ -363,8 +412,9 @@ def test_matrix_lab_rejects_non_square(tmp_path, capsys):
         (["z1"], ["1"]),  # the string row must not read as the 1x1 matrix (1)
         (["z1", "z2"], "z1"),
         (["z1", "z2"], [["z1", "z2"], ["z1"]]),
+        (["z1", "z1"], [["z1", "z1"], ["z1", "z1"]]),
     ],
-    ids=["empty", "empty-row", "row-not-list", "entries-not-list", "ragged"],
+    ids=["empty", "empty-row", "row-not-list", "entries-not-list", "ragged", "vars-repeated"],
 )
 def test_matrix_lab_malformed_entries_are_input_errors(tmp_path, capsys, names, entries):
     mat = _write(tmp_path, "mat.json", {"vars": names, "entries": entries})
@@ -376,6 +426,31 @@ def test_matrix_lab_malformed_entries_are_input_errors(tmp_path, capsys, names, 
 
 
 # -- error handling ----------------------------------------------------------
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        ({"variables": ["z1", "z1"], "generators": ["z1^2"]}, "list of distinct names"),
+        ({"variables": "zw", "generators": ["z^2", "w^2"]}, "list of distinct names"),
+        ({"variables": ["x", "y z"], "generators": ["x^2"]}, "list of distinct names"),
+        ({"variables": ["z"], "generators": "zz"}, "generators must be a list of strings"),
+        ({"variables": ["z1", "z2"], "generators": ["z1", 2]}, "generators must be a list"),
+        ([{"variables": ["z1", "z2"], "generators": ["z1", "z2"]}], "JSON object"),
+        ({"variables": ["z1", "z2"], "generators": ["(" * 600 + "z1" + ")" * 600, "z2"]},
+         "parentheses nested deeper than"),
+    ],
+    ids=["variables-repeated", "variables-string", "variable-not-a-name",
+         "generators-string", "generator-not-a-string", "json-array", "nested-parentheses"],
+)
+def test_malformed_domain_files_are_input_errors(tmp_path, capsys, data, message):
+    dom = _write(tmp_path, "domain.json", data)
+    code = cli.main(["multiplicity", dom])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("input error:")
+    assert message in err
+
+
 
 def test_missing_file_is_input_error(tmp_path, capsys):
     code, _ = _run(

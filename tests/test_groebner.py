@@ -3,14 +3,15 @@
 import math
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from kohnmult.polyring import Poly, equal_up_to_unit, gr, parse_poly
 from kohnmult.groebner import (
-    contains_maximal_power,
     eliminate,
     groebner_basis,
     ideal_membership,
-    min_power_in_ideal,
+    least_power,
     multivariate_gcd,
     origin_isolated,
     power_in_ideal,
@@ -24,6 +25,9 @@ from oracles import (
     all_antichains,
     linear_form,
     make_rng,
+    maximal_power_brute,
+    min_power_brute,
+    origin_isolated_brute,
     random_poly,
     staircase_quotient,
     standard_monomials_brute,
@@ -128,16 +132,16 @@ def test_quotient_dimension_non_monomial_cases():
 def test_min_power_pure_power_ideal():
     z1 = Poly.variable(2, 1)
     gb = groebner_basis([z1**5])
-    assert min_power_in_ideal(z1, gb, 64) == 5
-    assert min_power_in_ideal(z1, gb, 5) == 5
-    assert min_power_in_ideal(z1, gb, 4) is None
-    assert min_power_in_ideal(z1, gb, 3) is None
+    assert least_power([z1], gb, 64) == 5
+    assert least_power([z1], gb, 5) == 5
+    assert least_power([z1], gb, 4) is None
+    assert least_power([z1], gb, 3) is None
 
 
 def test_min_power_binomial_point():
     # (z1+z2)^k needs every degree-k monomial inside (z1^2, z2^3)
     gb = groebner_basis([_p("z1^2"), _p("z2^3")])
-    s = min_power_in_ideal(_p("z1 + z2"), gb, 64)
+    s = least_power([_p("z1 + z2")], gb, 64)
     assert s == 4
     assert not power_in_ideal(_p("z1 + z2"), 3, gb)
     assert power_in_ideal(_p("z1 + z2"), 4, gb)
@@ -147,7 +151,13 @@ def test_min_power_binomial_point():
 def test_min_power_exercises_doubling():
     z1 = Poly.variable(2, 1)
     gb = groebner_basis([z1**17, Poly.variable(2, 2)])
-    assert min_power_in_ideal(z1, gb, 64) == 17
+    assert least_power([z1], gb, 64) == 17
+
+
+def test_least_power_validates_cap():
+    gb = groebner_basis([Poly.variable(2, 1)])
+    with pytest.raises(ValueError):
+        least_power([Poly.variable(2, 1)], gb, 0)
 
 
 def test_power_in_ideal_validates_exponent():
@@ -175,11 +185,42 @@ def test_origin_isolated():
 
 
 def test_contains_maximal_power():
+    # m^k lies in I exactly when every k-fold product of the variables does
+    variables = [_p("z1"), _p("z2")]
     gb = groebner_basis([_p("z1^2"), _p("z2^2")])
-    assert contains_maximal_power(gb, 3)
-    assert not contains_maximal_power(gb, 2)
+    assert least_power(variables, gb, 3) is not None
+    assert least_power(variables, gb, 2) is None
     gb2 = groebner_basis([_p("z1"), _p("z2")])
-    assert contains_maximal_power(gb2, 1)
+    assert least_power(variables, gb2, 1) is not None
+
+
+# Small two-variable polynomials, the zero polynomial and constants included:
+# up to three terms of total degree <= 3 with coefficients in -2..2.
+_small_polys = st.lists(
+    st.tuples(st.integers(-2, 2), st.integers(0, 3), st.integers(0, 3)).filter(
+        lambda t: t[1] + t[2] <= 3
+    ),
+    max_size=3,
+).map(lambda ts: sum((Poly.monomial(2, (a, b), gr(c)) for c, a, b in ts), Poly.zero(2)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(gens=st.lists(_small_polys, min_size=1, max_size=3), p=_small_polys, cap=st.integers(1, 6))
+@example(gens=[_p("1")], p=_p("z1"), cap=1)  # unit ideal
+@example(gens=[_p("0")], p=_p("0"), cap=3)  # zero generators: the zero ideal
+@example(gens=[_p("0"), _p("z1^2")], p=_p("z1 + z2"), cap=6)  # infinite quotient
+@example(gens=[_p("z1 - z1^2"), _p("z2")], p=_p("z1"), cap=6)  # a zero at (1, 0)
+@example(gens=[_p("z1^3"), _p("z2")], p=_p("z1"), cap=3)  # z1's nilpotency index is q = 3
+def test_power_scan_matches_the_brute_references(gens, p, cap):
+    gb = groebner_basis(gens)
+    variables = [Poly.variable(2, 1), Poly.variable(2, 2)]
+    assert least_power([p], gb, cap) == min_power_brute(p, gb.contains, cap)
+    assert (least_power(variables, gb, cap) is not None) == maximal_power_brute(
+        2, gb.contains, cap
+    )
+    assert origin_isolated(gb) == origin_isolated_brute(
+        2, lambda v: radical_membership(v, gens)
+    )
 
 
 # -- elimination -------------------------------------------------------------

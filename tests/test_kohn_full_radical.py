@@ -6,13 +6,9 @@ from fractions import Fraction
 import pytest
 
 from kohnmult.polyring import Poly, parse_poly
-from kohnmult.groebner import groebner_basis, ideal_membership, radical_membership
+from kohnmult.groebner import groebner_basis, ideal_membership, least_power, radical_membership
 from kohnmult.multiplier_core import SpecialDomain
-from kohnmult.kohn_full_radical import (
-    _uniform_power,
-    ineffectiveness_witness,
-    run_full_radical,
-)
+from kohnmult.kohn_full_radical import ineffectiveness_witness, run_full_radical
 
 from oracles import uniform_power_brute
 
@@ -127,12 +123,13 @@ def test_ineffectiveness_witness_from_loop_round():
         (("z1", "z2"), ["z1 + z2", "z1 - z2"], ["z1^2", "z1*z2", "z2^3"], 8, 3),
         (("z1", "z2"), ["z1"], ["z2"], 8, None),
         (("z1", "z2"), ["1", "z1"], ["z1^2", "z2"], 8, None),
+        (("z1", "z2"), ["0"], ["z1^2", "z2"], 8, 1),
         (("z1", "z2", "z3"), ["z1", "z2", "z3"], ["z1^2", "z2^2", "z3^2"], 8, 4),
     ],
     ids=["squares", "cubes", "cubes-past-cap", "mixed", "non-monomial", "never",
-         "constant", "three-variables"],
+         "constant", "zero", "three-variables"],
 )
 def test_uniform_power_scan_matches_brute_force(variables, i_gens, j_gens, cap, expect):
     gb = groebner_basis([parse_poly(t, variables) for t in j_gens])
     gens = tuple(parse_poly(t, variables) for t in i_gens)
-    assert _uniform_power(gens, gb, cap) == uniform_power_brute(gens, gb.contains, cap) == expect
+    assert least_power(gens, gb, cap) == uniform_power_brute(gens, gb.contains, cap) == expect

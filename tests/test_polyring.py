@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kohnmult.polyring import (
+    MAX_NESTING,
     GaussRat,
     ParseError,
     Poly,
@@ -187,6 +188,16 @@ def test_parse_errors_name_their_position(text, message, position):
         parse_poly(text, ("z1", "z2"))
     assert str(err.value) == f"{message} (at position {position})"
     assert err.value.position == position
+
+
+def test_parser_limits_parenthesis_nesting():
+    z1 = Poly.variable(2, 1)
+    deepest = "(" * MAX_NESTING + "z1" + ")" * MAX_NESTING
+    assert parse_poly(deepest, ("z1", "z2")) == z1
+    for depth in (MAX_NESTING + 1, 5000):
+        with pytest.raises(ParseError) as err:
+            parse_poly("(" * depth + "z1" + ")" * depth, ("z1", "z2"))
+        assert err.value.position == MAX_NESTING
 
 
 def test_parser_accepts_documented_forms():

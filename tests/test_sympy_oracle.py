@@ -1,5 +1,5 @@
-"""Differential oracle: division, Groebner bases and module membership
-against sympy.
+"""Differential oracle: division, Groebner bases, gcds, squarefree parts and
+module membership against sympy.
 
 sympy is a test-only dependency; the module is skipped where it is absent.
 Inputs are small random polynomials over QQ from a fixed seed.
@@ -11,7 +11,7 @@ import pytest
 
 sympy = pytest.importorskip("sympy")
 
-from kohnmult.groebner import groebner_basis
+from kohnmult.groebner import groebner_basis, multivariate_gcd, squarefree_part
 from kohnmult.modules import VecPoly, module_membership
 from kohnmult.polyring import Poly, divide, exact_divide, grlex_key, poly_matrix_det
 
@@ -96,6 +96,33 @@ def test_reduced_grlex_basis_matches_sympy(nv):
             [_to_sympy(g, zs) for g in gens], *zs, order="grlex", domain="QQ"
         )
         assert ours == {_sympy_terms(b) for b in theirs.polys}
+
+
+def _from_sympy(expr, zs) -> Poly:
+    nv = len(zs)
+    return sum(
+        (Poly.monomial(nv, mono, Fraction(int(c.p), int(c.q)))
+         for mono, c in sympy.Poly(expr, *zs, domain="QQ").terms()),
+        Poly.zero(nv),
+    )
+
+
+@pytest.mark.parametrize("nv", [2, 3])
+def test_gcd_and_squarefree_part_match_sympy(nv):
+    # both sides are unique up to a constant factor; ours is monic in grlex
+    rng = make_rng(f"sympy-gcd-{nv}")
+    zs = _symbols(nv)
+    common = 0
+    for _ in range(8):
+        f, g, h = (random_poly(rng, nv, 3, max_terms=3) for _ in range(3))
+        a, b = _to_sympy(f * g, zs), _to_sympy(f * h, zs)
+        got = multivariate_gcd(f * g, f * h)
+        assert got == _from_sympy(sympy.gcd(a, b, *zs, domain="QQ"), zs).monic()
+        assert squarefree_part(f * g * f * h) == _from_sympy(
+            sympy.sqf_part(a * b, *zs, domain="QQ"), zs
+        ).monic()
+        common += not got.is_constant()
+    assert common >= 6
 
 
 @pytest.mark.parametrize("rank", [2, 3])
