@@ -8,8 +8,9 @@ byte for byte.
 Ideal-theoretic operations used by the multiplier algorithms live here as
 well: normal forms with cofactor tracking, vector-space dimension of the
 quotient, radical membership (Rabinowitsch trick), the least power of a list
-of elements lying in an ideal, isolation of the origin, elimination, gcd by
-subresultant pseudo-remainders, and squarefree parts.
+of elements lying in an ideal, isolation of the origin, elimination, gcd (a
+heuristic integer gcd, with subresultant pseudo-remainders as the fallback),
+and squarefree parts.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from kohnmult.polyring import (
     divide,
     exact_divide,
     grlex_key,
+    heuristic_gcd,
     mono_divides,
     mono_lcm,
     mono_mul,
@@ -392,7 +394,7 @@ def eliminate(gens: Sequence[Poly], drop: Sequence[int]) -> list:
 
 
 # ---------------------------------------------------------------------------
-# gcd by subresultant pseudo-remainder sequences
+# gcd: the heuristic integer gcd, else subresultant pseudo-remainder sequences
 
 def _highest_var(p: Poly, q: Poly) -> int:
     """1-based index of the last variable p or q uses; 0 for constants."""
@@ -437,7 +439,7 @@ def _prem(A, B, nv):
 def _content(coeffs, nv) -> Poly:
     acc = Poly.zero(nv)
     for c in coeffs:
-        acc = multivariate_gcd(acc, c)
+        acc = _subresultant_gcd(acc, c)
         if acc.is_unit():
             return Poly.one(nv)
     return acc
@@ -446,10 +448,19 @@ def _content(coeffs, nv) -> Poly:
 def multivariate_gcd(p: Poly, q: Poly) -> Poly:
     """gcd over Q(i)[z], normalized monic in graded lex; gcd(0, 0) = 0.
 
-    Recursion on the highest variable present: split off contents, run the
-    subresultant sequence on the primitive parts (Collins' coefficient
-    growth control, every interior division exact), recombine.
+    The heuristic integer gcd answers first; Gaussian data and its rare
+    failures go to the subresultant sequence.  The monic gcd is unique, so
+    both give the same polynomial.
     """
+    g = heuristic_gcd(p, q)
+    return _subresultant_gcd(p, q) if g is None else g
+
+
+def _subresultant_gcd(p: Poly, q: Poly) -> Poly:
+    """multivariate_gcd by recursion on the highest variable present: split
+    off contents, run the subresultant sequence on the primitive parts
+    (Collins' coefficient growth control, every interior division exact),
+    recombine."""
     if p.is_zero():
         return q if q.is_zero() else q.monic()
     if q.is_zero():
@@ -466,7 +477,7 @@ def multivariate_gcd(p: Poly, q: Poly) -> Poly:
         A, B = B, A
     cont_a = _content(A, nv)
     cont_b = _content(B, nv)
-    cont_g = multivariate_gcd(cont_a, cont_b)
+    cont_g = _subresultant_gcd(cont_a, cont_b)
     A = [_exact(c, cont_a) for c in A]
     B = [_exact(c, cont_b) for c in B]
     if len(B) == 1:

@@ -115,15 +115,15 @@ def _nonzero_int(rng: random.Random, bound: int) -> int:
     return x
 
 
-def _isolated_at_origin(polys) -> bool:
-    """0 is an isolated common zero.
+def _isolated_at_origin(gens_or_gb) -> bool:
+    """0 is an isolated common zero of the generators, or of the basis's ideal.
 
     The germ condition is certified through the stronger global statement that
     the common zero set is finite (finite quotient dimension); a
     positive-dimensional component anywhere makes the draw retry, even when
     that component avoids the origin.
     """
-    return quotient_dimension(groebner_basis(list(polys))) != math.inf
+    return quotient_dimension(gens_or_gb) != math.inf
 
 
 def _combination(coeffs, pms) -> Poly:
@@ -268,9 +268,10 @@ def weierstrass_from_image(H: Poly, zeta1: Poly, zeta2: Poly, ell: int) -> Weier
         raise ValueError("expected two-variable data")
     if not _isolated_at_origin([zeta1, zeta2]):
         raise ValueError("V(zeta1, zeta2) must be isolated at the origin")
-    if not _isolated_at_origin([H, zeta1]):
+    gb = groebner_basis([H, zeta1])
+    if not _isolated_at_origin(gb):
         raise ValueError("V(H, zeta1) must be isolated at the origin")
-    if not power_in_ideal(zeta2, ell, groebner_basis([H, zeta1])):
+    if not power_in_ideal(zeta2, ell, gb):
         raise ValueError("zeta2^ell does not lie in (H, zeta1)")
 
     u = Poly.variable(4, 3)

@@ -133,19 +133,29 @@ def _certified_radical(
     if len(j_gb.basis) == 1:
         return (squarefree_part(j_gb.basis[0]),), True
 
+    # many pairwise gcds coincide; take each distinct one's squarefree part
+    # once (every input below is monic: J's generators and basis, and gcds)
+    parts: dict[Poly, Poly] = {}
+
+    def part(p: Poly) -> Poly:
+        got = parts.get(p)
+        if got is None:
+            got = parts[p] = squarefree_part(p)
+        return got
+
     variables = [Poly.variable(nvars, k) for k in range(1, nvars + 1)]
     candidates: list[Poly] = []
     for v in variables:
         _push_unique(candidates, v)
     for g in j_gens:
-        _push_unique(candidates, squarefree_part(g))
+        _push_unique(candidates, part(g))
     for b in j_gb.basis:
         if b.total_degree() <= degree_cap:
-            _push_unique(candidates, squarefree_part(b))
+            _push_unique(candidates, part(b))
     for a, b in itertools.combinations(j_gens, 2):
         d = multivariate_gcd(a, b)
         if 0 < d.total_degree() <= degree_cap:
-            _push_unique(candidates, squarefree_part(d))
+            _push_unique(candidates, part(d))
 
     # a bounded-power witness is preferred; Rabinowitsch decides the leftovers
     certified = [

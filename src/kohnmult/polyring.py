@@ -19,6 +19,7 @@ differentiates with respect to the first variable).
 
 from __future__ import annotations
 
+import heapq
 import math
 import operator
 import re
@@ -478,15 +479,17 @@ def _gauss_mul(a: tuple, b: tuple) -> tuple:
     return real, _add_into(_int_mul(ar, bi), _int_mul(ai, br), 1)
 
 
+def _unpacker(nvars: int, width: int):
+    """The map from a packed key back to its exponent tuple."""
+    mask = (1 << width) - 1
+    shifts = [width * (nvars - 1 - j) for j in range(nvars)]
+    return lambda key: tuple((key >> s) & mask for s in shifts)
+
+
 def _unpack(nvars: int, width: int, parts: tuple, den: int) -> "Poly":
     """The Poly of packed (real, imag) numerator dicts over ``den``."""
     real, imag = parts
-    mask = (1 << width) - 1
-    shifts = [width * (nvars - 1 - j) for j in range(nvars)]
-
-    def mono(key):
-        return tuple((key >> s) & mask for s in shifts)
-
+    mono = _unpacker(nvars, width)
     out = {}
     if not imag:
         for key, r in real.items():
@@ -509,6 +512,176 @@ def _gauss_pow(c: GaussRat, n: int) -> GaussRat:
         if n:
             c = c * c
     return result
+
+
+# ---------------------------------------------------------------------------
+# the heuristic integer gcd
+#
+# GCDHEU (Char, Geddes & Gonnet, J. Symb. Comput. 1989; Liao & Fateman,
+# ISSAC 1995) on the packed integer dicts of the product kernel.  Each field
+# gets one guard bit above the exponents it holds, so a borrow in packed
+# subtraction shows as a set guard bit: m - l has no guard bit set exactly
+# when every field of m is at least that of l.  At k variables the keys use
+# the k lowest fields, the current (first remaining) variable in the top one.
+
+# xi growth steps per level before the heuristic gives up
+_HEU_TRIES = 4
+
+
+def heuristic_gcd(p: Poly, q: Poly):
+    """gcd(p, q) over Q[z], monic in graded lex, or None.
+
+    None means the heuristic did not answer: some coefficient is not real,
+    or no evaluation point gave a candidate that survived trial division.
+    An answer is exact: every candidate is certified by exact division of
+    both inputs, and at each level xi >= 2*min(|f|, |g|) + 2 (max norms)
+    makes a certified candidate the gcd (Char, Geddes & Gonnet 1989).
+    """
+    if p.nvars != q.nvars:
+        raise ValueError("operands live in different rings")
+    if not p.terms:
+        return q.monic()
+    if not q.terms:
+        return p.monic()
+    nv = p.nvars
+    width = _field_width(max(p.total_degree(), q.total_degree())) + 1
+    (f, f_imag), _ = _pack(p.terms, width)
+    (g, g_imag), _ = _pack(q.terms, width)
+    if f_imag or g_imag:
+        return None
+    h = _heu_gcd(_primitive(f), _primitive(g), nv, width)
+    if h is None:
+        return None
+    mono = _unpacker(nv, width)
+    terms = {mono(key): c for key, c in h.items()}
+    lead = terms[max(terms, key=grlex_key)]
+    return Poly._raw(nv, {m: _real(Fraction(c, lead)) for m, c in terms.items()})
+
+
+def _int_content(f: dict) -> int:
+    c = 0
+    for v in f.values():
+        c = math.gcd(c, v)
+        if c == 1:
+            break
+    return c
+
+
+def _primitive(f: dict) -> dict:
+    c = _int_content(f)
+    return f if c == 1 else {m: v // c for m, v in f.items()}
+
+
+def _heu_gcd(f: dict, g: dict, k: int, width: int):
+    """gcd of the primitive f and g in k variables, primitive, or None."""
+    if k == 0:
+        return {0: 1}
+    shift = width * (k - 1)
+    low = (1 << shift) - 1
+    xi = 2 * min(max(map(abs, f.values())), max(map(abs, g.values()))) + 2
+    for _ in range(_HEU_TRIES):
+        ff = _eval_top(f, xi, shift, low)
+        gg = _eval_top(g, xi, shift, low)
+        if ff and gg:
+            inner = _heu_gcd(_primitive(ff), _primitive(gg), k - 1, width)
+            if inner is None:
+                return None
+            c = math.gcd(_int_content(ff), _int_content(gg))
+            h = _primitive(_interpolate(inner, c, xi, shift))
+            if _divides(f, h, k, width) and _divides(g, h, k, width):
+                return h
+        xi = 2 * xi + xi.bit_length()
+    return None
+
+
+def _eval_top(f: dict, xi: int, shift: int, low: int) -> dict:
+    """f with its top variable set to xi."""
+    powers = [1]
+    out: dict = {}
+    get = out.get
+    for key, c in f.items():
+        e = key >> shift
+        while len(powers) <= e:
+            powers.append(powers[-1] * xi)
+        rest = key & low
+        out[rest] = get(rest, 0) + c * powers[e]
+    # xi only bounds the smaller operand, so the other's image may cancel
+    return {m: c for m, c in out.items() if c}
+
+
+def _interpolate(gamma: dict, c: int, xi: int, shift: int) -> dict:
+    """The polynomial whose top variable at xi is c*gamma: each coefficient
+    expanded in base xi with digits in (-xi/2, xi/2]."""
+    out = {}
+    half = xi // 2
+    for rest, v in gamma.items():
+        v *= c
+        e = 0
+        while v:
+            d = v % xi
+            if d > half:
+                d -= xi
+            if d:
+                out[(e << shift) | rest] = d
+            v = (v - d) // xi
+            e += 1
+    return out
+
+
+def _field_max(f: dict, k: int, width: int) -> list:
+    """Largest exponent in each of the k fields, the top one unmasked."""
+    top = width * (k - 1)
+    mask = (1 << width) - 1
+    out = [0] * k
+    for key in f:
+        out[0] = max(out[0], key >> top)
+        for j in range(1, k):
+            out[j] = max(out[j], (key >> (top - width * j)) & mask)
+    return out
+
+
+def _divides(f: dict, d: dict, k: int, width: int) -> bool:
+    """Whether d divides f in Z[z]: division in lex order (packed keys compare
+    as lex), which stops at the first leading term d's does not divide, at
+    the first quotient term above deg(f) - deg(d) in some variable, and at
+    the first inexact coefficient quotient (d is primitive, so by Gauss's
+    lemma its quotient of f, when there is one, has integer coefficients).
+    The degree check keeps every field of every term within its bits."""
+    room = [a - b for a, b in zip(_field_max(f, k, width), _field_max(d, k, width))]
+    if min(room) < 0:
+        return False
+    bound = guards = 0
+    for r in room:
+        bound = (bound << width) | r
+        guards = (guards << width) | (1 << (width - 1))
+    lead = max(d)
+    lead_c = d[lead]
+    tail = [(m, c) for m, c in d.items() if m != lead]
+    work = dict(f)
+    heap = [-m for m in work]
+    heapq.heapify(heap)
+    while heap:
+        m = -heapq.heappop(heap)
+        c = work.pop(m, 0)
+        if not c:
+            continue  # cancelled since it was pushed
+        t = m - lead
+        if t < 0 or t & guards or t > bound or (bound - t) & guards:
+            return False
+        qc, r = divmod(c, lead_c)
+        if r:
+            return False
+        for bm, bc in tail:
+            key = t + bm
+            old = work.get(key)
+            if old is None:
+                work[key] = -qc * bc
+                heapq.heappush(heap, -key)
+            elif old == qc * bc:
+                del work[key]
+            else:
+                work[key] = old - qc * bc
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from kohnmult.polyring import Poly, equal_up_to_unit, gr, parse_poly
+from kohnmult.polyring import Poly, equal_up_to_unit, exact_divide, gr, heuristic_gcd, parse_poly
 from kohnmult.groebner import (
+    _subresultant_gcd,
     eliminate,
     groebner_basis,
     ideal_membership,
@@ -271,6 +272,34 @@ def test_gcd_of_linear_form_products():
 def test_gcd_of_coprime_polys_is_unit():
     got = multivariate_gcd(_p("z1^3"), _p("z2^2"))
     assert got.is_unit()
+
+
+def _gcd_polys(nv):
+    """Polynomials in nv variables, zero included: up to three terms of
+    degree <= 3 in each variable, with small, rational or above-2^64
+    coefficients."""
+    coeff = st.one_of(
+        st.integers(-3, 3),
+        st.fractions(min_value=-4, max_value=4, max_denominator=6),
+        st.integers(2**64, 2**70),
+    )
+    term = st.tuples(coeff, st.tuples(*[st.integers(0, 3)] * nv))
+    return st.lists(term, max_size=3).map(
+        lambda ts: sum((Poly.monomial(nv, m, gr(c)) for c, m in ts), Poly.zero(nv))
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(nv=st.integers(1, 3), data=st.data())
+def test_heuristic_gcd_agrees_with_the_subresultant_path(nv, data):
+    f, g, h = (data.draw(_gcd_polys(nv)) for _ in range(3))
+    a, b = f * g, f * h
+    want = _subresultant_gcd(a, b)
+    got = heuristic_gcd(a, b)
+    assert got is None or got == want
+    assert multivariate_gcd(a, b) == want
+    if not f.is_zero():
+        assert exact_divide(want, f) is not None
 
 
 def test_squarefree_part_of_power_products():

@@ -1,12 +1,21 @@
 """Generator-level radical multiplier loop."""
 
+import hashlib
+import itertools
 import json
 from fractions import Fraction
 
 import pytest
 
-from kohnmult.polyring import Poly, parse_poly
-from kohnmult.groebner import groebner_basis, ideal_membership, least_power, radical_membership
+from kohnmult import cli
+from kohnmult.polyring import Poly, heuristic_gcd, parse_poly
+from kohnmult.groebner import (
+    _subresultant_gcd,
+    groebner_basis,
+    ideal_membership,
+    least_power,
+    radical_membership,
+)
 from kohnmult.multiplier_core import SpecialDomain
 from kohnmult.kohn_full_radical import ineffectiveness_witness, run_full_radical
 
@@ -133,3 +142,42 @@ def test_uniform_power_scan_matches_brute_force(variables, i_gens, j_gens, cap, 
     gb = groebner_basis([parse_poly(t, variables) for t in j_gens])
     gens = tuple(parse_poly(t, variables) for t in i_gens)
     assert least_power(gens, gb, cap) == uniform_power_brute(gens, gb.contains, cap) == expect
+
+
+# -- the radical loop's gcds and its trace bytes -------------------------------
+
+THREE_SQUARES = (("z1", "z2", "z3"), ["z1^2", "z2^2", "z3^2"])
+
+
+def test_fast_gcd_answers_every_pairwise_gcd_of_the_three_variable_run():
+    out = run_full_radical(SpecialDomain.from_strings(*THREE_SQUARES), power_cap=8)
+    pairs = [p for state in out.trace for p in itertools.combinations(state.J.gens, 2)]
+    assert len(pairs) == 5089
+    got = [heuristic_gcd(a, b) for a, b in pairs]
+    assert all(g is not None for g in got)
+    # the subresultant path is about 8x slower on these pairs; check a sample
+    for (a, b), g in list(zip(pairs, got))[::37]:
+        assert g == _subresultant_gcd(a, b)
+
+
+@pytest.mark.parametrize(
+    "variables, gens, extra, digest",
+    [
+        (*THREE_SQUARES, ["--power-cap", "8"],
+         "766cb8d4faa1e0f1e6735943a99a175652a06de4a646d7995d5b8e4a2ee477cd"),
+        (("z1", "z2"), ["z1^2", "z2^5 + z2*z1^9"], [],
+         "c8129b30f96f1175bb0d2e3b27a889ff5e8168dee0bd1db6a74e12374106ef72"),
+    ],
+    ids=["three-squares", "catlin-dangelo-2-5-9"],
+)
+def test_full_radical_trace_bytes_are_pinned(tmp_path, capsys, variables, gens, extra, digest):
+    # perfbench checks only p_list and order_bound; this pins every round's
+    # V, J and I and their order, including the radical-incomplete round 1 of
+    # the three-variable run, whose I lists J's generators after the candidates
+    dom = tmp_path / "domain.json"
+    dom.write_text(json.dumps({"variables": list(variables), "generators": gens}))
+    assert cli.main(["full-radical", str(dom), *extra]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    if len(variables) == 3:
+        assert json.loads(out)["rounds"][1]["flags"]["radical_incomplete"] is True

@@ -1,5 +1,5 @@
-"""Differential oracle: division, Groebner bases, gcds, squarefree parts and
-module membership against sympy.
+"""Differential oracle: division, Groebner bases, gcds (both paths), squarefree
+parts and module membership against sympy.
 
 sympy is a test-only dependency; the module is skipped where it is absent.
 Inputs are small random polynomials over QQ from a fixed seed.
@@ -11,15 +11,24 @@ import pytest
 
 sympy = pytest.importorskip("sympy")
 
-from kohnmult.groebner import groebner_basis, multivariate_gcd, squarefree_part
+from kohnmult.groebner import _subresultant_gcd, groebner_basis, multivariate_gcd, squarefree_part
 from kohnmult.modules import VecPoly, module_membership
-from kohnmult.polyring import Poly, divide, exact_divide, grlex_key, poly_matrix_det
+from kohnmult.polyring import (
+    GR_I,
+    Poly,
+    divide,
+    exact_divide,
+    gr,
+    grlex_key,
+    heuristic_gcd,
+    poly_matrix_det,
+)
 
 from oracles import make_rng, random_poly
 
 
 def _symbols(nv):
-    return sympy.symbols(" ".join(f"z{j + 1}" for j in range(nv)))
+    return sympy.symbols(" ".join(f"z{j + 1}" for j in range(nv)), seq=True)
 
 
 def _to_sympy(p: Poly, zs):
@@ -123,6 +132,49 @@ def test_gcd_and_squarefree_part_match_sympy(nv):
         ).monic()
         common += not got.is_constant()
     assert common >= 6
+
+
+def _gcd_pairs(rng, nv):
+    """(kind, a, b) operand pairs for the gcd paths, all real."""
+    z1 = Poly.variable(nv, 1)
+    # a factor with coefficients above 2^64, so xi is a big int at every level
+    big = z1.scale(gr(3**45)) + Poly.const(nv, 2**66 + 1)
+    for _ in range(6):
+        f, g, h = (random_poly(rng, nv, 3, max_terms=3) for _ in range(3))
+        yield "common", f * g, f * h
+        yield "coprime", f * g, f * g + Poly.one(nv)
+        yield "constant", f * g, Poly.const(nv, 6)
+        yield "rational", (f * g).scale(gr(Fraction(3, 7))), (f * h).scale(gr(Fraction(-5, 2)))
+        yield "big", big * f * g, big * f * h
+
+
+@pytest.mark.parametrize("nv", [1, 2, 3])
+def test_heuristic_gcd_matches_subresultant_and_sympy(nv):
+    rng = make_rng(f"sympy-heugcd-{nv}")
+    zs = _symbols(nv)
+    nontrivial = set()
+    for kind, a, b in _gcd_pairs(rng, nv):
+        fast = heuristic_gcd(a, b)
+        assert fast is not None, (kind, a, b)
+        want = _from_sympy(sympy.gcd(_to_sympy(a, zs), _to_sympy(b, zs), *zs, domain="QQ"), zs)
+        assert fast == _subresultant_gcd(a, b) == want.monic(), (kind, a, b)
+        assert multivariate_gcd(a, b) == fast
+        if not fast.is_constant():
+            nontrivial.add(kind)
+    assert nontrivial == {"common", "rational", "big"}
+
+
+@pytest.mark.parametrize("nv", [1, 2, 3])
+def test_gaussian_gcd_takes_the_subresultant_path(nv):
+    rng = make_rng(f"heugcd-gaussian-{nv}")
+    u = Poly.variable(nv, 1) + Poly.const(nv, GR_I)
+    for _ in range(4):
+        f, g, h = (random_poly(rng, nv, 2, max_terms=3) for _ in range(3))
+        a, b = u * f * g, u * f * h
+        assert heuristic_gcd(a, b) is None
+        got = multivariate_gcd(a, b)
+        assert got == _subresultant_gcd(a, b)
+        assert exact_divide(got, u) is not None
 
 
 @pytest.mark.parametrize("rank", [2, 3])
