@@ -13,6 +13,14 @@ integer numerators over a common denominator (see "the integer product
 kernel" below), and build one GaussRat per output term.  ``parse_poly``
 likewise writes each term of its input straight into the term dict.
 
+``poly_to_string`` writes one canonical form: terms in graded-lex
+descending order joined by `` + `` and `` - ``, each a coefficient
+(``n``, ``n/d``, ``i``, ``q*i`` or ``(re+q*i)``) and powers ``name^e``
+joined by ``*`` (see "parsing and printing" below for the grammar).
+``parse_poly`` reads that form with string splits and ``int``, and hands
+every other text to a recursive-descent parser, which alone raises
+``ParseError`` with a position.
+
 Variable indices in the public operations are 1-based (``differentiate(p, 1)``
 differentiates with respect to the first variable).
 """
@@ -692,15 +700,15 @@ def differentiate(p: Poly, var_index: int) -> Poly:
     if not 1 <= var_index <= p.nvars:
         raise ValueError(f"variable index {var_index} out of range 1..{p.nvars}")
     i = var_index - 1
+    # lowering one exponent keeps distinct monomials distinct, and c*e != 0
     out: dict = {}
     for mono, c in p.terms.items():
         e = mono[i]
         if e:
-            new = mono[:i] + (e - 1,) + mono[i + 1:]
-            add = c * GaussRat(e)
-            s = out.get(new)
-            out[new] = add if s is None else s + add
-    return Poly._raw(p.nvars, {m: c for m, c in out.items() if c})
+            out[mono[:i] + (e - 1,) + mono[i + 1:]] = (
+                GaussRat(c.re * e, c.im * e) if c.im else _real(c.re * e)
+            )
+    return Poly._raw(p.nvars, out)
 
 
 def gradient(p: Poly) -> tuple:
@@ -839,9 +847,30 @@ def exact_divide(p: Poly, d: Poly):
 
 # ---------------------------------------------------------------------------
 # parsing and printing
+#
+# ``poly_to_string`` writes one canonical form, and ``parse_poly`` reads that
+# form on a fast path of string splits:
+#
+#     text  := "0" | ["-"] term ((" + " | " - ") term)*
+#     term  := coeff | [coeff "*"] power ("*" power)*
+#     coeff := NUM | "i" | NUM "*i" | "(" ["-"] NUM ("+" | "-") ("i" | NUM "*i") ")"
+#     power := NAME ["^" DIGITS]
+#     NUM   := DIGITS ["/" DIGITS]
+#
+# Terms are in graded-lex descending order, each coefficient is in lowest
+# terms, and no term after the first starts with a sign.  The fast path
+# accepts a little more (any order of numbers, ``i`` and powers in a term,
+# and ``^`` on each of them), but only text that the recursive-descent
+# parser reads as the same polynomial; on everything else it answers None,
+# and that parser, with its error messages and positions, reads the text.
 
 # Deepest parenthesis nesting the parser accepts (the printer writes depth 1)
 MAX_NESTING = 100
+
+# Most terms a parenthesised power may expand to: (group)^e in n variables
+# has at most C(n + e*deg(group), n) terms, and larger bounds are refused
+# before the power is taken
+MAX_POWER_TERMS = 10_000
 
 
 def default_names(nvars: int) -> tuple:
@@ -876,6 +905,101 @@ def check_names(names) -> tuple:
     return tuple(names)
 
 
+def _coefficient(num: int, den: int, ipow: int) -> GaussRat:
+    """num/den * i^ipow for integers num, den != 0 and ipow >= 0."""
+    coef = Fraction(num, den) if den != 1 else Fraction(num)
+    ipow %= 4
+    if ipow == 0:
+        return _real(coef)
+    if ipow == 2:
+        return _real(-coef)
+    return GaussRat(_F0, coef if ipow == 1 else -coef)
+
+
+def _ratio(text: str):
+    """(a, b) for the text of a number a or a/b, b != 0; else None.  The
+    digits are those ``\\d`` matches, which ``int`` reads."""
+    a, slash, b = text.partition("/")
+    if not a.isdecimal() or (slash and not b.isdecimal()):
+        return None
+    b = int(b) if slash else 1
+    return (int(a), b) if b else None
+
+
+def _canonical_gauss(inner: str):
+    """The GaussRat of the inside of a canonical mixed coefficient,
+    ``[-]NUM(+|-)(i|NUM*i)``; else None."""
+    neg = inner[:1] == "-"
+    body = inner[1:] if neg else inner
+    plus, minus = body.find("+"), body.find("-")
+    if (plus < 0) == (minus < 0):
+        return None
+    cut = max(plus, minus)
+    re_part = _ratio(body[:cut])
+    mag, star, unit = body[cut + 1:].rpartition("*")
+    im_part = _ratio(mag) if star else (1, 1)
+    if unit != "i" or re_part is None or im_part is None:
+        return None
+    a, b = re_part
+    c, d = im_part
+    return GaussRat(Fraction(-a if neg else a, b), Fraction(-c if minus >= 0 else c, d))
+
+
+def _parse_canonical(text: str, index: dict):
+    """The Poly of ``text`` when it has the canonical shape (see above) over
+    the variables of ``index`` (name -> 0-based slot), else None.  It never
+    raises: what it cannot read is left to ``_Parser``."""
+    if not isinstance(text, str):
+        return None
+    nvars = len(index)
+    acc: dict = {}
+    try:
+        for k, chunk in enumerate(text.split(" - ")):
+            for j, piece in enumerate(chunk.split(" + ")):
+                num, den, ipow = (-1 if k and not j else 1), 1, 0
+                if not (k or j) and piece[:1] == "-":
+                    num, piece = -1, piece[1:]
+                gauss = None
+                if piece[:1] == "(":
+                    close = piece.find(")")
+                    gauss = _canonical_gauss(piece[1:close]) if close > 0 else None
+                    rest = piece[close + 1:]
+                    if gauss is None or rest[:1] not in ("", "*"):
+                        return None
+                    factors = rest[1:].split("*") if rest else ()
+                else:
+                    factors = piece.split("*")
+                mono = [0] * nvars
+                for factor in factors:
+                    base, caret, exp = factor.partition("^")
+                    e = 1
+                    if caret:
+                        if not exp.isdecimal():
+                            return None
+                        e = int(exp)
+                    v = index.get(base)
+                    if v is not None:
+                        mono[v] += e
+                    elif base == "i":
+                        ipow += e
+                    else:
+                        ratio = _ratio(base)
+                        if ratio is None:
+                            return None
+                        num *= ratio[0] ** e
+                        den *= ratio[1] ** e
+                c = _coefficient(num, den, ipow)
+                if gauss is not None:
+                    c = c * gauss
+                m = tuple(mono)
+                old = acc.get(m)
+                acc[m] = c if old is None else old + c
+    except ValueError:
+        # int() refuses digit strings longer than the interpreter's limit
+        return None
+    return Poly(nvars, acc)
+
+
 def _tokenize(text: str):
     """(kind, text, position) per token in one regex pass.  The kind of an
     operator is the operator itself; the last token has kind "end"."""
@@ -898,14 +1022,15 @@ class _Parser:
 
     ``expr`` sums its terms into one dict monomial -> coefficient.  A term
     made of numbers, ``i`` and variables is one entry of it; only a
-    parenthesised factor is expanded with Poly products."""
+    parenthesised factor is expanded with Poly products.  ``index`` maps
+    each variable name to its 0-based slot."""
 
-    def __init__(self, text: str, names: Sequence[str]):
+    def __init__(self, text: str, index: dict):
         self.tokens = _tokenize(text)
         self.k = 0
         self.depth = 0
-        self.index = {name: j for j, name in enumerate(check_names(names))}
-        self.nvars = len(self.index)
+        self.index = index
+        self.nvars = len(index)
 
     def parse(self) -> Poly:
         terms = self.expr()
@@ -953,9 +1078,8 @@ class _Parser:
                     raise ParseError("expected ')'", close)
                 group = Poly(self.nvars, inner)
             elif kind == "num":
-                a, _, b = val.partition("/")
-                a, b = int(a), int(b or "1")
-                if not b:
+                ratio = _ratio(val)
+                if ratio is None:
                     raise ParseError("zero denominator", pos)
             elif kind != "name":
                 raise ParseError(f"unexpected {val!r}", pos)
@@ -963,17 +1087,21 @@ class _Parser:
                 raise ParseError(f"unknown variable {val!r}", pos)
             e = 1
             if tokens[self.k][0] == "^":
+                caret = tokens[self.k][2]
                 ekind, etext, epos = tokens[self.k + 1]
                 if ekind != "num" or "/" in etext:
                     raise ParseError("exponent must be a non-negative integer", epos)
                 e = int(etext)
                 self.k += 2
+                deg = -1 if group is None else group.total_degree()
+                if deg > 0 and math.comb(self.nvars + e * deg, self.nvars) > MAX_POWER_TERMS:
+                    raise ParseError(f"power may expand to more than {MAX_POWER_TERMS} terms", caret)
             if group is not None:
                 group = group ** e
                 product = group if product is None else product * group
             elif kind == "num":
-                num *= a ** e
-                den *= b ** e
+                num *= ratio[0] ** e
+                den *= ratio[1] ** e
             elif val == "i":
                 ipow += e
             else:
@@ -981,14 +1109,7 @@ class _Parser:
             if tokens[self.k][0] != "*":
                 break
             self.k += 1
-        coef = Fraction(num, den) if den != 1 else Fraction(num)
-        ipow %= 4
-        if ipow == 0:
-            c = _real(coef)
-        elif ipow == 2:
-            c = _real(-coef)
-        else:
-            c = GaussRat(_F0, coef if ipow == 1 else -coef)
+        c = _coefficient(num, den, ipow)
         if product is None:
             items = ((tuple(mono), c),)
         else:
@@ -1003,65 +1124,61 @@ def parse_poly(text: str, variables: Sequence[str]) -> Poly:
 
     Coefficients are integers or a/b fractions, the imaginary unit is ``i``,
     operators are + - * ^ with parentheses, nested at most ``MAX_NESTING``
-    deep; exponents are non-negative integer literals.  ``variables`` must
-    pass :func:`check_names`.
+    deep; exponents are non-negative integer literals.  A parenthesised
+    factor raised to a power that may expand to more than
+    ``MAX_POWER_TERMS`` terms is refused.  ``variables`` must pass
+    :func:`check_names`.
+
+    Text in the canonical form that :func:`poly_to_string` writes (its
+    grammar heads this module's "parsing and printing" section) is read by
+    string splits; every other text goes to the recursive-descent parser,
+    which raises :class:`ParseError` with the position of the first fault.
     """
-    return _Parser(text, variables).parse()
-
-
-def _coeff_str(c: GaussRat) -> tuple[str, bool]:
-    """Render a coefficient; second value says whether it is "bare" enough to
-    be prefixed with a sign by the caller (mixed values keep their parens)."""
-    if not c.im:
-        return str(c.re), True
-    if not c.re:
-        if c.im == 1:
-            return "i", True
-        if c.im == -1:
-            return "-i", True
-        return f"{c.im}*i", True
-    im = c.im
-    sign = "+" if im > 0 else "-"
-    mag = -im if im < 0 else im
-    unit = "i" if mag == 1 else f"{mag}*i"
-    return f"({c.re}{sign}{unit})", False
+    index = {name: j for j, name in enumerate(check_names(variables))}
+    p = _parse_canonical(text, index)
+    return p if p is not None else _Parser(text, index).parse()
 
 
 def poly_to_string(p: Poly, names: Sequence[str] | None = None) -> str:
-    """Canonical rendering: graded-lex descending, re-parseable by parse_poly."""
+    """Canonical rendering, re-parseable by parse_poly.
+
+    Terms run in graded-lex descending order, joined by `` + `` and `` - ``;
+    only the first term may carry a leading ``-``.  A term is its
+    coefficient, ``*``, and its powers ``name`` or ``name^e``; a coefficient
+    of 1 is left out.  A coefficient is a rational in lowest terms ``n`` or
+    ``n/d``, a pure imaginary ``i`` or ``q*i``, or ``(re+q*i)``/``(re-q*i)``
+    in parentheses when both parts are nonzero (``q*i`` is ``i`` when q = 1).
+    The zero polynomial is ``0``.
+    """
     if names is None:
         names = default_names(p.nvars)
     if len(names) != p.nvars:
         raise ValueError("need one name per variable")
-    if not p.terms:
+    terms = p.terms
+    if not terms:
         return "0"
-    pieces = []
-    for mono in sorted(p.terms, key=grlex_key, reverse=True):
-        c = p.terms[mono]
-        factors = []
-        for name, e in zip(names, mono):
-            if e == 1:
-                factors.append(name)
-            elif e > 1:
-                factors.append(f"{name}^{e}")
-        if not factors:
-            cs, _ = _coeff_str(c)
-            pieces.append(cs)
-            continue
-        monostr = "*".join(factors)
-        if c == GR_ONE:
-            pieces.append(monostr)
-        elif c == GaussRat(-1):
-            pieces.append(f"-{monostr}")
+    out = []
+    for mono in sorted(terms, key=grlex_key, reverse=True):
+        c = terms[mono]
+        monostr = "*".join([
+            name if e == 1 else f"{name}^{e}" for name, e in zip(names, mono) if e
+        ])
+        im = c.im
+        if im:
+            neg = im < 0
+            mag = -im if neg else im
+            cs = "i" if mag == 1 else f"{mag}*i"
+            if c.re:
+                # a mixed coefficient keeps its sign inside the parentheses
+                cs = f"({c.re}{'-' if neg else '+'}{cs})"
+                neg = False
         else:
-            cs, _ = _coeff_str(c)
-            pieces.append(f"{cs}*{monostr}")
-    out = [pieces[0]]
-    for piece in pieces[1:]:
-        if piece.startswith("-"):
-            out.append(" - ")
-            out.append(piece[1:])
-        else:
-            out.append(" + ")
-            out.append(piece)
+            n, d = c.re.numerator, c.re.denominator
+            neg = n < 0
+            if neg:
+                n = -n
+            cs = f"{n}/{d}" if d != 1 else ("" if n == 1 and monostr else str(n))
+        out.append(" - " if neg else " + ")
+        out.append(f"{cs}*{monostr}" if cs and monostr else cs or monostr)
+    out[0] = "-" if out[0] == " - " else ""
     return "".join(out)

@@ -262,6 +262,18 @@ def test_verify_rejects_deeply_nested_payload_at_its_step(tmp_path, capsys, squa
     assert "nested deeper than" in out
 
 
+def test_verify_rejects_an_oversized_power_in_a_payload(tmp_path, capsys, square_certificate):
+    domain, cert = square_certificate
+    cert = json.loads(json.dumps(cert))
+    cert["steps"][1]["payload"] = ["(1+z1+z2)^200"]
+    dom = _write(tmp_path, "domain.json", domain)
+    cert_path = _write(tmp_path, "cert.json", cert)
+    code, out = _run(capsys, ["verify", dom, cert_path])
+    assert code == 1
+    assert out.startswith("certificate rejected at step 1:")
+    assert "power may expand to more than 10000 terms (at position 9)" in out
+
+
 def test_effective3d_rejects_degenerate_family(tmp_path, capsys):
     dom = _domain_file(tmp_path, ["z1^2", "z2^3 + z2*z1^4"])
     code, _ = _run(capsys, ["effective3d", dom])
@@ -438,9 +450,12 @@ def test_matrix_lab_malformed_entries_are_input_errors(tmp_path, capsys, names, 
         ([{"variables": ["z1", "z2"], "generators": ["z1", "z2"]}], "JSON object"),
         ({"variables": ["z1", "z2"], "generators": ["(" * 600 + "z1" + ")" * 600, "z2"]},
          "parentheses nested deeper than"),
+        ({"variables": ["z1", "z2", "z3"], "generators": ["(1+z1+z2+z3)^60", "z2", "z3"]},
+         "power may expand to more than"),
     ],
     ids=["variables-repeated", "variables-string", "variable-not-a-name",
-         "generators-string", "generator-not-a-string", "json-array", "nested-parentheses"],
+         "generators-string", "generator-not-a-string", "json-array", "nested-parentheses",
+         "oversized-power"],
 )
 def test_malformed_domain_files_are_input_errors(tmp_path, capsys, data, message):
     dom = _write(tmp_path, "domain.json", data)

@@ -1,6 +1,7 @@
 """Exact coefficient and polynomial arithmetic."""
 
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from kohnmult.polyring import (
     MAX_NESTING,
+    MAX_POWER_TERMS,
     GaussRat,
     ParseError,
     Poly,
@@ -198,6 +200,28 @@ def test_parser_limits_parenthesis_nesting():
         with pytest.raises(ParseError) as err:
             parse_poly("(" * depth + "z1" + ")" * depth, ("z1", "z2"))
         assert err.value.position == MAX_NESTING
+
+
+def test_parser_bounds_parenthesised_powers():
+    # (1+z1+z2)^e has C(e + 2, 2) terms: 5,151 at e = 100, 20,301 at e = 200
+    assert MAX_POWER_TERMS == 10_000
+    assert len(poly_to_string(parse_poly("(1+z1+z2)^100", ("z1", "z2"))).split(" + ")) == 5151
+    for text, names, caret in [
+        ("(1+z1+z2)^200", ("z1", "z2"), 9),
+        ("(1+z1+z2+z3)^60", ("z1", "z2", "z3"), 12),
+        ("((1+z1+z2)^100)^2", ("z1", "z2"), 15),
+        ("z1*(z1 + z2^3)^99999999999999999999", ("z1", "z2"), 14),
+    ]:
+        start = time.perf_counter()
+        with pytest.raises(ParseError) as err:
+            parse_poly(text, names)
+        assert time.perf_counter() - start < 1.0
+        assert err.value.position == caret and text[caret] == "^"
+        assert "power may expand to more than 10000 terms" in str(err.value)
+    # constants and zero expand to one term or none, whatever the exponent
+    z = ("z1", "z2")
+    assert parse_poly("(2)^1000", z) == Poly.const(2, gr(2**1000))
+    assert parse_poly("(z1 - z1)^100000 + z2", z) == Poly.variable(2, 2)
 
 
 def test_parser_accepts_documented_forms():

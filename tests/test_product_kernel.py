@@ -6,6 +6,11 @@ compare all three with sympy's expansion on random polynomials in one to
 four variables, over Q and Q(i), with exponents that reach and cross the
 bit widths of the packed exponent fields.  sympy is a test-only dependency;
 the module is skipped where it is absent.
+
+`parse_poly` reads canonical text on a fast path of string splits and
+everything else with the recursive-descent parser.  The fast path is also
+checked against that parser: every canonical print takes it, and on
+near-canonical text it answers None or the parser's polynomial.
 """
 
 import random
@@ -20,6 +25,8 @@ sympy = pytest.importorskip("sympy")
 from kohnmult.polyring import (
     GaussRat,
     Poly,
+    _parse_canonical,
+    _Parser,
     default_names,
     gr,
     parse_poly,
@@ -197,6 +204,134 @@ def polys(draw):
 def test_parse_of_print_round_trips(p):
     names = default_names(p.nvars)
     assert parse_poly(poly_to_string(p, names), names) == p
+
+
+def _outcome(parse, text):
+    """("ok", Poly) or (error type, message, position) of one parse.  Only
+    ParseError has a position: int() raises a plain ValueError for a digit
+    string over the interpreter's length limit."""
+    try:
+        return ("ok", parse(text))
+    except ValueError as err:
+        return (type(err).__name__, str(err), getattr(err, "position", None))
+
+
+def _check_fast_path(text, names):
+    """The fast path answers None or the recursive-descent parser's Poly, and
+    parse_poly gives exactly the parser's Poly or error."""
+    index = {name: j for j, name in enumerate(names)}
+    want = _outcome(lambda t: _Parser(t, index).parse(), text)
+    fast = _parse_canonical(text, index)
+    assert fast is None or want == ("ok", fast)
+    assert _outcome(lambda t: parse_poly(t, names), text) == want
+    return fast
+
+
+def _fraction(min_value, max_value):
+    return st.fractions(min_value=min_value, max_value=max_value, max_denominator=40)
+
+
+# real and imaginary parts of every sign, whole and fractional, with the
+# printer's special cases: 1, -1, i, -i and a unit imaginary part beside a
+# nonzero real one
+gauss_coefficients = st.one_of(
+    st.builds(GaussRat, _fraction(-10**6, 10**6), _fraction(-10**6, 10**6)),
+    st.builds(GaussRat, _fraction(-50, 50)),
+    st.builds(GaussRat, st.just(0), _fraction(-50, 50)),
+    st.sampled_from([GaussRat(1), GaussRat(-1), GaussRat(0, 1), GaussRat(0, -1)]),
+    st.builds(GaussRat, _fraction(-9, 9), st.sampled_from([1, -1])),
+)
+
+NAME_SETS = [("z1",), ("z1", "z2"), ("x", "yy", "w_3"), ("alpha", "B2", "_t", "z10")]
+
+
+@st.composite
+def named_polys(draw):
+    names = draw(st.sampled_from(NAME_SETS))
+    nv = len(names)
+    # exponent 0 everywhere draws constants, and small exponents repeat
+    # monomials, whose coefficients then add up or cancel
+    exps = st.tuples(*[st.integers(min_value=0, max_value=12)] * nv)
+    terms = draw(st.lists(st.tuples(exps, gauss_coefficients), max_size=10))
+    return names, sum((Poly.monomial(nv, m, c) for m, c in terms), Poly.zero(nv))
+
+
+@settings(max_examples=300, deadline=None)
+@given(named_polys())
+def test_canonical_prints_take_the_fast_path(case):
+    names, p = case
+    text = poly_to_string(p, names)
+    assert _check_fast_path(text, names) == p
+
+
+NEAR_CANONICAL = [
+    "z1 + -z2",
+    "z1 - -z2",
+    "--z1",
+    "-",
+    "",
+    "0",
+    "-0",
+    " - z1",
+    "z1 - ",
+    "z1 +  + z2",
+    "2*3*z1",
+    "z1*2*z2*z1",
+    "1/0*z1",
+    "1/0^0",
+    "1/2^3*z2",
+    "2^3/4*z1",
+    "1/2/3*z1",
+    "z1^2^3",
+    "z1**z2",
+    "z1^",
+    "*z1",
+    "z1*",
+    "i*i",
+    "i^3*z1",
+    "-i",
+    "-3/2*i*z2 - i",
+    "(1+2*i)",
+    "(1+-2*i)*z1",
+    "(1-+2*i)*z1",
+    "(--1+i)*z1",
+    "(1+2*i)*z1 - (-1/2-i)*z2^2",
+    "-(1+2*i)*z1",
+    "(1+2*i)^2*z1",
+    "(1+2*i)*(1-i)",
+    "(1+2*i)z1",
+    "(1+2*i",
+    "(0+0*i)*z1 + z2",
+    "(1+i*2)*z1",
+    "(1+2*i*z1)",
+    "(z1+i)*z2",
+    "z1*(1+i)",
+    "(1 + i)*z1",
+    "(1+*i)*z1",
+    "z1\t+ z2",
+    "z1 +\tz2",
+    "  z1 + z2",
+    "z1 + z2 ",
+    "z1  + z2",
+    "z1^\u0663",
+    "\u0663*z1 - 1/\u0662*z2",
+    "z1^\u00b2",
+    "z1 + z1",
+    "z1 - z1",
+    "0*z1",
+    "0*z1 + z2 - 0",
+    "z9*z1",
+    "z1 + $",
+    "+z1",
+    "z1 ^2",
+    "3_0*z1",
+    "1" * 5000 + "*z1",
+]
+
+
+@pytest.mark.parametrize("text", NEAR_CANONICAL, ids=lambda text: ascii(text)[:40])
+def test_near_canonical_text_reads_as_the_parser_reads_it(text):
+    _check_fast_path(text, ("z1", "z2"))
 
 
 NON_CANONICAL = [
