@@ -35,8 +35,10 @@ from fractions import Fraction
 from typing import Callable, NamedTuple, Sequence
 
 from kohnmult.polyring import (
+    GAUSS_UNITS,
     Poly,
     check_names,
+    coefficient_bits,
     differentiate,
     gradient,
     parse_poly,
@@ -470,9 +472,31 @@ def _generator_index(dom, ins, aux, payload):
 
 
 def _root_identity(dom, ins, aux, payload):
+    """payload^m = sum(c_i * g_i), with m bounded before the power is built.
+    Each bound is a necessary condition of the identity."""
+    f, m = payload[0], aux["m"]
+    fails = "cofactor identity payload^m = sum(c_i * g_i) fails"
+    deg = f.total_degree()
+    if deg > 0:
+        # deg(f^m) = m*deg(f) over a domain, and no product passes its degree
+        top = max((c.total_degree() + i.poly.total_degree()
+                   for c, i in zip(aux["cofactors"], ins) if c and i.poly), default=-1)
+        if m * deg > top:
+            raise RuleError(f"{fails}: payload^m has degree {m} * {deg} > {top}")
     acc = _sum(dom.nvars, (c * i.poly for c, i in zip(aux["cofactors"], ins)))
-    if payload[0] ** aux["m"] != acc:
-        raise RuleError("cofactor identity payload^m = sum(c_i * g_i) fails")
+    if deg == 0:
+        c = f.constant_value()
+        if c in GAUSS_UNITS:
+            m %= 4
+        elif not acc.is_unit():
+            raise RuleError(fails)
+        elif m - 1 > 2 * coefficient_bits(acc.constant_value()):
+            # a Gaussian prime divides c or its inverse, with valuation at
+            # least m in c^m, so some part of c^m in lowest terms is at least
+            # 2^((m - 1)/2)
+            raise RuleError(f"{fails}: payload^m has a part of at least 2^(({m} - 1)/2)")
+    if f ** m != acc:
+        raise RuleError(fails)
 
 
 def _gamma_hypothesis(dom, ins, aux, payload):

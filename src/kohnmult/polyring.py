@@ -10,8 +10,12 @@ anywhere in this package.
 That storage is what every caller sees, but products and powers do not run
 on it: they pack each exponent tuple into one int and each coefficient into
 integer numerators over a common denominator (see "the integer product
-kernel" below), and build one GaussRat per output term.  ``parse_poly``
-likewise writes each term of its input straight into the term dict.
+kernel" below), and build one GaussRat per output term.  A large product
+splits the packed keys into residue classes modulo their most common gap,
+multiplies each pair of dense classes as one big int with a fixed-width
+slot per key (Kronecker substitution), and the remaining terms one by one.
+``parse_poly`` likewise writes each term of its input straight into the
+term dict.
 
 ``poly_to_string`` writes one canonical form: terms in graded-lex
 descending order joined by `` + `` and `` - ``, each a coefficient
@@ -31,6 +35,7 @@ import heapq
 import math
 import operator
 import re
+from collections import Counter
 from fractions import Fraction
 from typing import Sequence
 
@@ -112,11 +117,20 @@ def _real(re: Fraction) -> GaussRat:
 GR_ZERO = GaussRat(0)
 GR_ONE = GaussRat(1)
 GR_I = GaussRat(0, 1)
+# the units of Z[i], whose powers cycle with period 4
+GAUSS_UNITS = (GR_ONE, -GR_ONE, GR_I, -GR_I)
 
 
 def gr(re, im=0):
     """Shorthand constructor for a Gaussian rational."""
     return GaussRat(re, im)
+
+
+def coefficient_bits(c: GaussRat) -> int:
+    """Largest bit length of the numerators and denominators of c's parts
+    in lowest terms."""
+    return max(abs(c.re.numerator).bit_length(), c.re.denominator.bit_length(),
+               abs(c.im.numerator).bit_length(), c.im.denominator.bit_length())
 
 
 # ---------------------------------------------------------------------------
@@ -429,6 +443,26 @@ class Poly:
 # coefficients become integer numerators over one common denominator, real
 # and imaginary parts in two dicts keyed by packed int.  The product is
 # accumulated there, and one Fraction is built per output term.
+#
+# Small products loop over pairs of terms.  In a large one, the keys of a
+# weighted-homogeneous operand lie on a few arithmetic progressions: with
+# ``step`` the most common gap between the smaller operand's sorted keys,
+# both operands split into residue classes mod ``step``.  A class of at
+# least _DENSE_MIN_TERMS terms that fills at least half of its span becomes
+# one int, the coefficient of key lo + i*step in slot i, and the product of
+# two such ints is the product of the classes (Kronecker substitution).
+# Every slot of it is a sum of at most len(a) products of coefficients
+# below 2^ba and 2^bb, so w = ba + bb + bits(len(a)) + 1 bits, rounded up
+# to whole bytes, hold it with a sign bit to spare: adding 2^(w-1) to each
+# slot makes all of them non-negative without a carry, and the slots are
+# read back from the bytes.  A dense 2-D image of the same operands would
+# be mostly empty slots, which is why each class is packed on its own.
+
+# Below these sizes (terms of the smaller operand, and pairs of terms) a
+# product multiplies term by term, and so does a residue class of fewer terms
+_DENSE_MIN_TERMS = 16
+_DENSE_MIN_WORK = 4096
+
 
 def _field_width(degree: int) -> int:
     """Bits per exponent field that hold every exponent up to ``degree``."""
@@ -455,10 +489,54 @@ def _pack(terms: dict, width: int):
 
 
 def _int_mul(a: dict, b: dict) -> dict:
-    """Product of two packed integer polynomials; zero entries may remain."""
+    """Product of two packed integer polynomials; zero entries may remain.
+
+    Small operands, and the terms outside dense residue classes, multiply
+    term by term; each pair of dense classes multiplies as one big int."""
     if len(a) > len(b):
         a, b = b, a
-    out: dict = {}
+    if len(a) < _DENSE_MIN_TERMS or len(a) * len(b) < _DENSE_MIN_WORK:
+        return _dict_mul(a, b, {})
+    keys = sorted(a)
+    step = Counter(map(operator.sub, keys[1:], keys)).most_common(1)[0][0]
+    dense_a, rest_a = _dense_classes(a, step)
+    dense_b, rest_b = (dense_a, rest_a) if b is a else _dense_classes(b, step)
+    if not dense_a or not dense_b:
+        return _dict_mul(a, b, {})
+    bits = (
+        max(abs(c) for _, _, m in dense_a for _, c in m).bit_length()
+        + max(abs(c) for _, _, m in dense_b for _, c in m).bit_length()
+        + len(a).bit_length() + 1
+    )
+    nb = (bits + 7) // 8
+    packed_a = [_pack_class(m, lo, span, step, nb) for lo, span, m in dense_a]
+    packed_b = packed_a if b is a else [
+        _pack_class(m, lo, span, step, nb) for lo, span, m in dense_b
+    ]
+    out = _dict_mul(rest_a, b, {})
+    if rest_b:
+        _dict_mul(rest_b, {k: c for _, _, m in dense_a for k, c in m}, out)
+    half = 1 << (8 * nb - 1)
+    half_bytes = half.to_bytes(nb, "little")
+    get = out.get
+    from_bytes = int.from_bytes
+    for (lo_a, span_a, _), xa in zip(dense_a, packed_a):
+        for (lo_b, span_b, _), xb in zip(dense_b, packed_b):
+            n = span_a + span_b - 1
+            # the bias lifts every slot into [0, 2^(8 nb)): no slot borrows
+            z = xa * xb + from_bytes(half_bytes * n, "little")
+            raw = z.to_bytes(n * nb, "little")
+            k = lo_a + lo_b
+            for i in range(0, n * nb, nb):
+                c = from_bytes(raw[i:i + nb], "little") - half
+                if c:
+                    out[k] = get(k, 0) + c
+                k += step
+    return out
+
+
+def _dict_mul(a: dict, b: dict, out: dict) -> dict:
+    """out + a*b term by term, updating out in place."""
     get = out.get
     b_items = list(b.items())
     for ka, ca in a.items():
@@ -466,6 +544,38 @@ def _int_mul(a: dict, b: dict) -> dict:
             k = ka + kb
             out[k] = get(k, 0) + ca * cb
     return out
+
+
+def _dense_classes(terms: dict, step: int):
+    """(dense, rest): the residue classes of the keys mod ``step`` that hold
+    at least _DENSE_MIN_TERMS terms and fill at least half of their span,
+    each as (lowest key, span in steps, [(key, coefficient)]), and a dict of
+    every other term."""
+    classes: dict = {}
+    for k, c in terms.items():
+        classes.setdefault(k % step, []).append((k, c))
+    dense, rest = [], {}
+    for members in classes.values():
+        lo = min(members)[0]
+        span = (max(members)[0] - lo) // step + 1
+        if len(members) >= _DENSE_MIN_TERMS and span <= 2 * len(members):
+            dense.append((lo, span, members))
+        else:
+            rest.update(members)
+    return dense, rest
+
+
+def _pack_class(members: list, lo: int, span: int, step: int, nb: int) -> int:
+    """The class as one int, coefficient of key lo + i*step in slot i of
+    ``nb`` bytes: sum(c_i * 2^(8*nb*i))."""
+    zero = bytes(nb)
+    pos, neg = [zero] * span, [zero] * span
+    for k, c in members:
+        if c > 0:
+            pos[(k - lo) // step] = c.to_bytes(nb, "little")
+        elif c < 0:
+            neg[(k - lo) // step] = (-c).to_bytes(nb, "little")
+    return int.from_bytes(b"".join(pos), "little") - int.from_bytes(b"".join(neg), "little")
 
 
 def _add_into(x: dict, y: dict, sign: int) -> dict:
@@ -869,8 +979,15 @@ MAX_NESTING = 100
 
 # Most terms a parenthesised power may expand to: (group)^e in n variables
 # has at most C(n + e*deg(group), n) terms, and larger bounds are refused
-# before the power is taken
+# before the power is taken; a one-term group stays one term
 MAX_POWER_TERMS = 10_000
+
+# Most bits a term's numerator or denominator may reach through powers and
+# products of numbers, ``9^999999999`` for one, and likewise its constant
+# parenthesised factors, such as ``(9)^e``; estimated as e*bits(base) per
+# factor before any power is taken (a literal of the interpreter's longest
+# int string, 4,300 digits, has about 14,300 bits)
+MAX_NUMBER_BITS = 1 << 16
 
 
 def default_names(nvars: int) -> tuple:
@@ -924,6 +1041,15 @@ def _ratio(text: str):
         return None
     b = int(b) if slash else 1
     return (int(a), b) if b else None
+
+
+def _number_power(num: int, den: int, ratio: tuple, e: int):
+    """(num * a^e, den * b^e) for ``ratio`` (a, b), or None when either
+    might pass MAX_NUMBER_BITS bits, judged before any power is taken."""
+    a, b = ratio
+    if max(num.bit_length() + e * a.bit_length(), den.bit_length() + e * b.bit_length()) > MAX_NUMBER_BITS:
+        return None
+    return num * a ** e, den * b ** e
 
 
 def _canonical_gauss(inner: str):
@@ -984,10 +1110,10 @@ def _parse_canonical(text: str, index: dict):
                         ipow += e
                     else:
                         ratio = _ratio(base)
-                        if ratio is None:
+                        powered = None if ratio is None else _number_power(num, den, ratio, e)
+                        if powered is None:
                             return None
-                        num *= ratio[0] ** e
-                        den *= ratio[1] ** e
+                        num, den = powered
                 c = _coefficient(num, den, ipow)
                 if gauss is not None:
                     c = c * gauss
@@ -1062,6 +1188,7 @@ class _Parser:
         num, den, ipow = sign, 1, 0
         mono = [0] * self.nvars
         product = None  # of the parenthesised factors
+        group_bits = 0  # a bound on the bits of its one-term ones
         while True:
             kind, val, pos = tokens[self.k]
             self.k += 1
@@ -1085,23 +1212,32 @@ class _Parser:
                 raise ParseError(f"unexpected {val!r}", pos)
             elif val != "i" and val not in self.index:
                 raise ParseError(f"unknown variable {val!r}", pos)
-            e = 1
+            e, at = 1, pos
             if tokens[self.k][0] == "^":
-                caret = tokens[self.k][2]
+                at = tokens[self.k][2]
                 ekind, etext, epos = tokens[self.k + 1]
                 if ekind != "num" or "/" in etext:
                     raise ParseError("exponent must be a non-negative integer", epos)
                 e = int(etext)
                 self.k += 2
                 deg = -1 if group is None else group.total_degree()
-                if deg > 0 and math.comb(self.nvars + e * deg, self.nvars) > MAX_POWER_TERMS:
-                    raise ParseError(f"power may expand to more than {MAX_POWER_TERMS} terms", caret)
+                if (deg > 0 and len(group.terms) > 1
+                        and math.comb(self.nvars + e * deg, self.nvars) > MAX_POWER_TERMS):
+                    raise ParseError(f"power may expand to more than {MAX_POWER_TERMS} terms", at)
             if group is not None:
+                if len(group.terms) == 1:
+                    (coeff,) = group.terms.values()
+                    if coeff not in GAUSS_UNITS:
+                        group_bits += e * coefficient_bits(coeff)
+                        if group_bits > MAX_NUMBER_BITS:
+                            raise ParseError(f"number may exceed {MAX_NUMBER_BITS} bits", at)
                 group = group ** e
                 product = group if product is None else product * group
             elif kind == "num":
-                num *= ratio[0] ** e
-                den *= ratio[1] ** e
+                powered = _number_power(num, den, ratio, e)
+                if powered is None:
+                    raise ParseError(f"number may exceed {MAX_NUMBER_BITS} bits", at)
+                num, den = powered
             elif val == "i":
                 ipow += e
             else:
@@ -1126,8 +1262,9 @@ def parse_poly(text: str, variables: Sequence[str]) -> Poly:
     operators are + - * ^ with parentheses, nested at most ``MAX_NESTING``
     deep; exponents are non-negative integer literals.  A parenthesised
     factor raised to a power that may expand to more than
-    ``MAX_POWER_TERMS`` terms is refused.  ``variables`` must pass
-    :func:`check_names`.
+    ``MAX_POWER_TERMS`` terms is refused, and so is a term whose powers and
+    products of numbers may pass ``MAX_NUMBER_BITS`` bits.  ``variables``
+    must pass :func:`check_names`.
 
     Text in the canonical form that :func:`poly_to_string` writes (its
     grammar heads this module's "parsing and printing" section) is read by

@@ -274,6 +274,38 @@ def test_verify_rejects_an_oversized_power_in_a_payload(tmp_path, capsys, square
     assert "power may expand to more than 10000 terms (at position 9)" in out
 
 
+def test_verify_rejects_an_oversized_number_in_a_payload(tmp_path, capsys, square_certificate):
+    # 11 bytes that ask for a 400 MB integer, refused before it is built
+    domain, cert = square_certificate
+    cert = json.loads(json.dumps(cert))
+    cert["steps"][1]["payload"] = ["9^999999999"]
+    dom = _write(tmp_path, "domain.json", domain)
+    cert_path = _write(tmp_path, "cert.json", cert)
+    start = time.perf_counter()
+    code, out = _run(capsys, ["verify", dom, cert_path])
+    assert time.perf_counter() - start < 2.0
+    assert code == 1
+    assert out.startswith("certificate rejected at step 1:")
+    assert "number may exceed 65536 bits (at position 1)" in out
+
+
+@pytest.mark.parametrize("payload", ["z1", "2"])
+def test_verify_rejects_a_huge_root_exponent_at_its_step(tmp_path, capsys, square_certificate, payload):
+    # payload^m is never built: z1 fails the degree bound, 2 the cofactor sum
+    domain, cert = square_certificate
+    cert = json.loads(json.dumps(cert))
+    step = next(s for s in cert["steps"] if s["rule"] == "root")
+    step["payload"] = [payload]
+    step["aux"]["m"] = 10**9
+    dom = _write(tmp_path, "domain.json", domain)
+    cert_path = _write(tmp_path, "cert.json", cert)
+    start = time.perf_counter()
+    code, out = _run(capsys, ["verify", dom, cert_path])
+    assert time.perf_counter() - start < 2.0
+    assert code == 1
+    assert out.startswith(f"certificate rejected at step {step['id']}: cofactor identity")
+
+
 def test_effective3d_rejects_degenerate_family(tmp_path, capsys):
     dom = _domain_file(tmp_path, ["z1^2", "z2^3 + z2*z1^4"])
     code, _ = _run(capsys, ["effective3d", dom])
@@ -452,10 +484,12 @@ def test_matrix_lab_malformed_entries_are_input_errors(tmp_path, capsys, names, 
          "parentheses nested deeper than"),
         ({"variables": ["z1", "z2", "z3"], "generators": ["(1+z1+z2+z3)^60", "z2", "z3"]},
          "power may expand to more than"),
+        ({"variables": ["z1", "z2"], "generators": ["9^999999999*z1", "z2"]},
+         "number may exceed 65536 bits (at position 1)"),
     ],
     ids=["variables-repeated", "variables-string", "variable-not-a-name",
          "generators-string", "generator-not-a-string", "json-array", "nested-parentheses",
-         "oversized-power"],
+         "oversized-power", "oversized-number"],
 )
 def test_malformed_domain_files_are_input_errors(tmp_path, capsys, data, message):
     dom = _write(tmp_path, "domain.json", data)

@@ -3,6 +3,8 @@
 import functools
 import hashlib
 import json
+import re
+import time
 from fractions import Fraction
 
 import pytest
@@ -20,6 +22,7 @@ from kohnmult.multiplier_core import (
     DerivationCertificate,
     DomainError,
     Multiplier,
+    RuleError,
     SpecialDomain,
     certificate_verify,
     general_gamma_form,
@@ -302,6 +305,53 @@ def test_certificate_rejects_tampered_cofactors():
     res = certificate_verify(DerivationCertificate.from_json(data), dom)
     assert not res.ok
     assert res.failed_step == victim["id"]
+
+
+def _root_check(f: Poly, m: int, cofactor: Poly, g: Poly):
+    """The root rule's side check of f^m = cofactor * g."""
+    ins = [Multiplier(SCALAR, (g,), Fraction(1, 2), 0)]
+    RULES["root"].check(_dom(["z1^2", "z2^2"]), ins, {"m": m, "cofactors": [cofactor]}, (f,))
+
+
+def test_root_check_bounds_the_exponent_before_the_power():
+    one, z = Poly.one(2), _p("z1 + z2")
+    _root_check(z, 3, z * z, z)
+    for f, cofactor, g, reason in [
+        (z, z * z, z, "has degree 1000000000 * 1 > 3"),
+        (z, Poly.zero(2), z, "has degree 1000000000 * 1 > -1"),
+        (Poly.const(2, gr(2)), Poly.const(2, gr(2)), one, "a part of at least 2^((1000000000 - 1)/2)"),
+        (Poly.const(2, gr(1, 1)), Poly.const(2, gr(-4)), one, "a part of at least"),
+        (Poly.const(2, gr(2)), z, one, "fails"),
+    ]:
+        start = time.perf_counter()
+        with pytest.raises(RuleError, match=re.escape(reason)):
+            _root_check(f, 10**9, cofactor, g)
+        assert time.perf_counter() - start < 0.5
+
+
+@pytest.mark.parametrize(
+    "c",
+    [gr(2), gr(-3), gr(Fraction(1, 2)), gr(1, 1), gr(Fraction(1, 2), Fraction(-1, 2)),
+     gr(Fraction(3, 5), Fraction(4, 5)), gr(0, 2), gr(5, -12), gr(Fraction(-7, 6), 3)],
+)
+def test_root_check_admits_every_true_constant_identity(c):
+    # the bound is necessary: some part of c^m in lowest terms reaches
+    # 2^((m - 1)/2) whenever c is not a unit of Z[i]
+    one, f = Poly.one(2), Poly.const(2, c)
+    for m in range(1, 41):
+        _root_check(f, m, f**m, one)
+        with pytest.raises(RuleError):
+            _root_check(f, m + 1, f**m, one)
+
+
+@pytest.mark.parametrize("c", [gr(1), gr(-1), gr(0, 1), gr(0, -1)])
+def test_root_check_reduces_unit_exponents_mod_4(c):
+    one, f = Poly.one(2), Poly.const(2, c)
+    for k in range(4):
+        _root_check(f, 10**9 + k, f**k, one)
+        if c != gr(1):
+            with pytest.raises(RuleError):
+                _root_check(f, 10**9 + k, f ** (k + 1), one)
 
 
 def test_certificate_rejects_foreign_domain():

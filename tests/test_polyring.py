@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from kohnmult.polyring import (
     MAX_NESTING,
+    MAX_NUMBER_BITS,
     MAX_POWER_TERMS,
     GaussRat,
     ParseError,
@@ -222,6 +223,49 @@ def test_parser_bounds_parenthesised_powers():
     z = ("z1", "z2")
     assert parse_poly("(2)^1000", z) == Poly.const(2, gr(2**1000))
     assert parse_poly("(z1 - z1)^100000 + z2", z) == Poly.variable(2, 2)
+
+
+def test_parser_bounds_number_powers():
+    # e*bits(base) is added to the bits of a term's running numerator and
+    # denominator, or of its constant groups, before any power is taken, on
+    # both parse paths; the refused numbers here would take 12 KB to 400 MB
+    assert MAX_NUMBER_BITS == 65_536
+    z = ("z1", "z2")
+    assert parse_poly("2^32000*z1", z) == Poly.monomial(2, (1, 0), gr(2**32000))
+    assert parse_poly("z2 - 1/3^20000", z) == Poly.variable(2, 2) - Poly.const(2, gr(Fraction(1, 3**20000)))
+    assert parse_poly("(2)^30000", z) == Poly.const(2, gr(2**30000))
+    for text, at in [
+        ("9^999999999", 1),
+        ("z1 - 9^100000*z2", 6),
+        ("9^10000*9^10000*z1", 9),
+        ("1/3^50000*z1", 3),
+        ("(9)^100000", 3),
+        ("(9^16000)*(9^16000)*z1", 10),
+        ("(1+2*i)^50000*z1", 7),
+    ]:
+        start = time.perf_counter()
+        with pytest.raises(ParseError) as err:
+            parse_poly(text, z)
+        assert time.perf_counter() - start < 1.0
+        # at the caret of a power, or where a constant group starts
+        assert err.value.position == at and text[at] in "^("
+        assert "number may exceed 65536 bits" in str(err.value)
+
+
+def test_parser_powers_of_one_term_groups():
+    # a one-term group stays one term at any exponent, so only its
+    # coefficient is bounded, and the units 1, -1, i, -i not at all
+    z = ("z1", "z2", "z3")
+    assert parse_poly("((z1*z1*z1)^4)^4", z) == Poly.monomial(3, (48, 0, 0), gr(1))
+    assert parse_poly("(-z2)^100001*(i)^100001", z) == Poly.monomial(3, (0, 100001, 0), gr(0, -1))
+    assert parse_poly("(2*z3)^30000", z) == Poly.monomial(3, (0, 0, 30000), gr(2**30000))
+    for text, at in [("(2*z1)^99999999999", 6), ("(3*z2)^20000*(1/3*z1)^30000", 21)]:
+        start = time.perf_counter()
+        with pytest.raises(ParseError) as err:
+            parse_poly(text, z)
+        assert time.perf_counter() - start < 1.0
+        assert err.value.position == at and text[at] == "^"
+        assert "number may exceed 65536 bits" in str(err.value)
 
 
 def test_parser_accepts_documented_forms():

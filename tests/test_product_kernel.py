@@ -5,7 +5,11 @@ numerators, and `parse_poly` builds its term dict directly.  These tests
 compare all three with sympy's expansion on random polynomials in one to
 four variables, over Q and Q(i), with exponents that reach and cross the
 bit widths of the packed exponent fields.  sympy is a test-only dependency;
-the module is skipped where it is absent.
+the comparisons with it are skipped where it is absent.
+
+Large products multiply dense residue classes of packed keys as big ints.
+That path is checked against the term-by-term loop it bypasses, which runs
+without sympy, and against sympy on weighted-homogeneous binomial powers.
 
 `parse_poly` reads canonical text on a fast path of string splits and
 everything else with the recursive-descent parser.  The fast path is also
@@ -20,11 +24,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-sympy = pytest.importorskip("sympy")
+try:
+    import sympy
+except ImportError:  # the kernel's own differential tests still run
+    sympy = None
 
+from kohnmult import polyring
 from kohnmult.polyring import (
     GaussRat,
     Poly,
+    _dict_mul,
+    _field_width,
+    _int_mul,
+    _pack,
     _parse_canonical,
     _Parser,
     default_names,
@@ -38,15 +50,37 @@ BOUNDARY_DEGREES = (1, 2, 3, 4, 7, 8, 15, 16, 31, 32, 63, 64, 127, 128)
 
 
 def _symbols(nv):
+    if sympy is None:
+        pytest.skip("sympy is not installed")
     return sympy.symbols(" ".join(default_names(nv)), seq=True)
+
+
+def _sympy_number(c: GaussRat):
+    return sympy.Rational(c.re.numerator, c.re.denominator) + sympy.I * sympy.Rational(
+        c.im.numerator, c.im.denominator
+    )
+
+
+def _ring_poly(p: Poly, zs):
+    """p in sympy's sparse polynomial ring over Q(i); its Poly is dense, and
+    takes minutes to multiply at the degrees of the dense-class tests."""
+    ring = sympy.ring(zs, sympy.QQ_I)[0]
+    return ring.from_dict({m: sympy.QQ_I.from_sympy(_sympy_number(c)) for m, c in p.terms.items()})
+
+
+def _ring_terms(poly) -> dict:
+    """The term dict of a sparse ring element, zero coefficients left out."""
+    return {
+        m: GaussRat(Fraction(int(c.x.numerator), int(c.x.denominator)),
+                    Fraction(int(c.y.numerator), int(c.y.denominator)))
+        for m, c in poly.terms() if c
+    }
 
 
 def _to_sympy(p: Poly, zs):
     expr = sympy.Integer(0)
     for mono, c in p.terms.items():
-        term = sympy.Rational(c.re.numerator, c.re.denominator) + sympy.I * sympy.Rational(
-            c.im.numerator, c.im.denominator
-        )
+        term = _sympy_number(c)
         for z, e in zip(zs, mono):
             term *= z**e
         expr += term
@@ -180,6 +214,141 @@ def test_cancelling_products_keep_no_zero_terms(nv):
         assert (p * q + (-p) * q).is_zero()
         assert (p * Poly.zero(nv)).is_zero() and (Poly.zero(nv) * p).is_zero()
         assert (Poly.zero(nv) ** 3).is_zero() and Poly.zero(nv) ** 0 == Poly.one(nv)
+
+
+# -- dense residue classes ----------------------------------------------------
+#
+# Large products multiply each pair of dense residue classes of packed keys as
+# one big int, and the rest term by term.  These tests compare that path with
+# the term-by-term loop on the same packed dicts, and Poly products with sympy.
+
+
+def _p(text):
+    return parse_poly(text, ("z1", "z2"))
+
+
+def _packed(p: Poly, q: Poly):
+    """The packed (real, imag) dicts of p and q, in fields that hold p*q."""
+    width = _field_width(p.total_degree() + q.total_degree())
+    return _pack(p.terms, width)[0], _pack(q.terms, width)[0]
+
+
+def _nonzero(d: dict) -> dict:
+    return {k: c for k, c in d.items() if c}
+
+
+def _check_kernel(a: dict, b: dict):
+    assert _nonzero(_int_mul(a, b)) == _nonzero(_dict_mul(a, b, {}))
+
+
+@pytest.fixture
+def dense_calls(monkeypatch):
+    """Every call of _pack_class, so that a silent fall-back to the
+    term-by-term loop shows."""
+    calls = []
+    pack = polyring._pack_class
+
+    def counting(*args):
+        calls.append(args)
+        return pack(*args)
+
+    monkeypatch.setattr(polyring, "_pack_class", counting)
+    return calls
+
+
+def _power(binomial, k, extra="0"):
+    return _p(binomial) ** k + _p(extra)
+
+
+# weighted-homogeneous binomial powers: packed keys on one progression, with
+# signs that alternate, a few terms off it, Gaussian parts, and factors whose
+# products cancel to zero in most slots; None squares the left operand
+DENSE_CASES = {
+    "square": (("z1^3 - 2*z2^2", 70), None),
+    "off-progression": (("z1^3 - 2*z2^2", 63, "z1*z2 - 7"), ("z1^3 - 2*z2^2", 70, "5*z1^2")),
+    "cancelling": (("z1^3 - 2*z2^2", 64), ("z1^3 + 2*z2^2", 64)),
+    "gaussian": (("z1^3 + (1+2*i)*z2^2", 63), ("3*z1^3 - i*z2^2", 130, "z2")),
+    "gaussian-square": (("z1^3 + (1+2*i)*z2^2", 64, "i*z1"), None),
+    "conjugate": (("z1^3 + i*z2^2", 130), ("z1^3 - i*z2^2", 130)),
+    "fractions": (("1/3*z1^3 - 2/5*z2^2", 64), ("z1^3 + 1/7*z2^2", 64, "-1/2*z1")),
+}
+
+
+def _operands(case):
+    left, right = DENSE_CASES[case]
+    p = _power(*left)
+    return p, (None if right is None else _power(*right))
+
+
+@pytest.mark.parametrize("case", sorted(DENSE_CASES))
+def test_dense_classes_match_the_dict_loop(case, dense_calls):
+    p, q = _operands(case)
+    (pr, pi), (qr, qi) = _packed(p, p if q is None else q)
+    if q is None:
+        qr, qi = pr, pi  # one dict object, as the squares of a power are
+    for a in (pr, pi):
+        for b in (qr, qi):
+            if a and b:
+                _check_kernel(a, b)
+    assert dense_calls
+
+
+@pytest.mark.parametrize("case", sorted(DENSE_CASES))
+def test_dense_products_match_sympy(case, dense_calls):
+    p, q = _operands(case)
+    zs = _symbols(2)
+    if q is None:
+        _assert_terms(p**2, _ring_terms(_ring_poly(p, zs) ** 2))
+    else:
+        _assert_terms(p * q, _ring_terms(_ring_poly(p, zs) * _ring_poly(q, zs)))
+    assert dense_calls
+
+
+def _progression(rng, step, count, lo, coefficient):
+    """count terms on lo + j*step, filling all of their span or at least
+    half of it."""
+    keys = sorted(rng.sample(range(2 * count), count)) if rng.random() < 0.5 else range(count)
+    return {lo + j * step: coefficient() for j in keys}
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_structured_operands_match_the_dict_loop(seed, dense_calls):
+    # steps from 1 to 9000, one to three classes per operand, a few keys off
+    # them, coefficients up to 900 bits of either sign, and squares
+    rng = random.Random(f"kernel-dense:{seed}")
+    for _ in range(25):
+        step = rng.choice((1, 2, 3, 5, 64, 6142, rng.randint(1, 9000)))
+        bits = rng.choice((1, 8, 63, 64, 200, 900))
+
+        def coefficient():
+            return rng.choice((-1, 1)) * rng.choice((rng.getrandbits(bits), (1 << bits) - 1, 0))
+
+        def operand():
+            d = {}
+            for _ in range(rng.randint(1, 3)):
+                d.update(_progression(rng, step, rng.randint(16, 150), rng.randrange(10**6), coefficient))
+            for _ in range(rng.randint(0, 4)):
+                d[rng.randrange(10**7)] = coefficient()
+            return d
+
+        a = operand()
+        _check_kernel(a, a if rng.random() < 0.25 else operand())
+    assert dense_calls
+
+
+@pytest.mark.parametrize("nbits, sign", [(28, 1), (28, -1), (60, 1), (60, -1)])
+def test_slots_at_their_width_hold_without_carry(nbits, sign, dense_calls):
+    # 255 terms of +-(2^nbits - 1) on one progression: the middle slot of the
+    # product is +-255*(2^nbits - 1)^2, within one bit of the slot's reach;
+    # a slot needs 2*nbits + 8 + 1 bits, one past a whole byte, so a slot one
+    # bit narrower is a byte narrower and carries
+    top = (1 << nbits) - 1
+    a = {j * 7 + 3: top for j in range(255)}
+    b = {j * 7: sign * top for j in range(255)}
+    _check_kernel(a, b)
+    _check_kernel(a, a)
+    assert max(map(abs, _int_mul(a, b).values())) == 255 * top * top
+    assert dense_calls
 
 
 # -- parsing -----------------------------------------------------------------
