@@ -40,6 +40,7 @@ from kohnmult.polyring import (
     check_names,
     coefficient_bits,
     differentiate,
+    dot,
     gradient,
     parse_poly,
     poly_matrix_adjugate,
@@ -349,7 +350,7 @@ class Derivation:
 
 def _matmul(X, Y) -> list:
     nv = Y[0][0].nvars
-    return [[_sum(nv, (x * Y[k][j] for k, x in enumerate(row))) for j in range(len(Y[0]))]
+    return [[dot(nv, [(x, Y[k][j]) for k, x in enumerate(row)]) for j in range(len(Y[0]))]
             for row in X]
 
 
@@ -357,8 +358,8 @@ def _contract(M, entries) -> list:
     """Components b_j = sum_{p,l} M_{pl} * d_p a_{lj}."""
     n = len(entries)
     nv = entries[0][0].nvars
-    return [_sum(nv, (M[p][ell] * differentiate(entries[ell][j], p + 1)
-                      for p in range(n) for ell in range(n)))
+    return [dot(nv, [(M[p][ell], differentiate(entries[ell][j], p + 1))
+                     for p in range(n) for ell in range(n)])
             for j in range(n)]
 
 
@@ -462,10 +463,6 @@ def _min(ins) -> Fraction:
     return min(i.order for i in ins)
 
 
-def _sum(nvars: int, polys) -> Poly:
-    return sum(polys, Poly.zero(nvars))
-
-
 def _generator_index(dom, ins, aux, payload):
     if aux["generator_index"] >= len(dom.generators):
         raise RuleError("premultiplier step lacks a valid generator index")
@@ -483,7 +480,7 @@ def _root_identity(dom, ins, aux, payload):
                    for c, i in zip(aux["cofactors"], ins) if c and i.poly), default=-1)
         if m * deg > top:
             raise RuleError(f"{fails}: payload^m has degree {m} * {deg} > {top}")
-    acc = _sum(dom.nvars, (c * i.poly for c, i in zip(aux["cofactors"], ins)))
+    acc = dot(dom.nvars, [(c, i.poly) for c, i in zip(aux["cofactors"], ins)])
     if deg == 0:
         c = f.constant_value()
         if c in GAUSS_UNITS:
@@ -518,9 +515,9 @@ RULES = {
         kind=PREMULT,
         inputs=lambda n, k: [(PREMULT, SCALAR)] * max(k, 1),
         aux={"coeffs": _per_input(constant=True)},
-        payload=lambda dom, ins, aux: [_sum(dom.nvars, (
-            i.poly.scale(c.constant_value()) for c, i in zip(aux["coeffs"], ins)
-        ))],
+        payload=lambda dom, ins, aux: [
+            dot(dom.nvars, [(c, i.poly) for c, i in zip(aux["coeffs"], ins)])
+        ],
         # a scalar multiplier contributes its differential's order
         order=lambda ins, aux: min(i.order if i.kind == PREMULT else i.order / 2 for i in ins),
     ),
@@ -558,9 +555,9 @@ RULES = {
         kind=SCALAR,
         inputs=lambda n, k: [(SCALAR,)] * max(k, 1),
         aux={"coeffs": _per_input()},
-        payload=lambda dom, ins, aux: [_sum(dom.nvars, (
-            c * i.poly for c, i in zip(aux["coeffs"], ins)
-        ))],
+        payload=lambda dom, ins, aux: [
+            dot(dom.nvars, [(c, i.poly) for c, i in zip(aux["coeffs"], ins)])
+        ],
         order=lambda ins, aux: _min(ins),
     ),
     "matrix_to_vector": Rule(
@@ -618,6 +615,16 @@ def certificate_verify(cert: DerivationCertificate, domain: SpecialDomain) -> Ve
     check (root cofactor identities by multiplication), and exact order
     arithmetic.  Returns the first failure, or the final order plus the list
     of assumption steps on success.
+
+    A payload the rule derives is recomputed from the inputs, after every
+    check that comes before the formula, and printed: when the payload
+    strings are those prints, the step takes the computed polynomials
+    without parsing them, which is exact because `parse_poly` reads every
+    print back as its polynomial.  Any other text is parsed and compared
+    with the computed polynomials, so an equal payload in another form is
+    accepted, and that path alone rejects: a parse error still comes first,
+    and every failing step and reason is the one the parse-first replay
+    gives.
     """
     vs = domain.variables
     n = domain.nvars
@@ -642,6 +649,29 @@ def certificate_verify(cert: DerivationCertificate, domain: SpecialDomain) -> Ve
     polys: dict[int, tuple] = {}
     assumptions = []
 
+    def replay(st, rule, payload):
+        """The input multipliers and aux values of a step, after every check
+        that comes before its payload formula.  A rule with a formula gets
+        the payload None: its check does not read it."""
+        ins = [
+            Multiplier(RULES[cert.steps[i].rule].kind, polys[i], cert.steps[i].order, i)
+            for i in st.inputs
+        ]
+        rule.check_inputs(n, ins)
+        if len(st.payload) != (n if rule.kind == VECTOR else 1):
+            raise RuleError(f"payload has the wrong arity for a {rule.kind} multiplier")
+        if not isinstance(st.aux, dict):
+            raise RuleError("aux must be an object")
+        aux = {}
+        for name, read in rule.aux.items():
+            try:
+                aux[name] = read(st.aux.get(name), parse, n, len(ins))
+            except RuleError as e:
+                raise RuleError(f"aux {name!r}: {e}") from None
+        if rule.check is not None:
+            rule.check(domain, ins, aux, None if rule.payload else payload)
+        return ins, aux
+
     for pos, st in enumerate(cert.steps):
         rule = RULES.get(st.rule) if isinstance(st.rule, str) else None
         try:
@@ -652,29 +682,28 @@ def certificate_verify(cert: DerivationCertificate, domain: SpecialDomain) -> Ve
                     raise RuleError(f"input {i} does not precede this step")
             if rule is None:
                 raise RuleError(f"unknown rule {st.rule!r}")
-            try:
-                payload = polys[pos] = tuple(parse(s) for s in st.payload)
-            except RuleError as e:
-                raise RuleError(f"payload {e}") from None
-            ins = [
-                Multiplier(RULES[cert.steps[i].rule].kind, polys[i], cert.steps[i].order, i)
-                for i in st.inputs
-            ]
-            rule.check_inputs(n, ins)
-            if len(payload) != (n if rule.kind == VECTOR else 1):
-                raise RuleError(f"payload has the wrong arity for a {rule.kind} multiplier")
-            if not isinstance(st.aux, dict):
-                raise RuleError("aux must be an object")
-            aux = {}
-            for name, read in rule.aux.items():
+            derived = None
+            if rule.payload is not None:
                 try:
-                    aux[name] = read(st.aux.get(name), parse, n, len(ins))
+                    ins, aux = replay(st, rule, None)
+                except RuleError:
+                    pass  # the parsing path below names the first failure
+                else:
+                    derived = tuple(rule.payload(domain, ins, aux))
+            if derived is not None and _prints_as(st.payload, derived, vs):
+                payload = derived
+            else:
+                try:
+                    payload = tuple(parse(s) for s in st.payload)
                 except RuleError as e:
-                    raise RuleError(f"aux {name!r}: {e}") from None
-            if rule.check is not None:
-                rule.check(domain, ins, aux, payload)
-            if rule.payload is not None and payload != tuple(rule.payload(domain, ins, aux)):
-                raise RuleError(f"payload does not match the {st.rule} formula")
+                    raise RuleError(f"payload {e}") from None
+                if derived is None:
+                    # raises again for a rule with a formula: nothing before
+                    # the formula reads the payload
+                    ins, aux = replay(st, rule, payload)
+                elif payload != derived:
+                    raise RuleError(f"payload does not match the {st.rule} formula")
+            polys[pos] = payload
             if rule.order is not None and st.order != rule.order(ins, aux):
                 raise RuleError(f"order does not match the {st.rule} order arithmetic")
             if not (0 < st.order <= 1):
@@ -691,3 +720,15 @@ def certificate_verify(cert: DerivationCertificate, domain: SpecialDomain) -> Ve
         cert.steps[-1].order,
         tuple(assumptions),
     )
+
+
+def _prints_as(texts, derived, names) -> bool:
+    """Whether the payload strings are the canonical prints of the derived
+    polynomials.  parse_poly reads every print back as its polynomial, so
+    then the payload is the derived one without a parse.  A coefficient too
+    long for the interpreter's int-string limit has no print: its payload
+    takes the parsing path."""
+    try:
+        return tuple(texts) == tuple(poly_to_string(p, names) for p in derived)
+    except ValueError:
+        return False

@@ -14,8 +14,11 @@ kernel" below), and build one GaussRat per output term.  A large product
 splits the packed keys into residue classes modulo their most common gap,
 multiplies each pair of dense classes as one big int with a fixed-width
 slot per key (Kronecker substitution), and the remaining terms one by one.
-``parse_poly`` likewise writes each term of its input straight into the
-term dict.
+A sum of products, ``dot``, packs each distinct operand once at one field
+width, adds every product's numerators over one common denominator in the
+packed dicts, and builds the GaussRats of the sum alone; determinants and
+the multiplier rules' sums of products use it.  ``parse_poly`` likewise
+writes each term of its input straight into the term dict.
 
 ``poly_to_string`` writes one canonical form: terms in graded-lex
 descending order joined by `` + `` and `` - ``, each a coefficient
@@ -23,7 +26,12 @@ descending order joined by `` + `` and `` - ``, each a coefficient
 joined by ``*`` (see "parsing and printing" below for the grammar).
 ``parse_poly`` reads that form with string splits and ``int``, and hands
 every other text to a recursive-descent parser, which alone raises
-``ParseError`` with a position.
+``ParseError`` with a position.  Since ``parse_poly`` reads every print back
+as its polynomial, equal canonical text means an equal polynomial: the
+certificate verifier checks a derived payload by printing the polynomial
+its rule computes and comparing the text.  The parser charges the work of
+each power and product of parenthesised factors before computing it and
+refuses a text past ``MAX_PARSE_WORK``.
 
 Variable indices in the public operations are 1-based (``differentiate(p, 1)``
 differentiates with respect to the first variable).
@@ -621,6 +629,34 @@ def _unpack(nvars: int, width: int, parts: tuple, den: int) -> "Poly":
     return Poly._raw(nvars, out)
 
 
+def dot(nvars: int, pairs) -> Poly:
+    """sum(a * b for a, b in pairs), the zero of ``nvars`` variables when
+    there is no pair, as one sum of products in the integer kernel.
+
+    Each distinct operand object is packed once, at one field width that
+    holds every product; each product's numerators are scaled to one common
+    denominator and added in the packed dicts, and the sum is unpacked
+    once, so no product builds Fractions of its own."""
+    pairs = [(a, b) for a, b in pairs if a.terms and b.terms]
+    if not pairs:
+        return Poly.zero(nvars)
+    width = _field_width(max(a.total_degree() + b.total_degree() for a, b in pairs))
+    packed: dict = {}
+    products = []
+    for a, b in pairs:
+        for p in (a, b):
+            if id(p) not in packed:
+                packed[id(p)] = _pack(p.terms, width)
+        (pa, da), (pb, db) = packed[id(a)], packed[id(b)]
+        products.append((_gauss_mul(pa, pb), da * db))
+    den = math.lcm(*(d for _, d in products))
+    real, imag = {}, {}
+    for (r, i), d in products:
+        _add_into(real, r, den // d)
+        _add_into(imag, i, den // d)
+    return _unpack(nvars, width, (real, imag), den)
+
+
 def _gauss_pow(c: GaussRat, n: int) -> GaussRat:
     result = GR_ONE
     while n:
@@ -842,18 +878,17 @@ def poly_matrix_det(rows: Sequence[Sequence[Poly]]) -> Poly:
         raise ValueError("determinant of an empty matrix")
     if n == 1:
         return rows[0][0]
-    if n == 2:
-        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
     nv = rows[0][0].nvars
-    acc = Poly.zero(nv)
+    if n == 2:
+        return dot(nv, [(rows[0][0], rows[1][1]), (-rows[0][1], rows[1][0])])
+    pairs = []
     for j in range(n):
         entry = rows[0][j]
         if entry.is_zero():
             continue
         minor = [[rows[i][k] for k in range(n) if k != j] for i in range(1, n)]
-        term = entry * poly_matrix_det(minor)
-        acc = acc + term if j % 2 == 0 else acc - term
-    return acc
+        pairs.append((entry if j % 2 == 0 else -entry, poly_matrix_det(minor)))
+    return dot(nv, pairs)
 
 
 def poly_matrix_adjugate(rows: Sequence[Sequence[Poly]]) -> list:
@@ -988,6 +1023,17 @@ MAX_POWER_TERMS = 10_000
 # factor before any power is taken (a literal of the interpreter's longest
 # int string, 4,300 digits, has about 14,300 bits)
 MAX_NUMBER_BITS = 1 << 16
+
+# Most work one parse may spend on the powers and products of parenthesised
+# factors, charged before each is computed.  A product a*b costs about
+# terms(a) * terms(b) * (bits(a) + bits(b) + 1): its term pairs times the
+# bit length that bounds a coefficient of the result, where bits(p) is the
+# ceiling of log2 of the larger of p's common denominator and the l1 norm of
+# its numerators over it.  A power g^e is charged as its last product,
+# g^(e - e//2) * g^(e//2), each factor g^k bounded by C(n + k*deg, n) terms
+# and k*bits(g) bits.  (1+z1+z2)^100 is charged 353M and parses in about
+# half a second; (1+z1+z2)^100*(1+z1+z2)^100 would be charged 11G
+MAX_PARSE_WORK = 1 << 29
 
 
 def default_names(nvars: int) -> tuple:
@@ -1157,6 +1203,7 @@ class _Parser:
         self.depth = 0
         self.index = index
         self.nvars = len(index)
+        self.work = 0  # charged so far against MAX_PARSE_WORK
 
     def parse(self) -> Poly:
         terms = self.expr()
@@ -1187,8 +1234,10 @@ class _Parser:
         tokens = self.tokens
         num, den, ipow = sign, 1, 0
         mono = [0] * self.nvars
-        product = None  # of the parenthesised factors
+        powers = []  # the parenthesised factors, (group, e), expanded last
+        size = None  # (terms, degree, bits) bounds of their product
         group_bits = 0  # a bound on the bits of its one-term ones
+        star = None  # position of the '*' before this factor
         while True:
             kind, val, pos = tokens[self.k]
             self.k += 1
@@ -1231,8 +1280,8 @@ class _Parser:
                         group_bits += e * coefficient_bits(coeff)
                         if group_bits > MAX_NUMBER_BITS:
                             raise ParseError(f"number may exceed {MAX_NUMBER_BITS} bits", at)
-                group = group ** e
-                product = group if product is None else product * group
+                size = self.charge(size, group, e, at, star)
+                powers.append((group, e))
             elif kind == "num":
                 powered = _number_power(num, den, ratio, e)
                 if powered is None:
@@ -1244,7 +1293,12 @@ class _Parser:
                 mono[self.index[val]] += e
             if tokens[self.k][0] != "*":
                 break
+            star = tokens[self.k][2]
             self.k += 1
+        product = None
+        for group, e in powers:
+            group = group ** e
+            product = group if product is None else product * group
         c = _coefficient(num, den, ipow)
         if product is None:
             items = ((tuple(mono), c),)
@@ -1253,6 +1307,40 @@ class _Parser:
         for m, c in items:
             old = acc.get(m)
             acc[m] = c if old is None else old + c
+
+    def charge(self, size, group, e: int, at: int, star) -> tuple:
+        """The (terms, degree, bits) bounds of size * group^e, size None for
+        an empty product, after charging the work of the power (its caret
+        at ``at``) and of the product (its ``*`` at ``star``)."""
+        n = self.nvars
+        t, d, b = _size_bounds(group)
+
+        def terms(k):
+            return t if k == 1 or t <= 1 else math.comb(n + k * d, n)
+
+        if e > 1 and t > 1:
+            h = e // 2
+            self.spend(terms(h) * terms(e - h) * (e * b + 1), "power", at)
+        power = (terms(e), e * d, e * b) if e else (1, 0, 0)
+        if size is None:
+            return power
+        (ts, ds, bs), (tp, dp, bp) = size, power
+        self.spend(ts * tp * (bs + bp + 1), "product", star)
+        return min(ts * tp, math.comb(n + ds + dp, n)), ds + dp, bs + bp
+
+    def spend(self, work: int, what: str, at: int) -> None:
+        self.work += work
+        if self.work > MAX_PARSE_WORK:
+            raise ParseError(f"{what} may cost more than {MAX_PARSE_WORK} term-pair bits", at)
+
+
+def _size_bounds(p: Poly) -> tuple:
+    """(terms, total degree, bits) of p, bits as MAX_PARSE_WORK defines
+    them, and degree 0 for the zero polynomial."""
+    degree = max(p.total_degree(), 0)
+    (real, imag), den = _pack(p.terms, _field_width(degree))
+    norm = sum(map(abs, real.values())) + sum(map(abs, imag.values()))
+    return len(p.terms), degree, (max(norm, den) - 1).bit_length()
 
 
 def parse_poly(text: str, variables: Sequence[str]) -> Poly:
@@ -1263,8 +1351,10 @@ def parse_poly(text: str, variables: Sequence[str]) -> Poly:
     deep; exponents are non-negative integer literals.  A parenthesised
     factor raised to a power that may expand to more than
     ``MAX_POWER_TERMS`` terms is refused, and so is a term whose powers and
-    products of numbers may pass ``MAX_NUMBER_BITS`` bits.  ``variables``
-    must pass :func:`check_names`.
+    products of numbers may pass ``MAX_NUMBER_BITS`` bits, and a text whose
+    powers and products of parenthesised factors may cost more than
+    ``MAX_PARSE_WORK``, each charged before any factor of its term is
+    expanded.  ``variables`` must pass :func:`check_names`.
 
     Text in the canonical form that :func:`poly_to_string` writes (its
     grammar heads this module's "parsing and printing" section) is read by

@@ -11,7 +11,7 @@ import pytest
 
 from kohnmult import cli
 from kohnmult.kohn_effective3d import run_effective3d
-from kohnmult.multiplier_core import SpecialDomain
+from kohnmult.multiplier_core import Derivation, SpecialDomain
 
 
 def _write(tmp_path, name, obj):
@@ -287,6 +287,42 @@ def test_verify_rejects_an_oversized_number_in_a_payload(tmp_path, capsys, squar
     assert code == 1
     assert out.startswith("certificate rejected at step 1:")
     assert "number may exceed 65536 bits (at position 1)" in out
+
+
+# products of parenthesised powers that took 5 to 12 s to expand
+COSTLY_PRODUCTS = [
+    (["z1", "z2"], "(1+z1+z2)^100*(1+z1+z2)^100", "power may cost more than"),
+    (["z1", "z2"], "(1+z1+z2)^60*(1+z1+z2)^60*(1+z1+z2)^60", "product may cost more than"),
+    (["z1"], "(1+z1)^4000", "power may cost more than"),
+]
+
+
+@pytest.mark.parametrize("variables, text, message", COSTLY_PRODUCTS)
+def test_verify_rejects_a_costly_product_in_a_payload(tmp_path, capsys, variables, text, message):
+    dom = SpecialDomain.from_strings(variables, variables)
+    der = Derivation(dom)
+    der.init_premultipliers()
+    cert = der.cert.to_json()
+    cert["steps"][0]["payload"] = [text]
+    start = time.perf_counter()
+    code, out = _run(capsys, ["verify", _write(tmp_path, "domain.json", dom.to_json()),
+                              _write(tmp_path, "cert.json", cert)])
+    assert time.perf_counter() - start < 1.0
+    assert code == 1
+    assert out.startswith("certificate rejected at step 0: payload parse error:")
+    assert message in out
+
+
+@pytest.mark.parametrize("variables, text, message", COSTLY_PRODUCTS)
+def test_costly_product_in_a_domain_file_is_an_input_error(tmp_path, capsys, variables, text, message):
+    dom = _write(tmp_path, "domain.json", {"variables": variables, "generators": [text]})
+    start = time.perf_counter()
+    code = cli.main(["multiplicity", dom])
+    err = capsys.readouterr().err
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert err.startswith("input error:")
+    assert message in err
 
 
 @pytest.mark.parametrize("payload", ["z1", "2"])

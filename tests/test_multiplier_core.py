@@ -11,10 +11,10 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from kohnmult import cli
+from kohnmult import cli, multiplier_core
 from kohnmult.catlin_dangelo import CDParams, run_effective_chain
 from kohnmult.kohn_effective3d import run_effective3d
-from kohnmult.polyring import Poly, gr, parse_poly
+from kohnmult.polyring import Poly, gr, parse_poly, poly_to_string
 from kohnmult.multiplier_core import (
     RULES,
     SCALAR,
@@ -24,6 +24,7 @@ from kohnmult.multiplier_core import (
     Multiplier,
     RuleError,
     SpecialDomain,
+    VerifyResult,
     certificate_verify,
     general_gamma_form,
     matrix_to_vector_form,
@@ -506,3 +507,200 @@ PINNED = {
 def test_certificate_bytes_are_pinned(case):
     make, digest = PINNED[case]
     assert hashlib.sha256(make().dumps().encode()).hexdigest() == digest
+
+
+# -- derived payloads checked as text ---------------------------------------
+#
+# A step whose rule has a payload formula is accepted without a parse when
+# its payload strings are the canonical prints of the formula's polynomials;
+# any other text is parsed and compared, and that path alone rejects.
+
+
+def _is_derived(step) -> bool:
+    return RULES[step["rule"]].payload is not None
+
+
+def _aux_strings(v):
+    if isinstance(v, str):
+        return [v]
+    if isinstance(v, list):
+        return [s for x in v for s in _aux_strings(x)]
+    if isinstance(v, dict):
+        return [s for x in v.values() for s in _aux_strings(x)]
+    return []
+
+
+@pytest.fixture
+def parsed_texts(monkeypatch):
+    """Every text the verifier parses, so that a silent fall-back from the
+    text check to the parsing path shows."""
+    texts = []
+    parse = multiplier_core.parse_poly
+
+    def counting(text, variables):
+        texts.append(text)
+        return parse(text, variables)
+
+    monkeypatch.setattr(multiplier_core, "parse_poly", counting)
+    return texts
+
+
+@functools.lru_cache(maxsize=None)
+def _pinned_text(case):
+    return PINNED[case][0]().dumps()
+
+
+@pytest.mark.parametrize("case", sorted(PINNED))
+def test_text_check_accepts_every_derived_step_of_the_pinned_certificates(case, parsed_texts):
+    data = json.loads(_pinned_text(case))
+    cert = DerivationCertificate.from_json(data)
+    parsed_texts.clear()
+    assert certificate_verify(cert, cert.domain).ok
+    derived = [s for s in data["steps"] if _is_derived(s)]
+    assert {s["rule"] for s in derived} >= {"combine", "det", "differential"}
+    # only aux fields and the payloads of root and assumption steps are read
+    want = [t for s in data["steps"] if not _is_derived(s) for t in s["payload"]]
+    want += [t for s in data["steps"] for t in _aux_strings(s.get("aux", {}))]
+    assert sorted(parsed_texts) == sorted(want)
+
+
+def _rewrite(text, names=("z1", "z2")):
+    """The polynomial of canonical ``text`` written another way: terms in
+    ascending order, each its powers followed by ``*`` and its coefficient,
+    as in ``z1^2*z2*(-3/2) + z1*2``."""
+    p = _p(text, names)
+    terms = []
+    for mono, c in sorted(p.terms.items(), key=lambda t: (sum(t[0]), t[0])):
+        powers = [f"{v}^{e}" for v, e in zip(names, mono) if e]
+        terms.append("*".join(powers + [f"({poly_to_string(Poly.const(len(names), c))})"]))
+    return " + ".join(terms) or "0*z1"
+
+
+def test_equal_non_canonical_derived_payloads_are_accepted(parsed_texts):
+    dom, data = _all_rules()
+    for k, step in enumerate(data["steps"]):
+        if not _is_derived(step):
+            continue
+        edited = json.loads(json.dumps(data))
+        edited["steps"][k]["payload"] = [_rewrite(t) for t in step["payload"]]
+        assert edited["steps"][k]["payload"] != step["payload"]
+        parsed_texts.clear()
+        res = _replay(dom, edited)
+        assert res.ok, (k, res.reason)
+        assert res.final_order == _replay(dom, data).final_order
+        assert set(edited["steps"][k]["payload"]) <= set(parsed_texts)
+
+
+def test_equal_payload_with_a_trailing_number_factor_is_accepted():
+    dom, data = _all_rules()
+    k = next(s["id"] for s in data["steps"] if s["rule"] == "det" and s["payload"] != ["0"])
+    text = data["steps"][k]["payload"][0]
+    # 2*z1^2*z2 -> z1^2*z2*2: the same term, not canonical
+    edited = re.sub(r"(?<![\w^/])(\d+)\*((?:z\d(?:\^\d+)?\*?)+)", r"\2*\1", text)
+    assert edited != text
+    data["steps"][k]["payload"] = [edited]
+    assert _replay(dom, data).ok
+
+
+@pytest.mark.parametrize("bad", ["{} +", "{} +- z1", "({}", "{} $"])
+def test_derived_payload_syntax_error_keeps_its_reason(bad):
+    dom, data = _all_rules()
+    for k, step in enumerate(data["steps"]):
+        if not _is_derived(step):
+            continue
+        text = bad.format(step["payload"][0])
+        with pytest.raises(ValueError) as err:
+            parse_poly(text, dom.variables)
+        tampered = json.loads(json.dumps(data))
+        tampered["steps"][k]["payload"][0] = text
+        res = _replay(dom, tampered)
+        assert (res.ok, res.failed_step) == (False, k)
+        assert res.reason == f"payload parse error: {err.value}"
+        # the parse error comes first, before a broken input list
+        if step["inputs"]:
+            tampered["steps"][k]["inputs"].pop()
+            assert _replay(dom, tampered).reason == res.reason
+
+
+# -- mutation fuzzing of derived payloads ------------------------------------
+
+
+def _fuzz_source(name):
+    if name == "all-rules":
+        return _all_rules()
+    data = json.loads(_pinned_text("effective3d-z1^2-z2^2-seed-0"))
+    return _dom(data["domain"]["generators"]), data
+
+
+def _edit(text, kind, draw):
+    """One edit of payload text at a position chosen by ``draw`` in [0, 1)."""
+    if kind == "digit":
+        digits = [m.start() for m in re.finditer(r"\d", text)]
+        if not digits:
+            return text + "1"
+        at = digits[int(draw * len(digits))]
+        digit = str((int(text[at]) + 1 + int(draw * 80) % 9) % 10)
+        return text[:at] + digit + text[at + 1:]
+    terms = re.split(r" (?=[-+] )", text)
+    if kind == "drop":
+        if len(terms) == 1:
+            return "0"
+        k = int(draw * len(terms))
+        rest = terms[:k] + terms[k + 1:]
+        if k == 0:  # the new first term takes its sign as a prefix
+            sign, _, body = rest[0].partition(" ")
+            rest[0] = body if sign == "+" else "-" + body
+        return " ".join(rest)
+    if kind == "sign":
+        k = int(draw * len(terms))
+        t = terms[k]
+        if k == 0:
+            terms[0] = t[1:] if t.startswith("-") else "-" + t
+        else:
+            terms[k] = ("- " if t.startswith("+") else "+ ") + t[2:]
+        return " ".join(terms)
+    # swap two factors of one term
+    k = int(draw * len(terms))
+    t = terms[k]
+    lead = t[:2] if k else ("-" if t.startswith("-") else "")
+    factors = t[len(lead):].split("*")
+    if len(factors) > 1:
+        j = int(draw * 997) % (len(factors) - 1)
+        factors[j], factors[j + 1] = factors[j + 1], factors[j]
+    terms[k] = lead + "*".join(factors)
+    return " ".join(terms)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(["all-rules", "q4"]),
+    st.floats(0, 1, exclude_max=True),
+    st.floats(0, 1, exclude_max=True),
+    st.sampled_from(["digit", "drop", "sign", "swap"]),
+    st.floats(0, 1, exclude_max=True),
+)
+def test_edited_derived_payloads_are_judged_by_their_polynomial(source, where, slot, kind, draw):
+    dom, data = _fuzz_source(source)
+    derived = [s["id"] for s in data["steps"] if _is_derived(s)]
+    k = derived[int(where * len(derived))]
+    step = data["steps"][k]
+    j = int(slot * len(step["payload"]))
+    original = step["payload"][j]
+    text = _edit(original, kind, draw)
+    # the steps after k would only replay what k yields
+    edited = json.loads(json.dumps(data))
+    edited["steps"] = edited["steps"][:k + 1]
+    edited["steps"][k]["payload"][j] = text
+    res = _replay(dom, edited)
+    assert isinstance(res, VerifyResult)
+    try:
+        same = parse_poly(text, dom.variables) == parse_poly(original, dom.variables)
+    except ValueError:
+        assert (res.ok, res.failed_step) == (False, k)
+        assert res.reason.startswith("payload parse error: ")
+        return
+    if same:
+        assert res.ok, res.reason
+    else:
+        assert (res.ok, res.failed_step) == (False, k)
+        assert res.reason == f"payload does not match the {step['rule']} formula"

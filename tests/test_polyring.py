@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from kohnmult.polyring import (
     MAX_NESTING,
     MAX_NUMBER_BITS,
+    MAX_PARSE_WORK,
     MAX_POWER_TERMS,
     GaussRat,
     ParseError,
@@ -266,6 +267,35 @@ def test_parser_powers_of_one_term_groups():
         assert time.perf_counter() - start < 1.0
         assert err.value.position == at and text[at] == "^"
         assert "number may exceed 65536 bits" in str(err.value)
+
+
+def test_parser_bounds_the_work_of_powers_and_products():
+    # every power and product of parenthesised factors in a term is charged
+    # before any of them is computed, against one budget per parse; each
+    # refused text here took 5 to 12 s to expand
+    assert MAX_PARSE_WORK == 1 << 29
+    z = ("z1", "z2")
+    for text, names, at, what in [
+        ("(1+z1+z2)^100*(1+z1+z2)^100", z, 23, "power"),
+        ("(1+z1+z2)^60*(1+z1+z2)^60*(1+z1+z2)^60", z, 12, "product"),
+        ("(1+z1)^4000", ("z1",), 6, "power"),
+        # the first term is expanded before the second is charged
+        ("(1+z1+z2)^100 - (1+z1+z2)^100", z, 25, "power"),
+    ]:
+        start = time.perf_counter()
+        with pytest.raises(ParseError) as err:
+            parse_poly(text, names)
+        assert time.perf_counter() - start < (1.0 if " - " in text else 0.1)
+        assert err.value.position == at and text[at] == ("^" if what == "power" else "*")
+        assert f"{what} may cost more than {MAX_PARSE_WORK} term-pair bits" in str(err.value)
+    # products of admitted powers within the budget, and of one-term and zero groups
+    z1, z2 = Poly.variable(2, 1), Poly.variable(2, 2)
+    assert parse_poly("(z1 + z2)^40*(z1 - z2)^40", z) == (z1 * z1 - z2 * z2) ** 40
+    assert parse_poly("(1/2*z1 - 3*i*z2)^9*(2*z1)^3*(z1 + z2)^2", z) == (
+        (z1.scale(gr(Fraction(1, 2))) - z2.scale(gr(0, 3))) ** 9 * z1.scale(gr(8)) ** 1 * z1 ** 2
+        * (z1 + z2) ** 2
+    )
+    assert parse_poly("(1+z1+z2)^90*(z1 - z1)^3", z).is_zero()
 
 
 def test_parser_accepts_documented_forms():

@@ -7,6 +7,10 @@ four variables, over Q and Q(i), with exponents that reach and cross the
 bit widths of the packed exponent fields.  sympy is a test-only dependency;
 the comparisons with it are skipped where it is absent.
 
+`dot` sums products in the same kernel, each operand packed once and every
+product added in packed form.  It is checked against the sum of `Poly`
+products, which runs without sympy, and against sympy.
+
 Large products multiply dense residue classes of packed keys as big ints.
 That path is checked against the term-by-term loop it bypasses, which runs
 without sympy, and against sympy on weighted-homogeneous binomial powers.
@@ -40,6 +44,7 @@ from kohnmult.polyring import (
     _parse_canonical,
     _Parser,
     default_names,
+    dot,
     gr,
     parse_poly,
     poly_to_string,
@@ -214,6 +219,106 @@ def test_cancelling_products_keep_no_zero_terms(nv):
         assert (p * q + (-p) * q).is_zero()
         assert (p * Poly.zero(nv)).is_zero() and (Poly.zero(nv) * p).is_zero()
         assert (Poly.zero(nv) ** 3).is_zero() and Poly.zero(nv) ** 0 == Poly.one(nv)
+
+
+# -- sums of products -----------------------------------------------------------
+
+
+def _check_dot(nv, pairs):
+    """dot equals the sum of Poly products and, where sympy is installed,
+    sympy's expansion of the sum."""
+    got = dot(nv, pairs)
+    _assert_terms(got, sum((a * b for a, b in pairs), Poly.zero(nv)).terms)
+    if sympy is not None:
+        zs = _symbols(nv)
+        want = sum((_to_sympy(a, zs) * _to_sympy(b, zs) for a, b in pairs), sympy.Integer(0))
+        _assert_terms(got, _from_sympy(want, zs))
+    return got
+
+
+@pytest.mark.parametrize("nv", [1, 2, 3, 4])
+@pytest.mark.parametrize("gaussian", [False, True])
+def test_random_sums_of_products(nv, gaussian):
+    # denominators 1, 2, 3, 4 and 7 mix within and across the operands
+    rng = random.Random(f"kernel-dot:{nv}:{gaussian}")
+    for _ in range(10):
+        pairs = [
+            (_random_poly(rng, nv, rng.choice((2, 5, 9)), 6, gaussian),
+             _random_poly(rng, nv, rng.choice((2, 5, 9)), 6, rng.random() < 0.5))
+            for _ in range(rng.randint(1, 5))
+        ]
+        _check_dot(nv, pairs)
+
+
+@pytest.mark.parametrize("nv", [1, 2, 3, 4])
+def test_cancelling_sums_of_products_are_zero(nv):
+    rng = random.Random(f"kernel-dot-cancel:{nv}")
+    z1, zn = Poly.variable(nv, 1), Poly.variable(nv, nv)
+    i = Poly.const(nv, GaussRat(0, 1))
+    # (z1 - zn)(z1 + zn) - z1*z1 + zn*zn, and (z1 + i zn)(z1 - i zn) - z1^2 - zn^2
+    assert _check_dot(nv, [(z1 - zn, z1 + zn), (-z1, z1), (zn, zn)]).is_zero()
+    assert _check_dot(nv, [(z1 + i * zn, z1 - i * zn), (-z1, z1), (-zn, zn)]).is_zero()
+    for _ in range(10):
+        p = _random_poly(rng, nv, 5, 5, True)
+        q = _random_poly(rng, nv, 5, 5, False)
+        r = _random_poly(rng, nv, 3, 4, True)
+        assert _check_dot(nv, [(p, q), (q, -p)]).is_zero()
+        # only some terms cancel: p*q + r*p - p*q leaves r*p
+        assert _check_dot(nv, [(p, q), (r, p), (-p, q)]) == r * p
+
+
+@pytest.mark.parametrize("nv", [1, 2, 3, 4])
+def test_sums_with_empty_and_one_term_operands(nv):
+    rng = random.Random(f"kernel-dot-small:{nv}")
+    zero = Poly.zero(nv)
+    assert dot(nv, []) == zero
+    assert dot(nv, iter(())) == zero
+    for _ in range(10):
+        p = _random_poly(rng, nv, 6, 5, True)
+        m = Poly.monomial(nv, tuple(rng.randint(0, 9) for _ in range(nv)), _coefficient(rng, True))
+        c = Poly.const(nv, _coefficient(rng, False))
+        assert _check_dot(nv, [(zero, p), (p, zero), (zero, zero)]) == zero
+        _check_dot(nv, [(m, p)])
+        _check_dot(nv, [(p, m), (c, p), (m, c), (zero, m)])
+        _check_dot(nv, [(c, c), (m, m)])
+
+
+def test_shared_operands_are_packed_once(monkeypatch):
+    packs = []
+    pack = polyring._pack
+
+    def counting(terms, width):
+        packs.append(terms)
+        return pack(terms, width)
+
+    monkeypatch.setattr(polyring, "_pack", counting)
+    rng = random.Random("kernel-dot-shared")
+    for _ in range(10):
+        a = _random_poly(rng, 2, 6, 6, True)
+        b = _random_poly(rng, 2, 6, 6, False)
+        c = _random_poly(rng, 2, 4, 3, True)
+        pairs = [(a, b), (b, a), (a, a), (c, a), (a, c), (b, b)]
+        packs.clear()
+        got = dot(2, pairs)
+        assert len(packs) == 3
+        assert got == sum((x * y for x, y in pairs), Poly.zero(2))
+
+
+@pytest.mark.parametrize("nv", [1, 2, 3, 4])
+def test_sums_of_products_of_very_different_degree(nv):
+    # one field width holds every product: pairs of total degree 1 or 2 next
+    # to one of degree 64, 128 or 255, where the field of the small pair alone
+    # would be one or two bits wide
+    rng = random.Random(f"kernel-dot-width:{nv}")
+    z = [Poly.variable(nv, j + 1) for j in range(nv)]
+    for degree in (64, 128, 255):
+        for _ in range(3):
+            a = rng.randint(1, degree - 1)
+            big = (z[rng.randrange(nv)] ** a + _random_poly(rng, nv, 3, 3, True),
+                   z[rng.randrange(nv)] ** (degree - a) - _random_poly(rng, nv, 2, 3, False))
+            small = [(z[0] + z[-1], z[-1] - Poly.const(nv, gr(Fraction(1, 3)))),
+                     (Poly.const(nv, gr(2, 1)), z[0])]
+            _check_dot(nv, small + [big] if rng.random() < 0.5 else [big] + small)
 
 
 # -- dense residue classes ----------------------------------------------------
