@@ -10,15 +10,21 @@ anywhere in this package.
 That storage is what every caller sees, but products and powers do not run
 on it: they pack each exponent tuple into one int and each coefficient into
 integer numerators over a common denominator (see "the integer product
-kernel" below), and build one GaussRat per output term.  A large product
-splits the packed keys into residue classes modulo their most common gap,
-multiplies each pair of dense classes as one big int with a fixed-width
-slot per key (Kronecker substitution), and the remaining terms one by one.
-A sum of products, ``dot``, packs each distinct operand once at one field
-width, adds every product's numerators over one common denominator in the
-packed dicts, and builds the GaussRats of the sum alone; determinants and
-the multiplier rules' sums of products use it.  ``parse_poly`` likewise
-writes each term of its input straight into the term dict.
+kernel" below).  A large product splits the packed keys into residue
+classes modulo their most common gap, multiplies each pair of dense classes
+as one big int with a fixed-width slot per key (Kronecker substitution), and
+the remaining terms one by one.  A sum of products, ``dot``, packs each
+distinct operand once at one field width and adds every product's
+numerators over one common denominator in the packed dicts; determinants
+and the multiplier rules' sums of products use it.
+
+A product, power or sum of products stays in that packed form: its ``terms``
+dict, one GaussRat per term, is built on first read.  Another product takes
+the packed numerators as they are, and printing, ``differentiate``,
+negation, ``==``, ``total_degree`` and truth value work on them too, so a
+chain of rule steps that only multiplies, differentiates and prints builds
+no Fraction.  ``parse_poly`` writes real canonical text straight into the
+packed form.
 
 ``poly_to_string`` writes one canonical form: terms in graded-lex
 descending order joined by `` + `` and `` - ``, each a coefficient
@@ -40,6 +46,7 @@ differentiates with respect to the first variable).
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 import operator
 import re
@@ -172,10 +179,13 @@ class Poly:
 
     ``terms`` maps exponent tuples to nonzero coefficients.  Instances are
     treated as immutable: every operation returns a fresh Poly and no code in
-    this package mutates ``terms`` after construction.
+    this package mutates ``terms`` after construction.  Products, powers,
+    sums of products and derivatives return the subclass ``_Packed``, which
+    builds ``terms`` on first read.  The first packing of an eager Poly is
+    kept in ``_pk`` (see ``_Packed``), which no constructor sets.
     """
 
-    __slots__ = ("nvars", "terms")
+    __slots__ = ("nvars", "terms", "_pk")
 
     def __init__(self, nvars: int, terms: dict | None = None):
         self.nvars = nvars
@@ -304,33 +314,37 @@ class Poly:
         )
 
     def __mul__(self, other: "Poly") -> "Poly":
-        a, b = self.terms, other.terms
-        if not a or not b:
+        if type(self) is Poly and type(other) is Poly:
+            a, b = self.terms, other.terms
+            if not a or not b:
+                return Poly.zero(self.nvars)
+            # a one-term factor shifts the other's exponents
+            if len(a) == 1:
+                (mono, c), = a.items()
+                return other.mul_term(mono, c)
+            if len(b) == 1:
+                (mono, c), = b.items()
+                return self.mul_term(mono, c)
+        elif not self or not other:
             return Poly.zero(self.nvars)
-        if len(a) == 1:
-            (mono, c), = a.items()
-            return other.mul_term(mono, c)
-        if len(b) == 1:
-            (mono, c), = b.items()
-            return self.mul_term(mono, c)
-        width = _field_width(self.total_degree() + other.total_degree())
-        pa, da = _pack(a, width)
-        pb, db = _pack(b, width)
-        return _unpack(self.nvars, width, _gauss_mul(pa, pb), da * db)
+        width = _width_for(self.total_degree() + other.total_degree(), (self, other))
+        pa, da = _operand(self, width)
+        pb, db = _operand(other, width)
+        return _packed(self.nvars, width, _gauss_mul(pa, pb), da * db)
 
     def __pow__(self, n: int) -> "Poly":
         if n < 0:
             raise ValueError("negative power of a polynomial")
         if n == 0:
             return Poly.one(self.nvars)
-        if len(self.terms) <= 1:
+        if type(self) is Poly and len(self.terms) <= 1:
             # zero or one term: scale its exponents, power its coefficient
             return Poly._raw(self.nvars, {
                 tuple(e * n for e in mono): _gauss_pow(c, n)
                 for mono, c in self.terms.items()
             })
-        width = _field_width(self.total_degree() * n)
-        base, den = _pack(self.terms, width)
+        width = _width_for(self.total_degree() * n, (self,))
+        base, den = _operand(self, width)
         den = den ** n
         result = None
         while True:
@@ -340,7 +354,7 @@ class Poly:
             if not n:
                 break
             base = _gauss_mul(base, base)
-        return _unpack(self.nvars, width, result, den)
+        return _packed(self.nvars, width, result, den)
 
     # -- structure ----------------------------------------------------------
 
@@ -440,6 +454,71 @@ class Poly:
         return f"Poly({self.nvars}, {poly_to_string(self, default_names(self.nvars))!r})"
 
 
+class _Packed(Poly):
+    """A nonzero Poly held in the product kernel's form.
+
+    ``_pk`` is (width, real, imag, den): dicts packed monomial -> integer
+    numerator over the positive common denominator ``den``, with no zero
+    entry and not both empty, each term's total degree within one field of
+    ``width`` bits.  ``terms`` is built from them on its first read and kept.
+    """
+
+    __slots__ = ()
+
+    def __getattr__(self, name):
+        # called only while the terms slot is unset
+        if name != "terms":
+            raise AttributeError(name)
+        terms = self.terms = _unpack(self.nvars, *self._pk)
+        return terms
+
+    def __bool__(self):
+        return True
+
+    def is_zero(self) -> bool:
+        return False
+
+    def __eq__(self, other):
+        if not isinstance(other, Poly):
+            return NotImplemented
+        if self.nvars != other.nvars or not other:
+            return False
+        width = _width_for(other.total_degree(), (self, other))
+        (ra, ia), da = _operand(self, width)
+        (rb, ib), db = _operand(other, width)
+        if da == db:
+            return ra == rb and ia == ib
+        # equal coefficients over different common denominators
+        return (ra.keys() == rb.keys() and ia.keys() == ib.keys()
+                and all(c * db == rb[k] * da for k, c in ra.items())
+                and all(c * db == ib[k] * da for k, c in ia.items()))
+
+    __hash__ = Poly.__hash__
+
+    def __neg__(self) -> "Poly":
+        width, real, imag, den = self._pk
+        return _new_packed(self.nvars, width, {k: -c for k, c in real.items()},
+                           {k: -c for k, c in imag.items()}, den)
+
+    def total_degree(self) -> int:
+        width, real, imag, _ = self._pk
+        return max(_max_degree(real, width), _max_degree(imag, width))
+
+    def is_unit(self) -> bool:
+        _, real, imag, _ = self._pk
+        return (0 in real or 0 in imag) and _term_count(self) == 1
+
+    # a _Packed is never zero, so it is constant exactly when it is a unit
+    is_constant = is_unit
+
+    def constant_value(self) -> GaussRat:
+        _, real, imag, den = self._pk
+        r, i = real.get(0, 0), imag.get(0, 0)
+        if not i:
+            return _real(Fraction(r, den)) if r else GR_ZERO
+        return GaussRat(Fraction(r, den), Fraction(i, den))
+
+
 # ---------------------------------------------------------------------------
 # the integer product kernel
 #
@@ -450,7 +529,11 @@ class Poly:
 # degree of the result, which bounds each of its exponents.  An operand's
 # coefficients become integer numerators over one common denominator, real
 # and imaginary parts in two dicts keyed by packed int.  The product is
-# accumulated there, and one Fraction is built per output term.
+# accumulated there and kept there as a ``_Packed`` Poly, whose Fractions are
+# built only when a caller reads its terms.  A packed operand is used as it
+# is; when its width differs from the product's, its keys are repacked, and
+# the width never shrinks below an operand's, since a wider field holds the
+# same monomials and leaves every product unchanged.
 #
 # Small products loop over pairs of terms.  In a large one, the keys of a
 # weighted-homogeneous operand lie on a few arithmetic progressions: with
@@ -612,21 +695,123 @@ def _unpacker(nvars: int, width: int):
     return lambda key: tuple((key >> s) & mask for s in shifts)
 
 
-def _unpack(nvars: int, width: int, parts: tuple, den: int) -> "Poly":
-    """The Poly of packed (real, imag) numerator dicts over ``den``."""
-    real, imag = parts
+def _unpack(nvars: int, width: int, real: dict, imag: dict, den: int) -> dict:
+    """The term dict of packed numerator dicts over ``den``, which hold no
+    zero entry."""
     mono = _unpacker(nvars, width)
-    out = {}
     if not imag:
-        for key, r in real.items():
-            if r:
-                out[mono(key)] = _real(Fraction(r, den) if den != 1 else Fraction(r))
-        return Poly._raw(nvars, out)
-    for key in real.keys() | imag.keys():
-        r, i = real.get(key, 0), imag.get(key, 0)
-        if r or i:
-            out[mono(key)] = GaussRat(Fraction(r, den), Fraction(i, den))
-    return Poly._raw(nvars, out)
+        if den == 1:
+            return {mono(key): _real(Fraction(r)) for key, r in real.items()}
+        return {mono(key): _real(Fraction(r, den)) for key, r in real.items()}
+    return {
+        mono(key): GaussRat(Fraction(real.get(key, 0), den), Fraction(imag.get(key, 0), den))
+        for key in real.keys() | imag.keys()
+    }
+
+
+def _new_packed(nvars: int, width: int, real: dict, imag: dict, den: int) -> "_Packed":
+    # trusted constructor: the dicts already meet _Packed's conditions
+    p = object.__new__(_Packed)
+    p.nvars = nvars
+    p._pk = (width, real, imag, den)
+    return p
+
+
+def _packed(nvars: int, width: int, parts: tuple, den: int) -> Poly:
+    """The Poly of packed (real, imag) numerator dicts over ``den``, which
+    may hold zero entries; the zero polynomial is an eager Poly.  A factor
+    shared by ``den`` and every numerator is divided out, so that products
+    of the result do not carry it."""
+    real, imag = parts
+    if 0 in real.values():
+        real = {k: c for k, c in real.items() if c}
+    if imag and 0 in imag.values():
+        imag = {k: c for k, c in imag.items() if c}
+    if not real and not imag:
+        return Poly._raw(nvars, {})
+    if den != 1:
+        g = den
+        for c in itertools.chain(real.values(), imag.values()):
+            g = math.gcd(g, c)
+            if g == 1:
+                break
+        else:
+            real = {k: c // g for k, c in real.items()}
+            imag = {k: c // g for k, c in imag.items()}
+            den //= g
+    return _new_packed(nvars, width, real, imag, den)
+
+
+def _max_degree(part: dict, width: int) -> int:
+    """Largest total degree of a key of ``part``, 0 when it is empty.  A
+    key is congruent to the sum of its fields mod 2^width - 1, and that sum
+    is at most 2^width - 1, so a nonzero key's total degree is
+    (key - 1) mod (2^width - 1) + 1."""
+    top = (1 << width) - 1
+    return max(((k - 1) % top for k in part if k), default=-1) + 1
+
+
+def _term_count(p: Poly) -> int:
+    """len(p.terms), without building the terms of a packed p."""
+    if type(p) is not _Packed:
+        return len(p.terms)
+    _, real, imag, _ = p._pk
+    return len(real.keys() | imag.keys()) if imag else len(real)
+
+
+def _width_for(degree: int, polys) -> int:
+    """The field width that holds ``degree`` and the packed forms of
+    ``polys`` as they are: a wider field changes no product."""
+    width = _field_width(degree)
+    for p in polys:
+        pk = getattr(p, "_pk", None)
+        if pk is not None and pk[0] > width:
+            width = pk[0]
+    return width
+
+
+def _own(p: Poly) -> tuple:
+    """The packed form (width, real, imag, den) of a nonzero p at a width of
+    its own; an eager p is packed once and keeps it."""
+    pk = getattr(p, "_pk", None)
+    if pk is None:
+        width = _field_width(p.total_degree())
+        (real, imag), den = _pack(p.terms, width)
+        pk = p._pk = (width, real, imag, den)
+    return pk
+
+
+def _operand(p: Poly, width: int):
+    """((real, imag), den) of a nonzero p in fields of ``width`` bits, which
+    hold its total degree: its packed form, with the keys repacked when that
+    width differs.  An eager p not packed before is packed at ``width`` and
+    keeps it."""
+    pk = getattr(p, "_pk", None)
+    if pk is None:
+        (real, imag), den = _pack(p.terms, width)
+        p._pk = (width, real, imag, den)
+        return (real, imag), den
+    w, real, imag, den = pk
+    if w != width:
+        real, imag = _repack(real, p.nvars, w, width), _repack(imag, p.nvars, w, width)
+    return (real, imag), den
+
+
+def _repack(part: dict, nvars: int, old: int, new: int) -> dict:
+    """``part`` with each key's fields moved from ``old`` to ``new`` bits."""
+    if nvars == 1 or not part:
+        return part
+    mask = (1 << old) - 1
+    if nvars == 2:
+        return {((k >> old) << new) | (k & mask): c for k, c in part.items()}
+    moves = [(old * j, new * j) for j in range(nvars)]
+    out = {}
+    for k, c in part.items():
+        key = 0
+        for a, b in moves:
+            key |= ((k >> a) & mask) << b
+        out[key] = c
+    return out
 
 
 def dot(nvars: int, pairs) -> Poly:
@@ -635,26 +820,34 @@ def dot(nvars: int, pairs) -> Poly:
 
     Each distinct operand object is packed once, at one field width that
     holds every product; each product's numerators are scaled to one common
-    denominator and added in the packed dicts, and the sum is unpacked
-    once, so no product builds Fractions of its own."""
-    pairs = [(a, b) for a, b in pairs if a.terms and b.terms]
-    if not pairs:
+    denominator and added in the packed dicts, and the sum stays packed, so
+    no product builds Fractions of its own."""
+    return _signed_dot(nvars, [(a, b, 1) for a, b in pairs])
+
+
+def _signed_dot(nvars: int, triples) -> Poly:
+    """sum(sign * a * b for a, b, sign in triples), each sign 1 or -1 folded
+    into the scale of that product's numerators."""
+    triples = [t for t in triples if t[0] and t[1]]
+    if not triples:
         return Poly.zero(nvars)
-    width = _field_width(max(a.total_degree() + b.total_degree() for a, b in pairs))
+    width = _width_for(max(a.total_degree() + b.total_degree() for a, b, _ in triples),
+                       [p for a, b, _ in triples for p in (a, b)])
     packed: dict = {}
     products = []
-    for a, b in pairs:
+    for a, b, sign in triples:
         for p in (a, b):
             if id(p) not in packed:
-                packed[id(p)] = _pack(p.terms, width)
+                packed[id(p)] = _operand(p, width)
         (pa, da), (pb, db) = packed[id(a)], packed[id(b)]
-        products.append((_gauss_mul(pa, pb), da * db))
-    den = math.lcm(*(d for _, d in products))
+        products.append((_gauss_mul(pa, pb), da * db, sign))
+    den = math.lcm(*(d for _, d, _ in products))
     real, imag = {}, {}
-    for (r, i), d in products:
-        _add_into(real, r, den // d)
-        _add_into(imag, i, den // d)
-    return _unpack(nvars, width, (real, imag), den)
+    for (r, i), d, sign in products:
+        scale = sign * (den // d)
+        _add_into(real, r, scale)
+        _add_into(imag, i, scale)
+    return _packed(nvars, width, (real, imag), den)
 
 
 def _gauss_pow(c: GaussRat, n: int) -> GaussRat:
@@ -693,14 +886,14 @@ def heuristic_gcd(p: Poly, q: Poly):
     """
     if p.nvars != q.nvars:
         raise ValueError("operands live in different rings")
-    if not p.terms:
+    if not p:
         return q.monic()
-    if not q.terms:
+    if not q:
         return p.monic()
     nv = p.nvars
     width = _field_width(max(p.total_degree(), q.total_degree())) + 1
-    (f, f_imag), _ = _pack(p.terms, width)
-    (g, g_imag), _ = _pack(q.terms, width)
+    (f, f_imag), _ = _operand(p, width)
+    (g, g_imag), _ = _operand(q, width)
     if f_imag or g_imag:
         return None
     h = _heu_gcd(_primitive(f), _primitive(g), nv, width)
@@ -842,19 +1035,22 @@ def _divides(f: dict, d: dict, k: int, width: int) -> bool:
 # calculus operations on polynomials
 
 def differentiate(p: Poly, var_index: int) -> Poly:
-    """Formal partial derivative with respect to the 1-based ``var_index``."""
-    if not 1 <= var_index <= p.nvars:
-        raise ValueError(f"variable index {var_index} out of range 1..{p.nvars}")
-    i = var_index - 1
+    """Formal partial derivative with respect to the 1-based ``var_index``,
+    taken on the packed form: an eager p is packed first."""
+    nvars = p.nvars
+    if not 1 <= var_index <= nvars:
+        raise ValueError(f"variable index {var_index} out of range 1..{nvars}")
+    if not p:
+        return Poly.zero(nvars)
+    width, real, imag, den = _own(p)
+    shift = width * (nvars - var_index)
+    mask = (1 << width) - 1
+    one = 1 << shift
     # lowering one exponent keeps distinct monomials distinct, and c*e != 0
-    out: dict = {}
-    for mono, c in p.terms.items():
-        e = mono[i]
-        if e:
-            out[mono[:i] + (e - 1,) + mono[i + 1:]] = (
-                GaussRat(c.re * e, c.im * e) if c.im else _real(c.re * e)
-            )
-    return Poly._raw(p.nvars, out)
+    return _packed(nvars, width, (
+        {k - one: c * e for k, c in real.items() if (e := (k >> shift) & mask)},
+        {k - one: c * e for k, c in imag.items() if (e := (k >> shift) & mask)},
+    ), den)
 
 
 def gradient(p: Poly) -> tuple:
@@ -876,19 +1072,26 @@ def poly_matrix_det(rows: Sequence[Sequence[Poly]]) -> Poly:
             raise ValueError("determinant needs a square matrix")
     if n == 0:
         raise ValueError("determinant of an empty matrix")
+    return _signed_det(rows, 1)
+
+
+def _signed_det(rows, sign: int) -> Poly:
+    """sign * det(rows) for a nonempty square matrix, each cofactor's sign
+    folded into the sum of products rather than negating an entry."""
+    n = len(rows)
     if n == 1:
-        return rows[0][0]
+        return rows[0][0] if sign > 0 else -rows[0][0]
     nv = rows[0][0].nvars
     if n == 2:
-        return dot(nv, [(rows[0][0], rows[1][1]), (-rows[0][1], rows[1][0])])
-    pairs = []
+        return _signed_dot(nv, [(rows[0][0], rows[1][1], sign), (rows[0][1], rows[1][0], -sign)])
+    triples = []
     for j in range(n):
         entry = rows[0][j]
         if entry.is_zero():
             continue
         minor = [[rows[i][k] for k in range(n) if k != j] for i in range(1, n)]
-        pairs.append((entry if j % 2 == 0 else -entry, poly_matrix_det(minor)))
-    return dot(nv, pairs)
+        triples.append((entry, _signed_det(minor, 1), -sign if j % 2 else sign))
+    return _signed_dot(nv, triples)
 
 
 def poly_matrix_adjugate(rows: Sequence[Sequence[Poly]]) -> list:
@@ -904,8 +1107,7 @@ def poly_matrix_adjugate(rows: Sequence[Sequence[Poly]]) -> list:
                 for r in range(n)
                 if r != j
             ]
-            d = poly_matrix_det(minor)
-            adj[i][j] = d if (i + j) % 2 == 0 else -d
+            adj[i][j] = _signed_det(minor, -1 if (i + j) % 2 else 1)
     return adj
 
 
@@ -926,7 +1128,7 @@ def equal_up_to_unit(p: Poly, q: Poly):
         return GR_ONE
     if p.is_zero() or q.is_zero():
         return None
-    if len(p.terms) != len(q.terms):
+    if _term_count(p) != _term_count(q):
         return None
     mono, cp = p.leading()
     cq = q.terms.get(mono)
@@ -1120,11 +1322,14 @@ def _canonical_gauss(inner: str):
 def _parse_canonical(text: str, index: dict):
     """The Poly of ``text`` when it has the canonical shape (see above) over
     the variables of ``index`` (name -> 0-based slot), else None.  It never
-    raises: what it cannot read is left to ``_Parser``."""
+    raises: what it cannot read is left to ``_Parser``.  Real terms with
+    distinct monomials go straight into the packed form; a text with an
+    ``i`` or a repeated monomial sums GaussRats in a term dict."""
     if not isinstance(text, str):
         return None
     nvars = len(index)
-    acc: dict = {}
+    items = []  # (exponents, num, den, power of i, mixed GaussRat or None)
+    real = True
     try:
         for k, chunk in enumerate(text.split(" - ")):
             for j, piece in enumerate(chunk.split(" + ")):
@@ -1139,6 +1344,7 @@ def _parse_canonical(text: str, index: dict):
                     if gauss is None or rest[:1] not in ("", "*"):
                         return None
                     factors = rest[1:].split("*") if rest else ()
+                    real = False
                 else:
                     factors = piece.split("*")
                 mono = [0] * nvars
@@ -1154,22 +1360,49 @@ def _parse_canonical(text: str, index: dict):
                         mono[v] += e
                     elif base == "i":
                         ipow += e
+                        real = False
                     else:
                         ratio = _ratio(base)
                         powered = None if ratio is None else _number_power(num, den, ratio, e)
                         if powered is None:
                             return None
                         num, den = powered
-                c = _coefficient(num, den, ipow)
-                if gauss is not None:
-                    c = c * gauss
-                m = tuple(mono)
-                old = acc.get(m)
-                acc[m] = c if old is None else old + c
+                items.append((mono, num, den, ipow, gauss))
     except ValueError:
         # int() refuses digit strings longer than the interpreter's limit
         return None
+    if real:
+        p = _pack_real_terms(nvars, items)
+        if p is not None:
+            return p
+    acc: dict = {}
+    for mono, num, den, ipow, gauss in items:
+        c = _coefficient(num, den, ipow)
+        if gauss is not None:
+            c = c * gauss
+        m = tuple(mono)
+        old = acc.get(m)
+        acc[m] = c if old is None else old + c
     return Poly(nvars, acc)
+
+
+def _pack_real_terms(nvars: int, items: list):
+    """The packed Poly of real terms (exponents, num, den, ...), or None
+    when two of them share a monomial."""
+    width = _field_width(max(map(sum, (t[0] for t in items))))
+    den = 1
+    for t in items:
+        if t[2] != 1:
+            den = math.lcm(den, t[2])
+    real = {}
+    for mono, num, d, _, _ in items:
+        key = 0
+        for e in mono:
+            key = (key << width) | e
+        real[key] = num if d == den else num * (den // d)
+    if len(real) != len(items):
+        return None
+    return _packed(nvars, width, (real, {}), den)
 
 
 def _tokenize(text: str):
@@ -1379,33 +1612,50 @@ def poly_to_string(p: Poly, names: Sequence[str] | None = None) -> str:
     """
     if names is None:
         names = default_names(p.nvars)
-    if len(names) != p.nvars:
+    nvars = p.nvars
+    if len(names) != nvars:
         raise ValueError("need one name per variable")
-    terms = p.terms
-    if not terms:
+    if not p:
         return "0"
+    width, real, imag, den = _own(p)
+    top = (1 << width) - 1
+    fields = [(name, width * (nvars - 1 - j)) for j, name in enumerate(names)]
+    # graded-lex descending: each key under its total degree (see _max_degree)
+    span = width * nvars
+    low = (1 << span) - 1
+    order = [(((k - 1) % top + 1) << span) | k if k else 0
+             for k in (real.keys() | imag.keys() if imag else real)]
+    order.sort(reverse=True)
     out = []
-    for mono in sorted(terms, key=grlex_key, reverse=True):
-        c = terms[mono]
+    for k in order:
+        k &= low
         monostr = "*".join([
-            name if e == 1 else f"{name}^{e}" for name, e in zip(names, mono) if e
+            name if e == 1 else f"{name}^{e}" for name, s in fields if (e := (k >> s) & top)
         ])
-        im = c.im
+        im = imag.get(k) if imag else None
         if im:
             neg = im < 0
-            mag = -im if neg else im
-            cs = "i" if mag == 1 else f"{mag}*i"
-            if c.re:
+            mag = _ratio_text(-im if neg else im, den)
+            cs = "i" if mag == "1" else f"{mag}*i"
+            re_num = real.get(k)
+            if re_num:
                 # a mixed coefficient keeps its sign inside the parentheses
-                cs = f"({c.re}{'-' if neg else '+'}{cs})"
+                cs = f"({_ratio_text(re_num, den)}{'-' if neg else '+'}{cs})"
                 neg = False
         else:
-            n, d = c.re.numerator, c.re.denominator
+            n = real[k]
             neg = n < 0
-            if neg:
-                n = -n
-            cs = f"{n}/{d}" if d != 1 else ("" if n == 1 and monostr else str(n))
+            cs = _ratio_text(-n if neg else n, den)
+            if cs == "1" and monostr:
+                cs = ""
         out.append(" - " if neg else " + ")
         out.append(f"{cs}*{monostr}" if cs and monostr else cs or monostr)
     out[0] = "-" if out[0] == " - " else ""
     return "".join(out)
+
+
+def _ratio_text(num: int, den: int) -> str:
+    """str(Fraction(num, den)) for den > 0: in lowest terms, as Fraction
+    keeps each coefficient."""
+    g = math.gcd(num, den)
+    return f"{num // g}/{den // g}" if den != g else str(num // g)

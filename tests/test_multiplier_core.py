@@ -11,7 +11,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from kohnmult import cli, multiplier_core
+from kohnmult import cli, multiplier_core, polyring
 from kohnmult.catlin_dangelo import CDParams, run_effective_chain
 from kohnmult.kohn_effective3d import run_effective3d
 from kohnmult.polyring import Poly, gr, parse_poly, poly_to_string
@@ -620,6 +620,47 @@ def test_derived_payload_syntax_error_keeps_its_reason(bad):
         if step["inputs"]:
             tampered["steps"][k]["inputs"].pop()
             assert _replay(dom, tampered).reason == res.reason
+
+
+# -- replay in the packed form -----------------------------------------------
+#
+# Real canonical text parses into the product kernel's packed form, and the
+# rule formulas, their prints and comparisons run on it: a replay builds a
+# term dict neither for a payload it parses nor for one it derives.
+
+
+@pytest.fixture
+def term_dicts(monkeypatch):
+    """Every term dict built from a packed form, and (text, parsed Poly) for
+    every text the verifier parses."""
+    built, parsed = [], []
+    unpack, parse = polyring._unpack, multiplier_core.parse_poly
+
+    def counting_unpack(*args):
+        built.append(args)
+        return unpack(*args)
+
+    def recording_parse(text, variables):
+        p = parse(text, variables)
+        parsed.append((text, p))
+        return p
+
+    monkeypatch.setattr(polyring, "_unpack", counting_unpack)
+    monkeypatch.setattr(multiplier_core, "parse_poly", recording_parse)
+    return built, parsed
+
+
+@pytest.mark.parametrize("case", sorted(PINNED) + ["all-rules"])
+def test_replay_builds_no_term_dict(case, term_dicts):
+    data = json.loads(_all_rules_text() if case == "all-rules" else _pinned_text(case))
+    built, parsed = term_dicts
+    built.clear()
+    parsed.clear()
+    cert = DerivationCertificate.from_json(data)
+    assert certificate_verify(cert, cert.domain).ok
+    assert built == []
+    real = [p for text, p in parsed if "i" not in text and p]
+    assert real and all(type(p) is polyring._Packed for p in real)
 
 
 # -- mutation fuzzing of derived payloads ------------------------------------
