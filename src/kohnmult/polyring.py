@@ -23,17 +23,17 @@ dict, one GaussRat per term, is built on first read.  Another product takes
 the packed numerators as they are, and printing, ``differentiate``,
 negation, ``==``, ``total_degree`` and truth value work on them too, so a
 chain of rule steps that only multiplies, differentiates and prints builds
-no Fraction.  ``parse_poly`` writes real canonical text straight into the
-packed form.
+no Fraction.
 
 ``poly_to_string`` writes one canonical form: terms in graded-lex
 descending order joined by `` + `` and `` - ``, each a coefficient
 (``n``, ``n/d``, ``i``, ``q*i`` or ``(re+q*i)``) and powers ``name^e``
 joined by ``*`` (see "parsing and printing" below for the grammar).
-``parse_poly`` reads that form with string splits and ``int``, and hands
-every other text to a recursive-descent parser, which alone raises
-``ParseError`` with a position.  Since ``parse_poly`` reads every print back
-as its polynomial, equal canonical text means an equal polynomial: the
+``parse_poly`` reads a real print with string splits and ``int`` straight
+into the packed form, and hands every other text, Gaussian text with ``i``
+included, to a recursive-descent parser, which alone raises ``ParseError``
+with a position.  Since ``parse_poly`` reads every print back as its
+polynomial, equal canonical text means an equal polynomial: the
 certificate verifier checks a derived payload by printing the polynomial
 its rule computes and comparing the text.  The parser charges the work of
 each power and product of parenthesised factors before computing it and
@@ -400,16 +400,16 @@ class Poly:
 
         The substituted polynomials must all share one ring; the result lives
         there.  Powers are cached per variable, so composing a polynomial that
-        is dense in one variable stays cheap.
+        is dense in one variable stays cheap, and the terms are summed as one
+        ``dot`` of constants and products of powers.
         """
         if len(subs) != self.nvars:
             raise ValueError("need one substitution per variable")
         if not subs:
             raise ValueError("cannot compose in a ring with no variables")
         target_n = subs[0].nvars
-        caches: list[dict[int, Poly]] = [
-            {0: Poly.one(target_n), 1: s} for s in subs
-        ]
+        one = Poly.one(target_n)
+        caches: list[dict[int, Poly]] = [{1: s} for s in subs]
 
         def power(k: int, e: int) -> Poly:
             cache = caches[k]
@@ -419,14 +419,14 @@ class Poly:
                 cache[e] = got
             return got
 
-        acc = Poly.zero(target_n)
+        pairs = []
         for mono, c in self.terms.items():
-            piece = Poly.const(target_n, c)
+            piece = one
             for k, e in enumerate(mono):
                 if e:
-                    piece = piece * power(k, e)
-            acc = acc + piece
-        return acc
+                    piece = power(k, e) if piece is one else piece * power(k, e)
+            pairs.append((Poly.const(target_n, c), piece))
+        return dot(target_n, pairs)
 
     def remap(self, nvars: int, places: Sequence[int | None]) -> "Poly":
         """The polynomial in a ring of ``nvars`` variables, the (k+1)-th
@@ -1195,8 +1195,7 @@ def exact_divide(p: Poly, d: Poly):
 # ---------------------------------------------------------------------------
 # parsing and printing
 #
-# ``poly_to_string`` writes one canonical form, and ``parse_poly`` reads that
-# form on a fast path of string splits:
+# ``poly_to_string`` writes one canonical form:
 #
 #     text  := "0" | ["-"] term ((" + " | " - ") term)*
 #     term  := coeff | [coeff "*"] power ("*" power)*
@@ -1205,11 +1204,20 @@ def exact_divide(p: Poly, d: Poly):
 #     NUM   := DIGITS ["/" DIGITS]
 #
 # Terms are in graded-lex descending order, each coefficient is in lowest
-# terms, and no term after the first starts with a sign.  The fast path
-# accepts a little more (any order of numbers, ``i`` and powers in a term,
-# and ``^`` on each of them), but only text that the recursive-descent
-# parser reads as the same polynomial; on everything else it answers None,
-# and that parser, with its error messages and positions, reads the text.
+# terms, and no term after the first starts with a sign.  ``parse_poly``
+# reads the real prints, whose terms are
+#
+#     rterm := NUM | [NUM "*"] power ("*" power)*
+#
+# with no monomial twice, on a fast path of string splits straight into the
+# packed form.  That path also takes powers in any order, a name twice in a
+# term and a coefficient not in lowest terms, which the recursive-descent
+# parser reads as the same polynomial.  Every other text (``i``, a mixed
+# coefficient, a repeated monomial, a power of a number, a number after a
+# power) goes to that parser, which alone checks the resource bounds below
+# and raises ``ParseError`` with a position.  The fast path packs its terms
+# over the lcm of their denominators, which no bound below limits: terms
+# with many distinct denominators give every numerator that lcm's bits.
 
 # Deepest parenthesis nesting the parser accepts (the printer writes depth 1)
 MAX_NESTING = 100
@@ -1300,102 +1308,41 @@ def _number_power(num: int, den: int, ratio: tuple, e: int):
     return num * a ** e, den * b ** e
 
 
-def _canonical_gauss(inner: str):
-    """The GaussRat of the inside of a canonical mixed coefficient,
-    ``[-]NUM(+|-)(i|NUM*i)``; else None."""
-    neg = inner[:1] == "-"
-    body = inner[1:] if neg else inner
-    plus, minus = body.find("+"), body.find("-")
-    if (plus < 0) == (minus < 0):
-        return None
-    cut = max(plus, minus)
-    re_part = _ratio(body[:cut])
-    mag, star, unit = body[cut + 1:].rpartition("*")
-    im_part = _ratio(mag) if star else (1, 1)
-    if unit != "i" or re_part is None or im_part is None:
-        return None
-    a, b = re_part
-    c, d = im_part
-    return GaussRat(Fraction(-a if neg else a, b), Fraction(-c if minus >= 0 else c, d))
-
-
 def _parse_canonical(text: str, index: dict):
-    """The Poly of ``text`` when it has the canonical shape (see above) over
-    the variables of ``index`` (name -> 0-based slot), else None.  It never
-    raises: what it cannot read is left to ``_Parser``.  Real terms with
-    distinct monomials go straight into the packed form; a text with an
-    ``i`` or a repeated monomial sums GaussRats in a term dict."""
+    """The packed Poly of ``text`` when it has the real canonical shape (see
+    above) over the variables of ``index`` (name -> 0-based slot), with no
+    monomial twice; else None.  It never raises and takes no power of a
+    number: what it cannot read is left to ``_Parser``."""
     if not isinstance(text, str):
         return None
     nvars = len(index)
-    items = []  # (exponents, num, den, power of i, mixed GaussRat or None)
-    real = True
+    items = []  # (exponents, numerator, denominator) per term
     try:
         for k, chunk in enumerate(text.split(" - ")):
             for j, piece in enumerate(chunk.split(" + ")):
-                num, den, ipow = (-1 if k and not j else 1), 1, 0
+                sign = -1 if k and not j else 1
                 if not (k or j) and piece[:1] == "-":
-                    num, piece = -1, piece[1:]
-                gauss = None
-                if piece[:1] == "(":
-                    close = piece.find(")")
-                    gauss = _canonical_gauss(piece[1:close]) if close > 0 else None
-                    rest = piece[close + 1:]
-                    if gauss is None or rest[:1] not in ("", "*"):
-                        return None
-                    factors = rest[1:].split("*") if rest else ()
-                    real = False
-                else:
-                    factors = piece.split("*")
+                    sign, piece = -1, piece[1:]
+                factors = piece.split("*")
+                ratio = _ratio(factors[0])
+                if ratio is not None:
+                    del factors[0]
+                num, den = ratio or (1, 1)
                 mono = [0] * nvars
                 for factor in factors:
-                    base, caret, exp = factor.partition("^")
-                    e = 1
-                    if caret:
-                        if not exp.isdecimal():
-                            return None
-                        e = int(exp)
-                    v = index.get(base)
-                    if v is not None:
-                        mono[v] += e
-                    elif base == "i":
-                        ipow += e
-                        real = False
-                    else:
-                        ratio = _ratio(base)
-                        powered = None if ratio is None else _number_power(num, den, ratio, e)
-                        if powered is None:
-                            return None
-                        num, den = powered
-                items.append((mono, num, den, ipow, gauss))
+                    name, caret, exp = factor.partition("^")
+                    v = index.get(name)
+                    if v is None or (caret and not exp.isdecimal()):
+                        return None
+                    mono[v] += int(exp) if caret else 1
+                items.append((mono, sign * num, den))
     except ValueError:
         # int() refuses digit strings longer than the interpreter's limit
         return None
-    if real:
-        p = _pack_real_terms(nvars, items)
-        if p is not None:
-            return p
-    acc: dict = {}
-    for mono, num, den, ipow, gauss in items:
-        c = _coefficient(num, den, ipow)
-        if gauss is not None:
-            c = c * gauss
-        m = tuple(mono)
-        old = acc.get(m)
-        acc[m] = c if old is None else old + c
-    return Poly(nvars, acc)
-
-
-def _pack_real_terms(nvars: int, items: list):
-    """The packed Poly of real terms (exponents, num, den, ...), or None
-    when two of them share a monomial."""
-    width = _field_width(max(map(sum, (t[0] for t in items))))
-    den = 1
-    for t in items:
-        if t[2] != 1:
-            den = math.lcm(den, t[2])
+    width = _field_width(max(sum(t[0]) for t in items))
+    den = math.lcm(*(t[2] for t in items))
     real = {}
-    for mono, num, d, _, _ in items:
+    for mono, num, d in items:
         key = 0
         for e in mono:
             key = (key << width) | e
@@ -1589,10 +1536,11 @@ def parse_poly(text: str, variables: Sequence[str]) -> Poly:
     ``MAX_PARSE_WORK``, each charged before any factor of its term is
     expanded.  ``variables`` must pass :func:`check_names`.
 
-    Text in the canonical form that :func:`poly_to_string` writes (its
-    grammar heads this module's "parsing and printing" section) is read by
-    string splits; every other text goes to the recursive-descent parser,
-    which raises :class:`ParseError` with the position of the first fault.
+    A real print of :func:`poly_to_string` (the grammar heads this module's
+    "parsing and printing" section) is read by string splits into the
+    packed form; every other text, Gaussian text included, goes to the
+    recursive-descent parser, which raises :class:`ParseError` with the
+    position of the first fault.
     """
     index = {name: j for j, name in enumerate(check_names(variables))}
     p = _parse_canonical(text, index)

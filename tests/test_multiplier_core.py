@@ -500,6 +500,11 @@ PINNED = {
         lambda: run_effective3d(_dom(["z1^2", "z2^2"]), seed=0).certificate,
         "f4e6853086bc318b0a5f29d7481c0a8b3209b950d60369a3e8c2771edbedca5e",
     ),
+    # every payload with an i in it is read by the recursive-descent parser
+    "effective3d-z1^2-z2^2+i*z1*z2-seed-0": (
+        lambda: run_effective3d(_dom(["z1^2", "z2^2 + i*z1*z2"]), seed=0).certificate,
+        "c7ead9e5daf63189f5d8361450976d76c1a33589d9fd51142eec8dc6feff550a",
+    ),
 }
 
 
@@ -548,6 +553,14 @@ def parsed_texts(monkeypatch):
 @functools.lru_cache(maxsize=None)
 def _pinned_text(case):
     return PINNED[case][0]().dumps()
+
+
+def test_gaussian_certificate_verifies():
+    data = json.loads(_pinned_text("effective3d-z1^2-z2^2+i*z1*z2-seed-0"))
+    cert = DerivationCertificate.from_json(data)
+    res = certificate_verify(cert, cert.domain)
+    assert res.ok, res.reason
+    assert len(cert.steps) == 31 and res.final_order == Fraction(1, 393216)
 
 
 @pytest.mark.parametrize("case", sorted(PINNED))

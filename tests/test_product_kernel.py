@@ -15,9 +15,10 @@ Large products multiply dense residue classes of packed keys as big ints.
 That path is checked against the term-by-term loop it bypasses, which runs
 without sympy, and against sympy on weighted-homogeneous binomial powers.
 
-`parse_poly` reads canonical text on a fast path of string splits and
-everything else with the recursive-descent parser.  The fast path is also
-checked against that parser: every canonical print takes it, and on
+`parse_poly` reads real canonical text on a fast path of string splits and
+everything else, Gaussian text included, with the recursive-descent parser.
+The fast path is also checked against that parser: every real print takes
+it, Gaussian prints, repeated monomials and powers of numbers do not, and on
 near-canonical text it answers None or the parser's polynomial.
 """
 
@@ -25,7 +26,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 try:
@@ -516,26 +517,61 @@ gauss_coefficients = st.one_of(
     st.builds(GaussRat, _fraction(-9, 9), st.sampled_from([1, -1])),
 )
 
+# the real ones, whole and fractional, with the printer's special cases 1 and -1
+real_coefficients = st.one_of(
+    st.builds(GaussRat, _fraction(-10**6, 10**6)),
+    st.sampled_from([GaussRat(1), GaussRat(-1)]),
+)
+
 NAME_SETS = [("z1",), ("z1", "z2"), ("x", "yy", "w_3"), ("alpha", "B2", "_t", "z10")]
 
 
 @st.composite
-def named_polys(draw):
+def named_polys(draw, coefficients):
     names = draw(st.sampled_from(NAME_SETS))
     nv = len(names)
     # exponent 0 everywhere draws constants, and small exponents repeat
     # monomials, whose coefficients then add up or cancel
     exps = st.tuples(*[st.integers(min_value=0, max_value=12)] * nv)
-    terms = draw(st.lists(st.tuples(exps, gauss_coefficients), max_size=10))
+    terms = draw(st.lists(st.tuples(exps, coefficients), max_size=10))
     return names, sum((Poly.monomial(nv, m, c) for m, c in terms), Poly.zero(nv))
 
 
 @settings(max_examples=300, deadline=None)
-@given(named_polys())
-def test_canonical_prints_take_the_fast_path(case):
+@given(named_polys(real_coefficients))
+def test_real_prints_take_the_fast_path(case):
     names, p = case
+    fast = _check_fast_path(poly_to_string(p, names), names)
+    assert fast is not None and fast == p
+
+
+@settings(max_examples=200, deadline=None)
+@given(named_polys(gauss_coefficients))
+def test_gaussian_prints_go_to_the_parser(case):
+    names, p = case
+    assume(any(c.im for c in p.terms.values()))
     text = poly_to_string(p, names)
-    assert _check_fast_path(text, names) == p
+    assert _check_fast_path(text, names) is None
+    assert parse_poly(text, names) == p
+
+
+# the fast path reads no repeated monomial, no power of a number and no
+# number after a power: the parser reads each of them
+PARSER_ONLY = [
+    "z1 + z1",
+    "z1 - z1",
+    "z1*z2 + z2*z1",
+    "z1^2 + 3 - 1/2",
+    "2^3*z1",
+    "2^0",
+    "z1*2",
+    "z1*2*z2",
+]
+
+
+@pytest.mark.parametrize("text", PARSER_ONLY)
+def test_other_texts_go_to_the_parser(text):
+    assert _check_fast_path(text, ("z1", "z2")) is None
 
 
 NEAR_CANONICAL = [
