@@ -3,7 +3,9 @@
 The basis returned by :func:`groebner_basis` is the monic reduced basis, which
 is unique for a given ideal and monomial order; combined with a fixed pair
 processing order this makes every computation in the package reproducible
-byte for byte.
+byte for byte.  Buchberger's running basis, and a basis on its first normal
+form, are packed once as ``polyring.Divisors``: integer order keys with the
+leading terms split off, divided on a heap of keys.
 
 Ideal-theoretic operations used by the multiplier algorithms live here as
 well: normal forms with cofactor tracking, vector-space dimension of the
@@ -15,23 +17,21 @@ and squarefree parts.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 import math
+import operator
 from typing import Sequence
 
 from kohnmult.polyring import (
     GR_ONE,
+    Divisors,
     Poly,
     differentiate,
-    divide,
     exact_divide,
     grlex_key,
     heuristic_gcd,
-    mono_divides,
-    mono_lcm,
-    mono_mul,
-    mono_quot,
 )
 
 
@@ -41,13 +41,16 @@ class MonomialOrder:
     ``elim(k)`` builds the block order that makes the first k variables
     expensive: graded lex within each block, first block dominant.  A basis
     under that order intersected with the cheap block solves elimination.
+    ``splits`` are the variable indices where a block after the first
+    starts: () for grlex, (k,) for elim(k).
     """
 
-    __slots__ = ("name", "key")
+    __slots__ = ("name", "key", "splits")
 
-    def __init__(self, name: str, key):
+    def __init__(self, name: str, key, splits: tuple = ()):
         self.name = name
         self.key = key
+        self.splits = splits
 
     def __repr__(self):
         return f"MonomialOrder({self.name})"
@@ -65,7 +68,7 @@ class MonomialOrder:
             head, tail = m[:k], m[k:]
             return (sum(head), head, sum(tail), tail)
 
-        return MonomialOrder(f"elim({k})", key)
+        return MonomialOrder(f"elim({k})", key, (k,))
 
 
 GRLEX = MonomialOrder.grlex()
@@ -105,11 +108,14 @@ class GroebnerBasis:
     def is_zero_ideal(self) -> bool:
         return not self.basis
 
+    @functools.cached_property
+    def _divisors(self) -> Divisors:
+        return Divisors(self.nvars, self.order.splits, self.basis)
+
     def normal_form(self, p: Poly) -> Poly:
         if not self.basis:
             return p
-        _, r = divide(p, self.basis, self.order.key, False)
-        return r
+        return self._divisors.divide(p, False)[1]
 
     def contains(self, p: Poly) -> bool:
         return self.normal_form(p).is_zero()
@@ -121,7 +127,7 @@ class GroebnerBasis:
         """
         if self.provenance is None:
             raise ValueError("basis was computed without provenance tracking")
-        quots, r = divide(p, self.basis, self.order.key, True)
+        quots, r = self._divisors.divide(p, True)
         return _combine(quots, self.provenance, len(self.gens), self.nvars), r
 
     def leading_monomials(self):
@@ -136,8 +142,9 @@ def groebner_basis(
     """Buchberger with a fixed pair order, returning the monic reduced basis.
 
     Pairs are processed by (degree of the leading-term lcm, the lcm itself,
-    generator indices); pairs with coprime leading terms are skipped.  The
-    final interreduction drops redundant elements and tail-reduces the rest.
+    generator indices); pairs with coprime leading terms, or of two
+    monomials, are skipped.  The final interreduction drops redundant
+    elements and tail-reduces the rest.
     """
     gens = [g for g in gens]
     if not gens:
@@ -146,97 +153,72 @@ def groebner_basis(
     for g in gens:
         if g.nvars != nv:
             raise ValueError("generators live in different rings")
-    key = order.key
 
-    work: list[Poly] = []
+    key = order.key
+    monic: list[Poly] = []
+    leads: list[tuple] = []
     provs: list[list[Poly]] = []
     for j, g in enumerate(gens):
         if g.is_zero():
             continue
-        _, c = g.leading(key)
+        m, c = g.leading(key)
         inv = c.inverse()
-        work.append(g.scale(inv))
+        monic.append(g.scale(inv))
+        leads.append(m)
         if provenance:
-            row = [Poly.zero(nv) for _ in gens]
-            row[j] = Poly.const(nv, inv)
-            provs.append(row)
-    if not work:
+            provs.append([Poly.const(nv, inv if t == j else 0) for t in range(len(gens))])
+    if not monic:
         return GroebnerBasis(gens, [], order, [] if provenance else None)
+    work = Divisors(nv, order.splits, monic)
 
     heap: list = []
-    for i in range(len(work)):
-        for j in range(i + 1, len(work)):
-            lcm = mono_lcm(work[i].leading(key)[0], work[j].leading(key)[0])
-            heapq.heappush(heap, (sum(lcm), lcm, i, j))
+    for i, j in itertools.combinations(range(len(leads)), 2):
+        lcm = tuple(map(max, leads[i], leads[j]))
+        heap.append((sum(lcm), lcm, i, j))
+    heapq.heapify(heap)
 
     while heap:
         _, lcm, i, j = heapq.heappop(heap)
-        mi = work[i].leading(key)[0]
-        mj = work[j].leading(key)[0]
-        if lcm == mono_mul(mi, mj):
-            continue  # coprime leading terms never produce new information
-        s = work[i].mul_term(mono_quot(mi, lcm), GR_ONE) - work[j].mul_term(
-            mono_quot(mj, lcm), GR_ONE
-        )
-        if s.is_zero():
-            continue
-        quots, r = divide(s, work, key, provenance)
+        mi, mj = leads[i], leads[j]
+        if not any(map(min, mi, mj)) or not (work.items[i][1] or work.items[j][1]):
+            continue  # coprime leading terms, or two monomials, give nothing new
+        quots, r = work.reduce(lambda: work.s_poly(i, j, lcm), provenance)
         if r.is_zero():
             continue
-        _, c = r.leading(key)
+        m, c = r.leading(key)
         inv = c.inverse()
         r = r.scale(inv)
         if provenance:
-            prow = [Poly.zero(nv) for _ in gens]
-            pi, pj = provs[i], provs[j]
-            qi, qj = mono_quot(mi, lcm), mono_quot(mj, lcm)
-            for t, a in enumerate(pi):
-                if not a.is_zero():
-                    prow[t] = prow[t] + a.mul_term(qi, GR_ONE)
-            for t, a in enumerate(pj):
-                if not a.is_zero():
-                    prow[t] = prow[t] - a.mul_term(qj, GR_ONE)
+            # s = (lcm/mi)*work[i] - (lcm/mj)*work[j] = sum(quots*work) + r
+            qi, qj = tuple(map(operator.sub, lcm, mi)), tuple(map(operator.sub, lcm, mj))
             used = _combine(quots, provs, len(gens), nv)
-            for t in range(len(gens)):
-                prow[t] = (prow[t] - used[t]).scale(inv)
-            provs.append(prow)
-        new_idx = len(work)
-        work.append(r)
-        mnew = r.leading(key)[0]
-        for t in range(new_idx):
-            lcm2 = mono_lcm(work[t].leading(key)[0], mnew)
-            heapq.heappush(heap, (sum(lcm2), lcm2, t, new_idx))
+            provs.append([(a.mul_term(qi, GR_ONE) - b.mul_term(qj, GR_ONE) - u).scale(inv)
+                          for a, b, u in zip(provs[i], provs[j], used)])
+        new = len(leads)
+        work.add(r)
+        leads.append(m)
+        for t in range(new):
+            lcm = tuple(map(max, leads[t], m))
+            heapq.heappush(heap, (sum(lcm), lcm, t, new))
 
     # interreduce: drop elements whose leading term another divides, then
-    # tail-reduce each survivor against the rest
-    idx_sorted = sorted(range(len(work)), key=lambda t: key(work[t].leading(key)[0]))
+    # tail-reduce each survivor against the rest; a survivor keeps its monic
+    # leading term, so the basis comes out sorted by the order
     kept: list[int] = []
-    for t in idx_sorted:
-        mt = work[t].leading(key)[0]
-        if any(mono_divides(work[s].leading(key)[0], mt) for s in kept):
-            continue
-        kept.append(t)
+    for t in sorted(range(len(leads)), key=lambda t: key(leads[t])):
+        if not any(all(map(operator.le, leads[s], leads[t])) for s in kept):
+            kept.append(t)
     final: list[Poly] = []
     final_prov: list[list[Poly]] = []
-    for t in kept:
-        others = [work[s] for s in kept if s != t]
-        if others:
-            quots, r = divide(work[t], others, key, provenance)
-        else:
-            quots, r = [], work[t]
-        _, c = r.leading(key)
-        inv = c.inverse()
-        final.append(r.scale(inv))
+    reducers = Divisors(nv, order.splits, [work.polys[t] for t in kept])
+    for idx, t in enumerate(kept):
+        # reduce the tail by every survivor: no other survivor's leading term
+        # divides this leading term, and this one divides no term below it
+        quots, r = reducers.reduce(lambda: dict(reducers.items[idx][1]), provenance)
+        final.append(r + Poly.monomial(nv, leads[t]))
         if provenance:
-            used = _combine(quots, [provs[s] for s in kept if s != t], len(gens), nv)
-            prow = [(provs[t][j] - used[j]).scale(inv) for j in range(len(gens))]
-            final_prov.append(prow)
-    pairs = sorted(
-        range(len(final)), key=lambda t: key(final[t].leading(key)[0])
-    )
-    final = [final[t] for t in pairs]
-    if provenance:
-        final_prov = [final_prov[t] for t in pairs]
+            used = _combine(quots, [provs[s] for s in kept], len(gens), nv)
+            final_prov.append([a - u for a, u in zip(provs[t], used)])
     return GroebnerBasis(gens, final, order, final_prov if provenance else None)
 
 
@@ -277,7 +259,7 @@ def standard_monomials(gens_or_gb):
     out = [
         mono
         for mono in itertools.product(*(range(b) for b in bounds))
-        if not any(mono_divides(m, mono) for m in lms)
+        if not any(all(map(operator.le, m, mono)) for m in lms)
     ]
     out.sort(key=grlex_key)
     return out

@@ -94,23 +94,18 @@ class FullRadicalOutcome:
 
 def _jacobian_ideal_gens(v_list: list[Poly], nvars: int) -> list[Poly]:
     """Monic Jacobian determinants of all n-subsets of V, deduplicated, in subset order."""
-    out: list[Poly] = []
+    out: dict[Poly, None] = {}  # insertion-ordered set
     for combo in itertools.combinations(range(len(v_list)), nvars):
         d = jacobian_det([v_list[i] for i in combo])
-        if d.is_zero():
-            continue
-        d = d.monic()
-        if not any(d == seen for seen in out):
-            out.append(d)
-    return out
+        if not d.is_zero():
+            out.setdefault(d.monic())
+    return list(out)
 
 
-def _push_unique(acc: list[Poly], p: Poly) -> None:
-    if p.is_zero() or p.is_constant():
-        return
-    pm = p.monic()
-    if not any(pm == q for q in acc):
-        acc.append(pm)
+def _push_unique(acc: dict[Poly, None], p: Poly) -> None:
+    """Add p made monic to the insertion-ordered set ``acc``, unless p is constant."""
+    if not p.is_constant():
+        acc.setdefault(p.monic())
 
 
 def _certified_radical(
@@ -144,7 +139,7 @@ def _certified_radical(
         return got
 
     variables = [Poly.variable(nvars, k) for k in range(1, nvars + 1)]
-    candidates: list[Poly] = []
+    candidates: dict[Poly, None] = {}
     for v in variables:
         _push_unique(candidates, v)
     for g in j_gens:
@@ -167,7 +162,7 @@ def _certified_radical(
         # V(J) = {0}: the radical is the maximal ideal, generated by the variables
         return tuple(variables), True
 
-    i_out: list[Poly] = list(certified)
+    i_out = dict.fromkeys(certified)
     for g in j_gens:
         _push_unique(i_out, g)
     return tuple(i_out), False

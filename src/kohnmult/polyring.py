@@ -25,6 +25,11 @@ negation, ``==``, ``total_degree`` and truth value work on them too, so a
 chain of rule steps that only multiplies, differentiates and prints builds
 no Fraction.
 
+Division, and with it ``groebner``'s normal forms and Buchberger's
+algorithm, packs each monomial as one int whose integer order is the
+monomial order, each divisor once (``Divisors``; see "division on packed
+order keys" below).
+
 ``poly_to_string`` writes one canonical form: terms in graded-lex
 descending order joined by `` + `` and `` - ``, each a coefficient
 (``n``, ``n/d``, ``i``, ``q*i`` or ``(re+q*i)``) and powers ``name^e``
@@ -146,27 +151,6 @@ def coefficient_bits(c: GaussRat) -> int:
     in lowest terms."""
     return max(abs(c.re.numerator).bit_length(), c.re.denominator.bit_length(),
                abs(c.im.numerator).bit_length(), c.im.denominator.bit_length())
-
-
-# ---------------------------------------------------------------------------
-# monomial helpers
-
-def mono_mul(a: tuple, b: tuple) -> tuple:
-    return tuple(map(operator.add, a, b))
-
-
-def mono_divides(a: tuple, b: tuple) -> bool:
-    """True when x^a divides x^b."""
-    return all(x <= y for x, y in zip(a, b))
-
-
-def mono_quot(a: tuple, b: tuple) -> tuple:
-    """Exponent tuple of x^b / x^a (assumes x^a divides x^b)."""
-    return tuple(y - x for x, y in zip(a, b))
-
-
-def mono_lcm(a: tuple, b: tuple) -> tuple:
-    return tuple(max(x, y) for x, y in zip(a, b))
 
 
 def grlex_key(mono: tuple):
@@ -307,11 +291,9 @@ class Poly:
     def mul_term(self, mono: tuple, c: GaussRat) -> "Poly":
         if not c:
             return Poly.zero(self.nvars)
-        if c == GR_ONE:
-            return Poly._raw(self.nvars, {mono_mul(m, mono): k for m, k in self.terms.items()})
-        return Poly._raw(
-            self.nvars, {mono_mul(m, mono): k * c for m, k in self.terms.items()}
-        )
+        one = c == GR_ONE
+        return Poly._raw(self.nvars, {tuple(map(operator.add, m, mono)): k if one else k * c
+                                      for m, k in self.terms.items()})
 
     def __mul__(self, other: "Poly") -> "Poly":
         if type(self) is Poly and type(other) is Poly:
@@ -372,11 +354,11 @@ class Poly:
         return mono, self.terms[mono]
 
     def monic(self, key=grlex_key) -> "Poly":
-        """Scale so the leading coefficient is 1."""
+        """Scale so the leading coefficient is 1; self when it already is."""
         if not self.terms:
             return self
         _, c = self.leading(key)
-        return self.scale(c.inverse())
+        return self if c == GR_ONE else self.scale(c.inverse())
 
     def degree_in(self, index: int) -> int:
         """Degree in the 1-based variable ``index``; -1 for zero."""
@@ -1138,8 +1120,133 @@ def equal_up_to_unit(p: Poly, q: Poly):
     return ratio if p == q.scale(ratio) else None
 
 
+# ---------------------------------------------------------------------------
+# division on packed order keys
+#
+# A key holds, per block of variables (one for grlex, two for elim(k)), the
+# block's degree and then its exponents, the first variable highest, in
+# fields whose top bit is a guard that no key sets: a product of monomials
+# is a sum of keys, and l divides m exactly when m - l sets no guard bit.
+# The degrees set the width, and bound every term met under grlex; under
+# elim(k) the second block's degree can grow (z1^3 by z1 - z2^40 leaves
+# z2^120), so a step that would set a guard bit repacks the divisors at
+# twice the width and starts over.  Each divisor's leading key, leading
+# coefficient and tail are packed once, and the terms left to reduce wait on
+# a max-heap of keys (Johnson 1974; Monagan & Pearce, CASC 2007), with
+# Fraction coefficients unless some input is Gaussian.
+
+class Divisors:
+    """Nonzero polynomials ``polys`` packed once for division under the
+    order of block boundaries ``splits``: () for grlex, (k,) for elim(k).
+    Divisor i has the leading key ``keys[i]`` and ``items[i]`` = (leading
+    coefficient or None for 1, tail [(key, coefficient)])."""
+
+    def __init__(self, nvars: int, splits: tuple, polys: Sequence[Poly], real: bool = True):
+        self.nvars, self.splits = nvars, tuple(min(s, nvars) for s in splits)
+        self.real = real and not any(c.im for p in polys for c in p.terms.values())
+        self._pack_all(_field_width(max((p.total_degree() for p in polys), default=0)) + 1, polys)
+
+    def _pack_all(self, width: int, polys) -> None:
+        self.width, self.polys, self.keys, self.items = width, [], [], []
+        self.blocks = list(zip((0, *self.splits), (*self.splits, self.nvars)))
+        f = self.nvars + len(self.blocks)  # fields
+        self.guards = sum(1 << (width * g + width - 1) for g in range(f))
+        self.shifts = []  # of each exponent's field
+        for a, b in self.blocks:
+            self.shifts += [width * (f - 2 - v + a) for v in range(a, b)]
+            f -= 1 + b - a
+        for p in polys:
+            self.add(p)
+
+    def pack(self, mono: tuple) -> int:
+        key, w = 0, self.width
+        for a, b in self.blocks:
+            for e in (sum(mono[a:b]), *mono[a:b]):
+                key = (key << w) | e
+        return key
+
+    def encode(self, p: Poly) -> dict:
+        """p's terms, key -> coefficient, widening until its degree fits."""
+        while p.total_degree() >= 1 << (self.width - 1):
+            self._pack_all(2 * self.width, self.polys)
+        return {self.pack(m): c.re if self.real else c for m, c in p.terms.items()}
+
+    def poly(self, work: dict) -> Poly:
+        mask = (1 << self.width) - 1
+        return Poly._raw(self.nvars, {tuple([(k >> s) & mask for s in self.shifts]):
+                                      _real(c) if self.real else c for k, c in work.items()})
+
+    def add(self, p: Poly) -> None:
+        work = self.encode(p)
+        lead = max(work)
+        lc = work.pop(lead)
+        self.polys.append(p)
+        self.keys.append(lead)
+        self.items.append((None if lc == 1 else lc, list(work.items())))
+
+    def divide(self, p: Poly, want_quotients: bool):
+        """:func:`divide` of p by the divisors."""
+        if self.real and any(c.im for c in p.terms.values()):
+            return Divisors(self.nvars, self.splits, self.polys, False).divide(p, want_quotients)
+        return self.reduce(lambda: self.encode(p), want_quotients)
+
+    def s_poly(self, i: int, j: int, lcm: tuple) -> dict:
+        """The S-polynomial of the monic divisors i and j, whose leading
+        monomials have the lcm ``lcm``, with zero coefficients left in."""
+        top = self.pack(lcm)
+        si, sj = top - self.keys[i], top - self.keys[j]
+        out = {k + si: c for k, c in self.items[i][1]}
+        for k, c in self.items[j][1]:
+            out[k + sj] = out[k + sj] - c if k + sj in out else -c
+        if any(k & self.guards for k in out):
+            self._pack_all(2 * self.width, self.polys)
+            return self.s_poly(i, j, lcm)
+        return out
+
+    def reduce(self, build, want_quotients: bool):
+        """(quotients or None, remainder) of the key dict that ``build()``
+        returns, each term by the first divisor whose leading key divides
+        it.  A term cancelled to zero stays in the dict until its key is
+        popped.  Where a product would set a guard bit, it starts over at
+        twice the width."""
+        work, leads, divs, guards = build(), self.keys, self.items, self.guards
+        quots = [{} for _ in divs] if want_quotients else None
+        rem = {}
+        heap = [-k for k in work]
+        heapq.heapify(heap)
+        pop, push = heapq.heappop, heapq.heappush
+        while heap:
+            m = -pop(heap)
+            c = work.pop(m)
+            if not c:
+                continue
+            for idx, lead in enumerate(leads):
+                t = m - lead
+                if not t & guards:
+                    break
+            else:
+                rem[m] = c
+                continue
+            lc, tail = divs[idx]
+            qc = c if lc is None else c / lc
+            if quots is not None:
+                quots[idx][t] = qc  # leading keys strictly decrease, so t is new here
+            for k, bc in tail:
+                k += t
+                if k & guards:
+                    self._pack_all(2 * self.width, self.polys)
+                    return self.reduce(build, want_quotients)
+                if k in work:
+                    work[k] -= bc * qc
+                else:
+                    work[k] = -bc * qc
+                    push(heap, -k)
+        return quots and [self.poly(q) for q in quots], self.poly(rem)
+
+
 def divide(p: Poly, divisors: Sequence[Poly], key, want_quotients: bool):
-    """Multivariate division of p by the divisor list under the order ``key``.
+    """Multivariate division of p by the divisor list under the order
+    ``key``: ``grlex_key`` or a ``groebner.MonomialOrder``.
 
     Returns (quotients, remainder) with p == sum(q_i * divisors_i) + remainder
     and no remainder term divisible by any divisor's leading term; quotients
@@ -1147,37 +1254,8 @@ def divide(p: Poly, divisors: Sequence[Poly], key, want_quotients: bool):
     list order, so the quotients are deterministic even where the remainder
     alone would be.
     """
-    lts = [d.leading(key) for d in divisors]
-    quots = [{} for _ in divisors] if want_quotients else None
-    rem: dict = {}
-    work = dict(p.terms)
-    while work:
-        mono = max(work, key=key)
-        c = work.pop(mono)
-        for idx, (ltm, ltc) in enumerate(lts):
-            if mono_divides(ltm, mono):
-                qm = mono_quot(ltm, mono)
-                qc = c / ltc
-                if want_quotients:
-                    # leading monomials strictly decrease, so qm is new here
-                    quots[idx][qm] = qc
-                for bm, bc in divisors[idx].terms.items():
-                    if bm == ltm:
-                        continue
-                    tm = mono_mul(bm, qm)
-                    tc = bc * qc
-                    s = work.get(tm)
-                    s = -tc if s is None else s - tc
-                    if s:
-                        work[tm] = s
-                    else:
-                        work.pop(tm, None)
-                break
-        else:
-            rem[mono] = c
-    nv = p.nvars
-    qpolys = [Poly._raw(nv, q) for q in quots] if want_quotients else None
-    return qpolys, Poly._raw(nv, rem)
+    splits = () if key is grlex_key else key.splits
+    return Divisors(p.nvars, splits, divisors).divide(p, want_quotients)
 
 
 def exact_divide(p: Poly, d: Poly):

@@ -1,9 +1,11 @@
 """Independent oracles used by the test suite.
 
 Everything in this file is deliberately dumb: plain enumeration and exact
-Gaussian elimination over the coefficient field, with no Groebner machinery.
-The point is that agreement between these and the engine is evidence, not
-circularity.
+Gaussian elimination over the coefficient field.  The one exception is the
+plain division loop and Buchberger's algorithm on exponent tuples that the
+packed division kernel must reproduce term for term (``divide_reference``,
+``groebner_reference``); they share no code with the engine's.  The point is
+that agreement between these and the engine is evidence, not circularity.
 """
 
 import itertools
@@ -300,6 +302,111 @@ def random_poly(rng, nvars, max_degree, max_terms=4, zero_constant=False,
         )
         if not p.is_zero():
             return p
+
+
+def divide_reference(p, divisors, key, want_quotients):
+    """Multivariate division term by term on exponent tuples, as
+    ``kohnmult.polyring.divide`` defines it: each step takes the largest
+    term under the sort key ``key`` and reduces it by the first divisor, in
+    list order, whose leading monomial divides it.  Returns (quotient term
+    dicts or None, remainder term dict)."""
+    lts = [max(d.terms.items(), key=lambda item: key(item[0])) for d in divisors]
+    quots = [{} for _ in divisors] if want_quotients else None
+    rem = {}
+    work = dict(p.terms)
+    while work:
+        mono = max(work, key=key)
+        c = work.pop(mono)
+        for idx, (ltm, ltc) in enumerate(lts):
+            if all(x <= y for x, y in zip(ltm, mono)):
+                qm = tuple(y - x for x, y in zip(ltm, mono))
+                qc = c / ltc
+                if want_quotients:
+                    quots[idx][qm] = qc
+                for bm, bc in divisors[idx].terms.items():
+                    if bm == ltm:
+                        continue
+                    tm = tuple(x + y for x, y in zip(bm, qm))
+                    s = work.get(tm, GaussRat()) - bc * qc
+                    if s:
+                        work[tm] = s
+                    else:
+                        work.pop(tm, None)
+                break
+        else:
+            rem[mono] = c
+    return quots, rem
+
+
+def groebner_reference(gens, key, provenance):
+    """(basis, provenance rows or None) of Buchberger's algorithm on exponent
+    tuples with ``divide_reference``, in the order ``kohnmult.groebner``
+    fixes: generators made monic, pairs taken by (degree of the lcm of
+    their leading monomials, that lcm, indices), coprime pairs skipped,
+    then interreduction of the survivors in ascending order.  Row i holds
+    basis[i]'s cofactors over gens."""
+    nv, ng = gens[0].nvars, len(gens)
+
+    def lead(p):
+        return max(p.terms.items(), key=lambda item: key(item[0]))
+
+    def as_poly(terms):
+        return Poly(nv, terms)
+
+    def combine(quots, rows):
+        out = [Poly.zero(nv) for _ in range(ng)]
+        for q, row in zip(quots, rows):
+            for j, a in enumerate(row):
+                out[j] = out[j] + as_poly(q) * a
+        return out
+
+    work, provs = [], []
+    for j, g in enumerate(gens):
+        if g.is_zero():
+            continue
+        inv = lead(g)[1].inverse()
+        work.append(g.scale(inv))
+        provs.append([Poly.const(nv, inv if t == j else 0) for t in range(ng)])
+    pairs = []
+    for j in range(len(work)):
+        for i in range(j):
+            lcm = tuple(map(max, lead(work[i])[0], lead(work[j])[0]))
+            pairs.append((sum(lcm), lcm, i, j))
+    while pairs:
+        pairs.sort()
+        _, lcm, i, j = pairs.pop(0)
+        mi, mj = lead(work[i])[0], lead(work[j])[0]
+        if lcm == tuple(a + b for a, b in zip(mi, mj)):
+            continue
+        qi, qj = (tuple(a - b for a, b in zip(lcm, m)) for m in (mi, mj))
+        s = work[i].mul_term(qi, GaussRat(1)) - work[j].mul_term(qj, GaussRat(1))
+        quots, rem = divide_reference(s, work, key, True)
+        if not rem:
+            continue
+        inv = lead(as_poly(rem))[1].inverse()
+        used = combine(quots, provs)
+        provs.append([(a.mul_term(qi, GaussRat(1)) - b.mul_term(qj, GaussRat(1)) - u).scale(inv)
+                      for a, b, u in zip(provs[i], provs[j], used)])
+        work.append(as_poly(rem).scale(inv))
+        new = len(work) - 1
+        for t in range(new):
+            lcm = tuple(map(max, lead(work[t])[0], lead(work[new])[0]))
+            pairs.append((sum(lcm), lcm, t, new))
+    order = sorted(range(len(work)), key=lambda t: key(lead(work[t])[0]))
+    kept = []
+    for t in order:
+        if not any(all(a <= b for a, b in zip(lead(work[s])[0], lead(work[t])[0])) for s in kept):
+            kept.append(t)
+    basis, rows = [], []
+    for t in kept:
+        others = [s for s in kept if s != t]
+        quots, rem = divide_reference(work[t], [work[s] for s in others], key, True)
+        inv = lead(as_poly(rem))[1].inverse()
+        basis.append(as_poly(rem).scale(inv))
+        used = combine(quots, [provs[s] for s in others])
+        rows.append([(a - u).scale(inv) for a, u in zip(provs[t], used)])
+    order = sorted(range(len(basis)), key=lambda t: key(lead(basis[t])[0]))
+    return [basis[t] for t in order], [rows[t] for t in order] if provenance else None
 
 
 def random_matrix(rng, n, max_degree=3, max_terms=3):
