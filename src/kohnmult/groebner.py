@@ -11,8 +11,8 @@ Ideal-theoretic operations used by the multiplier algorithms live here as
 well: normal forms with cofactor tracking, vector-space dimension of the
 quotient, radical membership (Rabinowitsch trick), the least power of a list
 of elements lying in an ideal, isolation of the origin, elimination, gcd (a
-heuristic integer gcd, with subresultant pseudo-remainders as the fallback),
-and squarefree parts.
+heuristic integer gcd, with the intersection (p) ∩ (q) = (lcm) as the
+fallback), and squarefree parts.
 """
 
 from __future__ import annotations
@@ -376,114 +376,33 @@ def eliminate(gens: Sequence[Poly], drop: Sequence[int]) -> list:
 
 
 # ---------------------------------------------------------------------------
-# gcd: the heuristic integer gcd, else subresultant pseudo-remainder sequences
-
-def _highest_var(p: Poly, q: Poly) -> int:
-    """1-based index of the last variable p or q uses; 0 for constants."""
-    return next(
-        (j for j in range(p.nvars, 0, -1) if p.degree_in(j) > 0 or q.degree_in(j) > 0), 0
-    )
-
-
-def _from_dense(coeffs, var: int, nv: int) -> Poly:
-    acc = Poly.zero(nv)
-    for e, c in enumerate(coeffs):
-        acc = acc + c.mul_term(tuple(e if j == var - 1 else 0 for j in range(nv)), GR_ONE)
-    return acc
-
-
-def _strip(coeffs):
-    while coeffs and coeffs[-1].is_zero():
-        coeffs.pop()
-    return coeffs
-
-
-def _prem(A, B, nv):
-    """Pseudo-remainder: lc(B)^(degA-degB+1) * A mod B, on dense lists."""
-    dB = len(B) - 1
-    d = B[-1]
-    R = list(A)
-    e = len(A) - 1 - dB + 1
-    while R and len(R) - 1 >= dB:
-        lcR = R[-1]
-        shift = len(R) - 1 - dB
-        R = [d * c for c in R]
-        for t, bc in enumerate(B):
-            R[shift + t] = R[shift + t] - lcR * bc
-        _strip(R)
-        e -= 1
-    if e > 0:
-        f = d ** e
-        R = [f * c for c in R]
-    return R
-
-
-def _content(coeffs, nv) -> Poly:
-    acc = Poly.zero(nv)
-    for c in coeffs:
-        acc = _subresultant_gcd(acc, c)
-        if acc.is_unit():
-            return Poly.one(nv)
-    return acc
-
+# gcd: the heuristic integer gcd, else p*q over the lcm from an intersection
 
 def multivariate_gcd(p: Poly, q: Poly) -> Poly:
     """gcd over Q(i)[z], normalized monic in graded lex; gcd(0, 0) = 0.
 
     The heuristic integer gcd answers first; Gaussian data and its rare
-    failures go to the subresultant sequence.  The monic gcd is unique, so
+    failures go to :func:`_intersection_gcd`.  The monic gcd is unique, so
     both give the same polynomial.
     """
     g = heuristic_gcd(p, q)
-    return _subresultant_gcd(p, q) if g is None else g
+    return _intersection_gcd(p, q) if g is None else g
 
 
-def _subresultant_gcd(p: Poly, q: Poly) -> Poly:
-    """multivariate_gcd by recursion on the highest variable present: split
-    off contents, run the subresultant sequence on the primitive parts
-    (Collins' coefficient growth control, every interior division exact),
-    recombine."""
+def _intersection_gcd(p: Poly, q: Poly) -> Poly:
+    """multivariate_gcd as p*q / lcm(p, q).  (p) and (q) meet in (lcm), the
+    part of (t*p, (1-t)*q) free of a new variable t; the reduced basis of a
+    principal ideal is its one monic generator."""
     if p.is_zero():
         return q if q.is_zero() else q.monic()
     if q.is_zero():
         return p.monic()
-    nv = p.nvars
-    if q.nvars != nv:
-        raise ValueError("operands live in different rings")
-    var = _highest_var(p, q)
-    if var == 0:
-        return Poly.one(nv)
-    A = _strip(p.coefficients_in(var))
-    B = _strip(q.coefficients_in(var))
-    if len(A) < len(B):
-        A, B = B, A
-    cont_a = _content(A, nv)
-    cont_b = _content(B, nv)
-    cont_g = _subresultant_gcd(cont_a, cont_b)
-    A = [_exact(c, cont_a) for c in A]
-    B = [_exact(c, cont_b) for c in B]
-    if len(B) == 1:
-        return cont_g.monic()
-    g = Poly.one(nv)
-    h = Poly.one(nv)
-    while True:
-        delta = (len(A) - 1) - (len(B) - 1)
-        R = _prem(A, B, nv)
-        if not R:
-            pp = [_exact(c, _content(B, nv)) for c in B]
-            return (_from_dense(pp, var, nv) * cont_g).monic()
-        if len(R) == 1:
-            return cont_g.monic()
-        A = B
-        divisor = g * (h ** delta)
-        B = [_exact(c, divisor) for c in R]
-        g = A[-1]
-        if delta == 0:
-            pass
-        elif delta == 1:
-            h = g
-        else:
-            h = _exact(g ** delta, h ** (delta - 1))
+    n = p.nvars
+    places = range(2, n + 2)
+    t = Poly.variable(n + 1, 1)
+    lp, lq = p.remap(n + 1, places), q.remap(n + 1, places)
+    (lcm,) = eliminate([t * lp, lq - t * lq], [1])
+    return _exact(p * q, lcm).monic()
 
 
 def _exact(p: Poly, d: Poly) -> Poly:

@@ -537,11 +537,12 @@ def test_malformed_domain_files_are_input_errors(tmp_path, capsys, data, message
 
 
 
-def test_missing_file_is_input_error(tmp_path, capsys):
-    code, _ = _run(
-        capsys, ["multiplicity", str(tmp_path / "nope.json")]
-    )
+@pytest.mark.parametrize("path", ["nope.json", "file/x"], ids=["missing", "under-a-file"])
+def test_missing_file_is_input_error(tmp_path, capsys, path):
+    (tmp_path / "file").write_text("{}")
+    code = cli.main(["multiplicity", str(tmp_path / path)])
     assert code == 2
+    assert capsys.readouterr().err.startswith("input error:")
 
 
 def test_malformed_json_is_input_error(tmp_path, capsys):

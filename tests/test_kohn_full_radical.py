@@ -10,7 +10,7 @@ import pytest
 from kohnmult import cli
 from kohnmult.polyring import Poly, heuristic_gcd, parse_poly
 from kohnmult.groebner import (
-    _subresultant_gcd,
+    _intersection_gcd,
     groebner_basis,
     ideal_membership,
     least_power,
@@ -155,9 +155,9 @@ def test_fast_gcd_answers_every_pairwise_gcd_of_the_three_variable_run():
     assert len(pairs) == 5089
     got = [heuristic_gcd(a, b) for a, b in pairs]
     assert all(g is not None for g in got)
-    # the subresultant path is about 8x slower on these pairs; check a sample
+    # the intersection fallback is about 4x slower on these pairs; check a sample
     for (a, b), g in list(zip(pairs, got))[::37]:
-        assert g == _subresultant_gcd(a, b)
+        assert g == _intersection_gcd(a, b)
 
 
 @pytest.mark.parametrize(
@@ -167,8 +167,11 @@ def test_fast_gcd_answers_every_pairwise_gcd_of_the_three_variable_run():
          "766cb8d4faa1e0f1e6735943a99a175652a06de4a646d7995d5b8e4a2ee477cd"),
         (("z1", "z2"), ["z1^2", "z2^5 + z2*z1^9"], [],
          "c8129b30f96f1175bb0d2e3b27a889ff5e8168dee0bd1db6a74e12374106ef72"),
+        # Gaussian, so each of its gcds goes to the intersection fallback
+        (("z1", "z2"), ["z1^2", "z2^2 + i*z1*z2"], [],
+         "15a9488d20eb0512880a71daf9677c2c920324cd3375eb722d71eefb0fb8af70"),
     ],
-    ids=["three-squares", "catlin-dangelo-2-5-9"],
+    ids=["three-squares", "catlin-dangelo-2-5-9", "gaussian-2"],
 )
 def test_full_radical_trace_bytes_are_pinned(tmp_path, capsys, variables, gens, extra, digest):
     # perfbench checks only p_list and order_bound; this pins every round's

@@ -1,8 +1,9 @@
-"""Differential oracle: division, Groebner bases, gcds (both paths), squarefree
-parts and module membership against sympy.
+"""Differential oracle: division, Groebner bases, gcds (both paths, over Q and
+Q(i)), squarefree parts and module membership against sympy.
 
 sympy is a test-only dependency; the module is skipped where it is absent.
-Inputs are small random polynomials over QQ from a fixed seed.
+Inputs are small random polynomials over QQ, times z1 + i for the Gaussian
+gcds, from a fixed seed.
 """
 
 from fractions import Fraction
@@ -11,7 +12,7 @@ import pytest
 
 sympy = pytest.importorskip("sympy")
 
-from kohnmult.groebner import _subresultant_gcd, groebner_basis, multivariate_gcd, squarefree_part
+from kohnmult.groebner import _intersection_gcd, groebner_basis, multivariate_gcd, squarefree_part
 from kohnmult.modules import VecPoly, module_membership
 from kohnmult.polyring import (
     GR_I,
@@ -34,12 +35,15 @@ def _symbols(nv):
 def _to_sympy(p: Poly, zs):
     expr = sympy.Integer(0)
     for mono, c in p.terms.items():
-        assert c.im == 0
-        term = sympy.Rational(c.re.numerator, c.re.denominator)
+        term = _rational(c.re) + sympy.I * _rational(c.im)
         for z, e in zip(zs, mono):
             term *= z**e
         expr += term
     return expr
+
+
+def _rational(x: Fraction):
+    return sympy.Rational(x.numerator, x.denominator)
 
 
 def _terms(p: Poly):
@@ -107,11 +111,11 @@ def test_reduced_grlex_basis_matches_sympy(nv):
         assert ours == {_sympy_terms(b) for b in theirs.polys}
 
 
-def _from_sympy(expr, zs) -> Poly:
+def _from_sympy(expr, zs, domain="QQ") -> Poly:
     nv = len(zs)
     return sum(
-        (Poly.monomial(nv, mono, Fraction(int(c.p), int(c.q)))
-         for mono, c in sympy.Poly(expr, *zs, domain="QQ").terms()),
+        (Poly.monomial(nv, mono, gr(*(Fraction(int(x.p), int(x.q)) for x in c.as_real_imag())))
+         for mono, c in sympy.Poly(expr, *zs, domain=domain).terms()),
         Poly.zero(nv),
     )
 
@@ -157,7 +161,7 @@ def test_heuristic_gcd_matches_subresultant_and_sympy(nv):
         fast = heuristic_gcd(a, b)
         assert fast is not None, (kind, a, b)
         want = _from_sympy(sympy.gcd(_to_sympy(a, zs), _to_sympy(b, zs), *zs, domain="QQ"), zs)
-        assert fast == _subresultant_gcd(a, b) == want.monic(), (kind, a, b)
+        assert fast == _intersection_gcd(a, b) == want.monic(), (kind, a, b)
         assert multivariate_gcd(a, b) == fast
         if not fast.is_constant():
             nontrivial.add(kind)
@@ -165,16 +169,19 @@ def test_heuristic_gcd_matches_subresultant_and_sympy(nv):
 
 
 @pytest.mark.parametrize("nv", [1, 2, 3])
-def test_gaussian_gcd_takes_the_subresultant_path(nv):
+def test_gaussian_gcd_takes_the_intersection_path_and_matches_sympy(nv):
     rng = make_rng(f"heugcd-gaussian-{nv}")
+    zs = _symbols(nv)
     u = Poly.variable(nv, 1) + Poly.const(nv, GR_I)
     for _ in range(4):
         f, g, h = (random_poly(rng, nv, 2, max_terms=3) for _ in range(3))
         a, b = u * f * g, u * f * h
         assert heuristic_gcd(a, b) is None
         got = multivariate_gcd(a, b)
-        assert got == _subresultant_gcd(a, b)
+        assert got == _intersection_gcd(a, b)
         assert exact_divide(got, u) is not None
+        want = sympy.gcd(_to_sympy(a, zs), _to_sympy(b, zs), *zs, domain="QQ_I")
+        assert got == _from_sympy(want, zs, "QQ_I").monic(), (a, b)
 
 
 @pytest.mark.parametrize("rank", [2, 3])
