@@ -2,28 +2,26 @@
 
 A coefficient is a :class:`GaussRat`, a pair of `fractions.Fraction` values
 (real and imaginary part of an element of Q(i)).  A monomial is a plain tuple
-of non-negative integer exponents, one slot per variable.  A :class:`Poly`
-keeps a dict mapping monomials to nonzero coefficients; the zero polynomial
-is the empty dict.  All operations are exact -- there is no floating point
+of non-negative integer exponents, one slot per variable.  These are what
+the API takes and gives: a :class:`Poly` is built from monomials and
+GaussRats, and ``leading``, ``constant_value`` and the read-only ``terms``
+view give them back.  All operations are exact -- there is no floating point
 anywhere in this package.
 
-That storage is what every caller sees, but products and powers do not run
-on it: they pack each exponent tuple into one int and each coefficient into
-integer numerators over a common denominator (see "the integer product
-kernel" below).  A large product splits the packed keys into residue
-classes modulo their most common gap, multiplies each pair of dense classes
-as one big int with a fixed-width slot per key (Kronecker substitution), and
-the remaining terms one by one.  A sum of products, ``dot``, packs each
-distinct operand once at one field width and adds every product's
-numerators over one common denominator in the packed dicts; determinants
-and the multiplier rules' sums of products use it.
-
-A product, power or sum of products stays in that packed form: its ``terms``
-dict, one GaussRat per term, is built on first read.  Another product takes
-the packed numerators as they are, and printing, ``differentiate``,
-negation, ``==``, ``total_degree`` and truth value work on them too, so a
-chain of rule steps that only multiplies, differentiates and prints builds
-no Fraction.
+A Poly stores one form, the product kernel's (see "the integer product
+kernel" below): each exponent tuple packed into one int, and the
+coefficients as integer numerators over their least common denominator, real
+and imaginary parts in two dicts keyed by packed int.  Every constructor
+packs, and sums, products, powers, scaling, derivatives, printing,
+equality and hashing all work on the numerators, so a chain of rule steps
+builds no Fraction.  The ``terms`` dict, one GaussRat per term, is built on
+its first read and kept.  A large product splits the packed keys into
+residue classes modulo their most common gap, multiplies each pair of dense
+classes as one big int with a fixed-width slot per key (Kronecker
+substitution), and the remaining terms one by one.  A sum of products,
+``dot``, takes each distinct operand once at one field width and adds every
+product's numerators over one common denominator; determinants and the
+multiplier rules' sums of products use it.
 
 Division, and with it ``groebner``'s normal forms and Buchberger's
 algorithm, packs each monomial as one int whose integer order is the
@@ -113,13 +111,6 @@ class GaussRat:
     def __truediv__(self, other):
         return self * other.inverse()
 
-    def conjugate(self):
-        return GaussRat(self.re, -self.im)
-
-    @property
-    def is_real(self):
-        return not self.im
-
     def __repr__(self):
         if not self.im:
             return f"GaussRat({self.re})"
@@ -161,171 +152,149 @@ def grlex_key(mono: tuple):
 class Poly:
     """Sparse multivariate polynomial with GaussRat coefficients.
 
-    ``terms`` maps exponent tuples to nonzero coefficients.  Instances are
-    treated as immutable: every operation returns a fresh Poly and no code in
-    this package mutates ``terms`` after construction.  Products, powers,
-    sums of products and derivatives return the subclass ``_Packed``, which
-    builds ``terms`` on first read.  The first packing of an eager Poly is
-    kept in ``_pk`` (see ``_Packed``), which no constructor sets.
+    ``Poly(nvars, terms)`` takes a dict mapping exponent tuples to
+    coefficients, drops the zero ones and packs the rest.  ``_pk`` is
+    (width, real, imag, den): dicts packed monomial -> nonzero integer
+    numerator over ``den``, the least positive common denominator of the
+    coefficients, each term's total degree within one field of ``width``
+    bits; the zero polynomial has two empty dicts over 1.  ``terms``, the
+    dict monomial -> GaussRat, is built from it on first read, and the
+    total degree is kept once computed.  Instances are immutable: every
+    operation returns a fresh Poly or an operand, and no code mutates a
+    packed dict after construction.
     """
 
-    __slots__ = ("nvars", "terms", "_pk")
+    __slots__ = ("nvars", "_pk", "_terms", "_degree")
 
     def __init__(self, nvars: int, terms: dict | None = None):
-        self.nvars = nvars
         clean = {}
         if terms:
             for mono, c in terms.items():
                 if len(mono) != nvars:
                     raise ValueError(f"monomial {mono} does not have {nvars} slots")
+                if not all(isinstance(e, int) and e >= 0 for e in mono):
+                    raise ValueError(f"monomial {mono} has an exponent that is not a "
+                                     "non-negative integer")
                 if c:
                     clean[mono] = c
-        self.terms = clean
+        self.nvars = nvars
+        self._pk = _pack(clean, _field_width(max(map(sum, clean), default=0)))
+        self._terms = self._degree = None
 
-    @staticmethod
-    def _raw(nvars: int, terms: dict) -> "Poly":
-        # trusted constructor: terms already clean, ownership transferred
-        p = object.__new__(Poly)
-        p.nvars = nvars
-        p.terms = terms
-        return p
+    @property
+    def terms(self) -> dict:
+        """The dict exponent tuple -> nonzero GaussRat; read-only."""
+        terms = self._terms
+        if terms is None:
+            terms = self._terms = _unpack(self.nvars, *self._pk)
+        return terms
 
     @staticmethod
     def zero(nvars: int) -> "Poly":
-        return Poly._raw(nvars, {})
+        return _new(nvars, 1, {}, {}, 1)
 
     @staticmethod
     def const(nvars: int, c) -> "Poly":
-        if not isinstance(c, GaussRat):
-            c = GaussRat(c)
-        if not c:
-            return Poly._raw(nvars, {})
-        return Poly._raw(nvars, {(0,) * nvars: c})
+        return Poly.monomial(nvars, (0,) * nvars, c)
 
     @staticmethod
     def one(nvars: int) -> "Poly":
-        return Poly.const(nvars, GR_ONE)
+        return _new(nvars, 1, {0: 1}, {}, 1)
 
     @staticmethod
     def variable(nvars: int, index: int) -> "Poly":
         """The variable with 1-based ``index``."""
         if not 1 <= index <= nvars:
             raise ValueError(f"variable index {index} out of range 1..{nvars}")
-        mono = tuple(1 if j == index - 1 else 0 for j in range(nvars))
-        return Poly._raw(nvars, {mono: GR_ONE})
+        return _new(nvars, 1, {1 << (nvars - index): 1}, {}, 1)
 
     @staticmethod
     def monomial(nvars: int, mono: tuple, c=GR_ONE) -> "Poly":
-        if not isinstance(c, GaussRat):
-            c = GaussRat(c)
-        if not c:
-            return Poly._raw(nvars, {})
-        return Poly._raw(nvars, {tuple(mono): c})
+        return Poly(nvars, {tuple(mono): c if isinstance(c, GaussRat) else GaussRat(c)})
 
     # -- predicates ---------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        _, real, imag, _ = self._pk
+        return not real and not imag
+
+    def __bool__(self):
+        _, real, imag, _ = self._pk
+        return bool(real) or bool(imag)
 
     def is_constant(self) -> bool:
-        return not self.terms or (len(self.terms) == 1 and (0,) * self.nvars in self.terms)
+        _, real, imag, _ = self._pk
+        return real.keys() <= {0} and imag.keys() <= {0}
 
     def constant_value(self) -> GaussRat:
-        return self.terms.get((0,) * self.nvars, GR_ZERO)
+        _, real, imag, den = self._pk
+        return _gauss(real.get(0, 0), imag.get(0, 0), den)
 
     def is_unit(self) -> bool:
         """Nonzero constant."""
-        return len(self.terms) == 1 and (0,) * self.nvars in self.terms
-
-    def __bool__(self):
-        return bool(self.terms)
+        return bool(self) and self.is_constant()
 
     def __eq__(self, other):
         if not isinstance(other, Poly):
             return NotImplemented
-        return self.nvars == other.nvars and self.terms == other.terms
+        wa, ra, ia, da = self._pk
+        wb, rb, ib, db = other._pk
+        if self.nvars != other.nvars or da != db or len(ra) != len(rb) or len(ia) != len(ib):
+            return False
+        if wa != wb:
+            (ra, ia), _ = _operand(self, max(wa, wb))
+            (rb, ib), _ = _operand(other, max(wa, wb))
+        return ra == rb and ia == ib
 
     def __hash__(self):
-        return hash((self.nvars, frozenset(self.terms.items())))
+        # at the least width that holds the degree: equal Polys of other
+        # widths hash alike
+        (real, imag), den = _operand(self, _field_width(self.total_degree()))
+        return hash((self.nvars, den, frozenset(real.items()), frozenset(imag.items())))
 
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other: "Poly") -> "Poly":
-        out = dict(self.terms)
-        for mono, c in other.terms.items():
-            s = out.get(mono)
-            if s is None:
-                out[mono] = c
-            else:
-                s = s + c
-                if s:
-                    out[mono] = s
-                else:
-                    del out[mono]
-        return Poly._raw(self.nvars, out)
+        return _sum(self, other, 1)
 
     def __sub__(self, other: "Poly") -> "Poly":
-        out = dict(self.terms)
-        for mono, c in other.terms.items():
-            s = out.get(mono)
-            if s is None:
-                out[mono] = -c
-            else:
-                s = s - c
-                if s:
-                    out[mono] = s
-                else:
-                    del out[mono]
-        return Poly._raw(self.nvars, out)
+        return _sum(self, other, -1)
 
     def __neg__(self) -> "Poly":
-        return Poly._raw(self.nvars, {m: -c for m, c in self.terms.items()})
+        width, real, imag, den = self._pk
+        return _new(self.nvars, width, {k: -c for k, c in real.items()},
+                    {k: -c for k, c in imag.items()}, den, self._degree)
 
     def scale(self, c: GaussRat) -> "Poly":
         if not isinstance(c, GaussRat):
             c = GaussRat(c)
-        if not c:
+        if not c or not self:
             return Poly.zero(self.nvars)
-        return Poly._raw(self.nvars, {m: k * c for m, k in self.terms.items()})
+        # c = (cr + i*ci)/cd times each numerator
+        cd = math.lcm(c.re.denominator, c.im.denominator)
+        cr, ci = c.re.numerator * (cd // c.re.denominator), c.im.numerator * (cd // c.im.denominator)
+        width, real, imag, den = self._pk
+        if ci:
+            parts = _gauss_mul((real, imag), ({0: cr} if cr else {}, {0: ci}))
+        else:
+            parts = {k: v * cr for k, v in real.items()}, {k: v * cr for k, v in imag.items()}
+        return _packed(self.nvars, width, parts, den * cd, self._degree)
 
     def mul_term(self, mono: tuple, c: GaussRat) -> "Poly":
-        if not c:
-            return Poly.zero(self.nvars)
-        one = c == GR_ONE
-        return Poly._raw(self.nvars, {tuple(map(operator.add, m, mono)): k if one else k * c
-                                      for m, k in self.terms.items()})
+        return _product(self, Poly.monomial(self.nvars, mono, c))
 
     def __mul__(self, other: "Poly") -> "Poly":
-        if type(self) is Poly and type(other) is Poly:
-            a, b = self.terms, other.terms
-            if not a or not b:
-                return Poly.zero(self.nvars)
-            # a one-term factor shifts the other's exponents
-            if len(a) == 1:
-                (mono, c), = a.items()
-                return other.mul_term(mono, c)
-            if len(b) == 1:
-                (mono, c), = b.items()
-                return self.mul_term(mono, c)
-        elif not self or not other:
-            return Poly.zero(self.nvars)
-        width = _width_for(self.total_degree() + other.total_degree(), (self, other))
-        pa, da = _operand(self, width)
-        pb, db = _operand(other, width)
-        return _packed(self.nvars, width, _gauss_mul(pa, pb), da * db)
+        return _product(self, other)
 
     def __pow__(self, n: int) -> "Poly":
         if n < 0:
             raise ValueError("negative power of a polynomial")
         if n == 0:
             return Poly.one(self.nvars)
-        if type(self) is Poly and len(self.terms) <= 1:
-            # zero or one term: scale its exponents, power its coefficient
-            return Poly._raw(self.nvars, {
-                tuple(e * n for e in mono): _gauss_pow(c, n)
-                for mono, c in self.terms.items()
-            })
-        width = _width_for(self.total_degree() * n, (self,))
+        if not self:
+            return self
+        degree = self.total_degree() * n
+        width = _width_for(degree, (self,))
         base, den = _operand(self, width)
         den = den ** n
         result = None
@@ -336,46 +305,62 @@ class Poly:
             if not n:
                 break
             base = _gauss_mul(base, base)
-        return _packed(self.nvars, width, result, den)
+        return _packed(self.nvars, width, result, den, degree)
 
     # -- structure ----------------------------------------------------------
 
     def total_degree(self) -> int:
         """Max total degree of a term; -1 for the zero polynomial."""
-        if not self.terms:
-            return -1
-        return max(sum(m) for m in self.terms)
+        degree = self._degree
+        if degree is None:
+            width, real, imag, _ = self._pk
+            degree = max(_max_degree(real, width), _max_degree(imag, width)) if real or imag else -1
+            self._degree = degree
+        return degree
 
     def leading(self, key=grlex_key):
         """(monomial, coefficient) of the largest term under ``key``."""
-        if not self.terms:
+        if not self:
             raise ValueError("zero polynomial has no leading term")
-        mono = max(self.terms, key=key)
-        return mono, self.terms[mono]
+        width, real, imag, den = self._pk
+        k = _leading_key(self, key)
+        return _unpacker(self.nvars, width)(k), _gauss(real.get(k, 0), imag.get(k, 0), den)
 
     def monic(self, key=grlex_key) -> "Poly":
         """Scale so the leading coefficient is 1; self when it already is."""
-        if not self.terms:
+        if not self:
             return self
-        _, c = self.leading(key)
-        return self if c == GR_ONE else self.scale(c.inverse())
+        width, real, imag, den = self._pk
+        k = _leading_key(self, key)
+        r, i = real.get(k, 0), imag.get(k, 0)
+        if i:
+            return self.scale(_gauss(r, i, den).inverse())
+        if r == den:
+            return self
+        # dividing by r/den leaves the numerators over r, its sign moved up
+        if r < 0:
+            real, imag, r = {k: -c for k, c in real.items()}, {k: -c for k, c in imag.items()}, -r
+        return _packed(self.nvars, width, (real, imag), r, self._degree)
 
     def degree_in(self, index: int) -> int:
         """Degree in the 1-based variable ``index``; -1 for zero."""
-        if not self.terms:
+        if not self:
             return -1
-        return max(m[index - 1] for m in self.terms)
+        width, real, imag, _ = self._pk
+        shift, mask = width * (self.nvars - index), (1 << width) - 1
+        return max((k >> shift) & mask for k in itertools.chain(real, imag))
 
     def coefficients_in(self, index: int) -> list:
         """Dense coefficient list [c_0, ..., c_d] with respect to variable
         ``index``; each c_k is a Poly not involving that variable."""
-        i = index - 1
-        d = self.degree_in(index)
-        buckets: list[dict] = [{} for _ in range(d + 1)]
-        for mono, c in self.terms.items():
-            rest = mono[:i] + (0,) + mono[i + 1:]
-            buckets[mono[i]][rest] = c
-        return [Poly._raw(self.nvars, b) for b in buckets]
+        width, real, imag, den = self._pk
+        shift, mask = width * (self.nvars - index), (1 << width) - 1
+        buckets = [({}, {}) for _ in range(self.degree_in(index) + 1)]
+        for j, part in enumerate((real, imag)):
+            for k, c in part.items():
+                e = (k >> shift) & mask
+                buckets[e][j][k - (e << shift)] = c
+        return [_packed(self.nvars, width, b, den) for b in buckets]
 
     def compose(self, subs: Sequence["Poly"]) -> "Poly":
         """Substitute subs[k] for the (k+1)-th variable.
@@ -421,101 +406,40 @@ class Poly:
         targets = [t for _, t in moved]
         if len(set(targets)) != len(targets) or not all(0 <= t < nvars for t in targets):
             raise ValueError(f"places must be distinct indices in 1..{nvars}")
-        dropped = [k for k, t in enumerate(places) if t is None]
-        out = {}
-        for mono, c in self.terms.items():
-            if any(mono[k] for k in dropped):
-                continue
-            new = [0] * nvars
-            for k, t in moved:
-                new[t] = mono[k]
-            out[tuple(new)] = c
-        return Poly._raw(nvars, out)
+        width, real, imag, den = self._pk
+        mask = (1 << width) - 1
+        shifts = [width * (self.nvars - 1 - k) for k in range(self.nvars)]
+        moves = [(shifts[k], width * (nvars - 1 - t)) for k, t in moved]
+        dropped = sum(mask << shifts[k] for k, t in enumerate(places) if t is None)
+
+        def move(part: dict) -> dict:
+            return {sum(((k >> a) & mask) << b for a, b in moves): c
+                    for k, c in part.items() if not k & dropped}
+
+        # the total degree of a kept term is unchanged, so the width holds it
+        return _packed(nvars, width, (move(real), move(imag)), den)
 
     def __repr__(self):
         return f"Poly({self.nvars}, {poly_to_string(self, default_names(self.nvars))!r})"
 
 
-class _Packed(Poly):
-    """A nonzero Poly held in the product kernel's form.
-
-    ``_pk`` is (width, real, imag, den): dicts packed monomial -> integer
-    numerator over the positive common denominator ``den``, with no zero
-    entry and not both empty, each term's total degree within one field of
-    ``width`` bits.  ``terms`` is built from them on its first read and kept.
-    """
-
-    __slots__ = ()
-
-    def __getattr__(self, name):
-        # called only while the terms slot is unset
-        if name != "terms":
-            raise AttributeError(name)
-        terms = self.terms = _unpack(self.nvars, *self._pk)
-        return terms
-
-    def __bool__(self):
-        return True
-
-    def is_zero(self) -> bool:
-        return False
-
-    def __eq__(self, other):
-        if not isinstance(other, Poly):
-            return NotImplemented
-        if self.nvars != other.nvars or not other:
-            return False
-        width = _width_for(other.total_degree(), (self, other))
-        (ra, ia), da = _operand(self, width)
-        (rb, ib), db = _operand(other, width)
-        if da == db:
-            return ra == rb and ia == ib
-        # equal coefficients over different common denominators
-        return (ra.keys() == rb.keys() and ia.keys() == ib.keys()
-                and all(c * db == rb[k] * da for k, c in ra.items())
-                and all(c * db == ib[k] * da for k, c in ia.items()))
-
-    __hash__ = Poly.__hash__
-
-    def __neg__(self) -> "Poly":
-        width, real, imag, den = self._pk
-        return _new_packed(self.nvars, width, {k: -c for k, c in real.items()},
-                           {k: -c for k, c in imag.items()}, den)
-
-    def total_degree(self) -> int:
-        width, real, imag, _ = self._pk
-        return max(_max_degree(real, width), _max_degree(imag, width))
-
-    def is_unit(self) -> bool:
-        _, real, imag, _ = self._pk
-        return (0 in real or 0 in imag) and _term_count(self) == 1
-
-    # a _Packed is never zero, so it is constant exactly when it is a unit
-    is_constant = is_unit
-
-    def constant_value(self) -> GaussRat:
-        _, real, imag, den = self._pk
-        r, i = real.get(0, 0), imag.get(0, 0)
-        if not i:
-            return _real(Fraction(r, den)) if r else GR_ZERO
-        return GaussRat(Fraction(r, den), Fraction(i, den))
-
-
 # ---------------------------------------------------------------------------
 # the integer product kernel
 #
-# Products and powers run on packed integers.  An exponent tuple becomes one
-# int, its exponents side by side in fields of ``width`` bits (the first
-# variable in the highest field), so that adding two packed ints multiplies
-# the monomials while no field overflows.  The width comes from the total
-# degree of the result, which bounds each of its exponents.  An operand's
-# coefficients become integer numerators over one common denominator, real
-# and imaginary parts in two dicts keyed by packed int.  The product is
-# accumulated there and kept there as a ``_Packed`` Poly, whose Fractions are
-# built only when a caller reads its terms.  A packed operand is used as it
-# is; when its width differs from the product's, its keys are repacked, and
-# the width never shrinks below an operand's, since a wider field holds the
-# same monomials and leaves every product unchanged.
+# A Poly is held on packed integers.  An exponent tuple becomes one int, its
+# exponents side by side in fields of ``width`` bits (the first variable in
+# the highest field), so that adding two packed ints multiplies the
+# monomials while no field overflows.  A constructor takes the width from
+# the total degree, which bounds each exponent, and a product from the total
+# degree of the result.  The coefficients are integer numerators over their
+# least common denominator, real and imaginary parts in two dicts keyed by
+# packed int, and a product is accumulated and kept there.  An operand whose
+# width differs from the product's has its keys repacked, and the width
+# never shrinks below an operand's, since a wider field holds the same
+# monomials and leaves every product unchanged; so a derivative or a sum
+# that cancels its top terms may keep a wider field than its degree needs.
+# A shift by a monomial is a product with a one-term Poly, and a scaling
+# multiplies the numerators and the denominator.
 #
 # Small products loop over pairs of terms.  In a large one, the keys of a
 # weighted-homogeneous operand lie on a few arithmetic progressions: with
@@ -542,9 +466,9 @@ def _field_width(degree: int) -> int:
     return max(degree, 1).bit_length()
 
 
-def _pack(terms: dict, width: int):
-    """((real, imag), den): dicts packed monomial -> integer numerator over
-    the common denominator ``den``.  A zero part has no entry."""
+def _pack(terms: dict, width: int) -> tuple:
+    """The packed form (width, real, imag, den) of a dict exponent tuple ->
+    nonzero GaussRat whose total degrees fit in ``width`` bits."""
     den = 1
     for c in terms.values():
         if c.re.denominator != 1 or c.im.denominator != 1:
@@ -558,7 +482,7 @@ def _pack(terms: dict, width: int):
             real[key] = c.re.numerator * (den // c.re.denominator)
         if c.im:
             imag[key] = c.im.numerator * (den // c.im.denominator)
-    return (real, imag), den
+    return width, real, imag, den
 
 
 def _int_mul(a: dict, b: dict) -> dict:
@@ -682,35 +606,35 @@ def _unpack(nvars: int, width: int, real: dict, imag: dict, den: int) -> dict:
     zero entry."""
     mono = _unpacker(nvars, width)
     if not imag:
-        if den == 1:
-            return {mono(key): _real(Fraction(r)) for key, r in real.items()}
         return {mono(key): _real(Fraction(r, den)) for key, r in real.items()}
-    return {
-        mono(key): GaussRat(Fraction(real.get(key, 0), den), Fraction(imag.get(key, 0), den))
-        for key in real.keys() | imag.keys()
-    }
+    return {mono(key): _gauss(real.get(key, 0), imag.get(key, 0), den)
+            for key in real.keys() | imag.keys()}
 
 
-def _new_packed(nvars: int, width: int, real: dict, imag: dict, den: int) -> "_Packed":
-    # trusted constructor: the dicts already meet _Packed's conditions
-    p = object.__new__(_Packed)
+def _new(nvars: int, width: int, real: dict, imag: dict, den: int, degree=None) -> Poly:
+    # trusted constructor: the dicts already meet the conditions of Poly._pk,
+    # and ``degree`` is the total degree or None
+    p = object.__new__(Poly)
     p.nvars = nvars
     p._pk = (width, real, imag, den)
+    p._terms = None
+    p._degree = degree
     return p
 
 
-def _packed(nvars: int, width: int, parts: tuple, den: int) -> Poly:
-    """The Poly of packed (real, imag) numerator dicts over ``den``, which
-    may hold zero entries; the zero polynomial is an eager Poly.  A factor
-    shared by ``den`` and every numerator is divided out, so that products
-    of the result do not carry it."""
+def _packed(nvars: int, width: int, parts: tuple, den: int, degree=None) -> Poly:
+    """The Poly of packed (real, imag) numerator dicts over a common
+    denominator ``den``, which may hold zero entries, and of total degree
+    ``degree`` when it is known and the Poly is not zero.  A factor shared
+    by ``den`` and every numerator is divided out, which leaves the least
+    common denominator."""
     real, imag = parts
     if 0 in real.values():
         real = {k: c for k, c in real.items() if c}
     if imag and 0 in imag.values():
         imag = {k: c for k, c in imag.items() if c}
     if not real and not imag:
-        return Poly._raw(nvars, {})
+        return Poly.zero(nvars)
     if den != 1:
         g = den
         for c in itertools.chain(real.values(), imag.values()):
@@ -721,7 +645,14 @@ def _packed(nvars: int, width: int, parts: tuple, den: int) -> Poly:
             real = {k: c // g for k, c in real.items()}
             imag = {k: c // g for k, c in imag.items()}
             den //= g
-    return _new_packed(nvars, width, real, imag, den)
+    return _new(nvars, width, real, imag, den, degree)
+
+
+def _gauss(re: int, im: int, den: int) -> GaussRat:
+    """The GaussRat (re + im*i)/den of integer numerators."""
+    if not im:
+        return _real(Fraction(re, den)) if re else GR_ZERO
+    return GaussRat(Fraction(re, den), Fraction(im, den))
 
 
 def _max_degree(part: dict, width: int) -> int:
@@ -730,13 +661,30 @@ def _max_degree(part: dict, width: int) -> int:
     is at most 2^width - 1, so a nonzero key's total degree is
     (key - 1) mod (2^width - 1) + 1."""
     top = (1 << width) - 1
-    return max(((k - 1) % top for k in part if k), default=-1) + 1
+    return max([(k - 1) % top for k in part if k], default=-1) + 1
+
+
+def _grlex_ranks(keys, width: int, nvars: int) -> list:
+    """Each key with its total degree (see _max_degree) in the bits above it:
+    the ranks order as the monomials do in graded lex, and masking off the
+    degree gives the key back."""
+    top = (1 << width) - 1
+    span = width * nvars
+    return [(((k - 1) % top + 1) << span) | k if k else 0 for k in keys]
+
+
+def _leading_key(p: Poly, key) -> int:
+    """The packed key of the largest term of a nonzero p under ``key``."""
+    width, real, imag, _ = p._pk
+    keys = real.keys() | imag.keys() if imag else real.keys()
+    if key is grlex_key:
+        return max(_grlex_ranks(keys, width, p.nvars)) & ((1 << width * p.nvars) - 1)
+    mono = _unpacker(p.nvars, width)
+    return max(keys, key=lambda k: key(mono(k)))
 
 
 def _term_count(p: Poly) -> int:
-    """len(p.terms), without building the terms of a packed p."""
-    if type(p) is not _Packed:
-        return len(p.terms)
+    """len(p.terms), without building the terms."""
     _, real, imag, _ = p._pk
     return len(real.keys() | imag.keys()) if imag else len(real)
 
@@ -744,39 +692,48 @@ def _term_count(p: Poly) -> int:
 def _width_for(degree: int, polys) -> int:
     """The field width that holds ``degree`` and the packed forms of
     ``polys`` as they are: a wider field changes no product."""
-    width = _field_width(degree)
-    for p in polys:
-        pk = getattr(p, "_pk", None)
-        if pk is not None and pk[0] > width:
-            width = pk[0]
-    return width
-
-
-def _own(p: Poly) -> tuple:
-    """The packed form (width, real, imag, den) of a nonzero p at a width of
-    its own; an eager p is packed once and keeps it."""
-    pk = getattr(p, "_pk", None)
-    if pk is None:
-        width = _field_width(p.total_degree())
-        (real, imag), den = _pack(p.terms, width)
-        pk = p._pk = (width, real, imag, den)
-    return pk
+    return max(_field_width(degree), *(p._pk[0] for p in polys))
 
 
 def _operand(p: Poly, width: int):
-    """((real, imag), den) of a nonzero p in fields of ``width`` bits, which
-    hold its total degree: its packed form, with the keys repacked when that
-    width differs.  An eager p not packed before is packed at ``width`` and
-    keeps it."""
-    pk = getattr(p, "_pk", None)
-    if pk is None:
-        (real, imag), den = _pack(p.terms, width)
-        p._pk = (width, real, imag, den)
-        return (real, imag), den
-    w, real, imag, den = pk
+    """((real, imag), den) of p in fields of ``width`` bits, which hold its
+    total degree: its packed form, with the keys repacked when that width
+    differs."""
+    w, real, imag, den = p._pk
     if w != width:
-        real, imag = _repack(real, p.nvars, w, width), _repack(imag, p.nvars, w, width)
+        real, imag = _repack(real, p.nvars, w, width), imag and _repack(imag, p.nvars, w, width)
     return (real, imag), den
+
+
+def _sum(a: Poly, b: Poly, sign: int) -> Poly:
+    """a + sign*b, sign 1 or -1, over the lcm of the two denominators at the
+    wider of the two widths, which holds every degree of the sum."""
+    if not b:
+        return a
+    if not a:
+        return b if sign > 0 else -b
+    width = max(a._pk[0], b._pk[0])
+    (ra, ia), da = _operand(a, width)
+    (rb, ib), db = _operand(b, width)
+    den = math.lcm(da, db)
+    scale = den // da
+    real = {k: c * scale for k, c in ra.items()}
+    imag = {k: c * scale for k, c in ia.items()}
+    scale = sign * (den // db)
+    _add_into(real, rb, scale)
+    _add_into(imag, ib, scale)
+    return _packed(a.nvars, width, (real, imag), den)
+
+
+def _product(a: Poly, b: Poly) -> Poly:
+    if not a or not b:
+        return Poly.zero(a.nvars)
+    degree = a.total_degree() + b.total_degree()
+    width = max(_field_width(degree), a._pk[0], b._pk[0])
+    pa, da = _operand(a, width)
+    pb, db = _operand(b, width)
+    # the product of the leading terms leads, so the degrees add
+    return _packed(a.nvars, width, _gauss_mul(pa, pb), da * db, degree)
 
 
 def _repack(part: dict, nvars: int, old: int, new: int) -> dict:
@@ -800,8 +757,8 @@ def dot(nvars: int, pairs) -> Poly:
     """sum(a * b for a, b in pairs), the zero of ``nvars`` variables when
     there is no pair, as one sum of products in the integer kernel.
 
-    Each distinct operand object is packed once, at one field width that
-    holds every product; each product's numerators are scaled to one common
+    Each distinct operand object is repacked at most once, to one field width
+    that holds every product; each product's numerators are scaled to one common
     denominator and added in the packed dicts, and the sum stays packed, so
     no product builds Fractions of its own."""
     return _signed_dot(nvars, [(a, b, 1) for a, b in pairs])
@@ -833,14 +790,14 @@ def _signed_dot(nvars: int, triples) -> Poly:
 
 
 def _gauss_pow(c: GaussRat, n: int) -> GaussRat:
-    result = GR_ONE
+    result = None
     while n:
         if n & 1:
-            result = result * c
+            result = c if result is None else result * c
         n >>= 1
         if n:
             c = c * c
-    return result
+    return GR_ONE if result is None else result
 
 
 # ---------------------------------------------------------------------------
@@ -881,10 +838,10 @@ def heuristic_gcd(p: Poly, q: Poly):
     h = _heu_gcd(_primitive(f), _primitive(g), nv, width)
     if h is None:
         return None
-    mono = _unpacker(nv, width)
-    terms = {mono(key): c for key, c in h.items()}
-    lead = terms[max(terms, key=grlex_key)]
-    return Poly._raw(nv, {m: _real(Fraction(c, lead)) for m, c in terms.items()})
+    lead = h[max(_grlex_ranks(h, width, nv)) & ((1 << width * nv) - 1)]
+    if lead < 0:
+        h = {k: -c for k, c in h.items()}
+    return _packed(nv, width, (h, {}), abs(lead))
 
 
 def _int_content(f: dict) -> int:
@@ -1018,13 +975,13 @@ def _divides(f: dict, d: dict, k: int, width: int) -> bool:
 
 def differentiate(p: Poly, var_index: int) -> Poly:
     """Formal partial derivative with respect to the 1-based ``var_index``,
-    taken on the packed form: an eager p is packed first."""
+    taken on the packed form at its width."""
     nvars = p.nvars
     if not 1 <= var_index <= nvars:
         raise ValueError(f"variable index {var_index} out of range 1..{nvars}")
     if not p:
         return Poly.zero(nvars)
-    width, real, imag, den = _own(p)
+    width, real, imag, den = p._pk
     shift = width * (nvars - var_index)
     mask = (1 << width) - 1
     one = 1 << shift
@@ -1041,9 +998,11 @@ def gradient(p: Poly) -> tuple:
 
 def vanishing_order(p: Poly):
     """Minimum total degree of a term; math.inf for the zero polynomial."""
-    if not p.terms:
+    if not p:
         return math.inf
-    return min(sum(m) for m in p.terms)
+    width, real, imag, _ = p._pk
+    top = (1 << width) - 1
+    return min((k - 1) % top + 1 if k else 0 for k in itertools.chain(real, imag))
 
 
 def poly_matrix_det(rows: Sequence[Sequence[Poly]]) -> Poly:
@@ -1112,9 +1071,9 @@ def equal_up_to_unit(p: Poly, q: Poly):
         return None
     if _term_count(p) != _term_count(q):
         return None
-    mono, cp = p.leading()
-    cq = q.terms.get(mono)
-    if cq is None:
+    # c*q has q's leading monomial
+    (mono, cp), (mono_q, cq) = p.leading(), q.leading()
+    if mono != mono_q:
         return None
     ratio = cp / cq
     return ratio if p == q.scale(ratio) else None
@@ -1143,7 +1102,7 @@ class Divisors:
 
     def __init__(self, nvars: int, splits: tuple, polys: Sequence[Poly], real: bool = True):
         self.nvars, self.splits = nvars, tuple(min(s, nvars) for s in splits)
-        self.real = real and not any(c.im for p in polys for c in p.terms.values())
+        self.real = real and not any(p._pk[2] for p in polys)
         self._pack_all(_field_width(max((p.total_degree() for p in polys), default=0)) + 1, polys)
 
     def _pack_all(self, width: int, polys) -> None:
@@ -1151,10 +1110,14 @@ class Divisors:
         self.blocks = list(zip((0, *self.splits), (*self.splits, self.nvars)))
         f = self.nvars + len(self.blocks)  # fields
         self.guards = sum(1 << (width * g + width - 1) for g in range(f))
-        self.shifts = []  # of each exponent's field
+        # per block: the shift of its exponents, which lie side by side as
+        # in a monomial packed at this width, their mask, their shift in that
+        # monomial, and the shift of the block's degree
+        self.chunks = []
         for a, b in self.blocks:
-            self.shifts += [width * (f - 2 - v + a) for v in range(a, b)]
             f -= 1 + b - a
+            self.chunks.append((width * f, (1 << width * (b - a)) - 1,
+                                width * (self.nvars - b), width * (f + b - a)))
         for p in polys:
             self.add(p)
 
@@ -1169,12 +1132,31 @@ class Divisors:
         """p's terms, key -> coefficient, widening until its degree fits."""
         while p.total_degree() >= 1 << (self.width - 1):
             self._pack_all(2 * self.width, self.polys)
-        return {self.pack(m): c.re if self.real else c for m, c in p.terms.items()}
+        (real, imag), den = _operand(p, self.width)
+        monos = list(real.keys() | imag.keys() if imag else real)
+        keys = [0] * len(monos)
+        top = (1 << self.width) - 1
+        for shift, mask, at, degree in self.chunks:
+            # a block's degree is the sum of its fields (see _max_degree)
+            keys = [key | e << shift | ((e - 1) % top + 1 if e else 0) << degree
+                    for key, e in zip(keys, [(m >> at) & mask for m in monos])]
+        if self.real:
+            return {key: Fraction(real[m], den) for key, m in zip(keys, monos)}
+        return {key: _gauss(real.get(m, 0), imag.get(m, 0), den) for key, m in zip(keys, monos)}
 
     def poly(self, work: dict) -> Poly:
-        mask = (1 << self.width) - 1
-        return Poly._raw(self.nvars, {tuple([(k >> s) & mask for s in self.shifts]):
-                                      _real(c) if self.real else c for k, c in work.items()})
+        """The Poly of a dict key -> nonzero coefficient, at this width: a
+        block's degree stays below half of a field's reach, so a total
+        degree of at most two blocks fits in one field."""
+        keys = [0] * len(work)
+        for shift, mask, at, _ in self.chunks:
+            keys = [key | ((k >> shift) & mask) << at for key, k in zip(keys, work)]
+        cs = work.values()
+        parts = (cs, ()) if self.real else ([c.re for c in cs], [c.im for c in cs])
+        den = math.lcm(*[c.denominator for part in parts for c in part])
+        real, imag = [{k: c.numerator * (den // c.denominator) for k, c in zip(keys, part) if c}
+                      for part in parts]
+        return _new(self.nvars, self.width, real, imag, den)
 
     def add(self, p: Poly) -> None:
         work = self.encode(p)
@@ -1186,7 +1168,7 @@ class Divisors:
 
     def divide(self, p: Poly, want_quotients: bool):
         """:func:`divide` of p by the divisors."""
-        if self.real and any(c.im for c in p.terms.values()):
+        if self.real and p._pk[2]:
             return Divisors(self.nvars, self.splits, self.polys, False).divide(p, want_quotients)
         return self.reduce(lambda: self.encode(p), want_quotients)
 
@@ -1451,9 +1433,10 @@ class _Parser:
     atom := '(' expr ')' | NUMBER | 'i' | VARIABLE.
 
     ``expr`` sums its terms into one dict monomial -> coefficient.  A term
-    made of numbers, ``i`` and variables is one entry of it; only a
-    parenthesised factor is expanded with Poly products.  ``index`` maps
-    each variable name to its 0-based slot."""
+    made of numbers, ``i``, variables and constant parenthesised factors,
+    such as a Gaussian coefficient ``(re+q*i)``, is one entry of it; only a
+    parenthesised factor with a variable is expanded with Poly products.
+    ``index`` maps each variable name to its 0-based slot."""
 
     def __init__(self, text: str, index: dict):
         self.tokens = _tokenize(text)
@@ -1492,14 +1475,16 @@ class _Parser:
         tokens = self.tokens
         num, den, ipow = sign, 1, 0
         mono = [0] * self.nvars
+        origin = (0,) * self.nvars
         powers = []  # the parenthesised factors, (group, e), expanded last
+        scalars = []  # the constant ones, (coefficient, e)
         size = None  # (terms, degree, bits) bounds of their product
         group_bits = 0  # a bound on the bits of its one-term ones
         star = None  # position of the '*' before this factor
         while True:
             kind, val, pos = tokens[self.k]
             self.k += 1
-            group = None
+            group = scalar = None
             if kind == "(":
                 if self.depth == MAX_NESTING:
                     raise ParseError(f"parentheses nested deeper than {MAX_NESTING}", pos)
@@ -1510,7 +1495,10 @@ class _Parser:
                 self.k += 1
                 if kind != ")":
                     raise ParseError("expected ')'", close)
-                group = Poly(self.nvars, inner)
+                if inner.keys() <= {origin}:
+                    scalar = inner.get(origin, GR_ZERO)
+                else:
+                    group = Poly(self.nvars, inner)
             elif kind == "num":
                 ratio = _ratio(val)
                 if ratio is None:
@@ -1528,18 +1516,27 @@ class _Parser:
                 e = int(etext)
                 self.k += 2
                 deg = -1 if group is None else group.total_degree()
-                if (deg > 0 and len(group.terms) > 1
+                if (deg > 0 and _term_count(group) > 1
                         and math.comb(self.nvars + e * deg, self.nvars) > MAX_POWER_TERMS):
                     raise ParseError(f"power may expand to more than {MAX_POWER_TERMS} terms", at)
-            if group is not None:
-                if len(group.terms) == 1:
-                    (coeff,) = group.terms.values()
-                    if coeff not in GAUSS_UNITS:
-                        group_bits += e * coefficient_bits(coeff)
-                        if group_bits > MAX_NUMBER_BITS:
-                            raise ParseError(f"number may exceed {MAX_NUMBER_BITS} bits", at)
-                size = self.charge(size, group, e, at, star)
-                powers.append((group, e))
+            if group is not None or scalar is not None:
+                # the coefficient of a one-term factor counts towards MAX_NUMBER_BITS
+                if group is None:
+                    coeff = scalar
+                else:
+                    coeff = group.leading()[1] if _term_count(group) == 1 else None
+                if coeff and coeff not in GAUSS_UNITS:
+                    group_bits += e * coefficient_bits(coeff)
+                    if group_bits > MAX_NUMBER_BITS:
+                        raise ParseError(f"number may exceed {MAX_NUMBER_BITS} bits", at)
+                if group is None:
+                    # a constant group, such as a Gaussian coefficient (re+q*i),
+                    # joins the term's coefficient
+                    size = self.charge(size, Poly.const(self.nvars, scalar), e, at, star)
+                    scalars.append((scalar, e))
+                else:
+                    size = self.charge(size, group, e, at, star)
+                    powers.append((group, e))
             elif kind == "num":
                 powered = _number_power(num, den, ratio, e)
                 if powered is None:
@@ -1553,11 +1550,14 @@ class _Parser:
                 break
             star = tokens[self.k][2]
             self.k += 1
+        c = _coefficient(num, den, ipow)
+        for scalar, e in scalars:
+            scalar = _gauss_pow(scalar, e)
+            c = scalar if c == GR_ONE else c * scalar
         product = None
         for group, e in powers:
             group = group ** e
             product = group if product is None else product * group
-        c = _coefficient(num, den, ipow)
         if product is None:
             items = ((tuple(mono), c),)
         else:
@@ -1595,10 +1595,9 @@ class _Parser:
 def _size_bounds(p: Poly) -> tuple:
     """(terms, total degree, bits) of p, bits as MAX_PARSE_WORK defines
     them, and degree 0 for the zero polynomial."""
-    degree = max(p.total_degree(), 0)
-    (real, imag), den = _pack(p.terms, _field_width(degree))
+    _, real, imag, den = p._pk
     norm = sum(map(abs, real.values())) + sum(map(abs, imag.values()))
-    return len(p.terms), degree, (max(norm, den) - 1).bit_length()
+    return _term_count(p), max(p.total_degree(), 0), (max(norm, den) - 1).bit_length()
 
 
 def parse_poly(text: str, variables: Sequence[str]) -> Poly:
@@ -1643,14 +1642,11 @@ def poly_to_string(p: Poly, names: Sequence[str] | None = None) -> str:
         raise ValueError("need one name per variable")
     if not p:
         return "0"
-    width, real, imag, den = _own(p)
+    width, real, imag, den = p._pk
     top = (1 << width) - 1
     fields = [(name, width * (nvars - 1 - j)) for j, name in enumerate(names)]
-    # graded-lex descending: each key under its total degree (see _max_degree)
-    span = width * nvars
-    low = (1 << span) - 1
-    order = [(((k - 1) % top + 1) << span) | k if k else 0
-             for k in (real.keys() | imag.keys() if imag else real)]
+    low = (1 << width * nvars) - 1
+    order = _grlex_ranks(real.keys() | imag.keys() if imag else real, width, nvars)
     order.sort(reverse=True)
     out = []
     for k in order:

@@ -1,7 +1,8 @@
 """Independent oracles used by the test suite.
 
-Everything in this file is deliberately dumb: plain enumeration and exact
-Gaussian elimination over the coefficient field.  The one exception is the
+Everything in this file is deliberately dumb: plain enumeration, exact
+Gaussian elimination over the coefficient field, and each polynomial
+operation restated term by term on dicts of exponent tuples.  The one exception is the
 plain division loop and Buchberger's algorithm on exponent tuples that the
 packed division kernel must reproduce term for term (``divide_reference``,
 ``groebner_reference``); they share no code with the engine's.  The point is
@@ -273,6 +274,122 @@ def general_gamma_brute(Gamma, A, entries):
                     )
         b.append(acc)
     return b
+
+
+# ---------------------------------------------------------------------------
+# polynomial operations on term dicts
+# ---------------------------------------------------------------------------
+#
+# A term dict maps exponent tuples to nonzero GaussRat coefficients.  Each
+# operation below walks its dicts term by term; the packed Poly operations of
+# ``kohnmult.polyring`` are checked against them.
+
+def _nonzero(terms):
+    return {m: c for m, c in terms.items() if c}
+
+
+def terms_add(a, b, sign=1):
+    """a + sign*b, sign 1 or -1."""
+    out = dict(a)
+    for m, c in b.items():
+        out[m] = out.get(m, GaussRat()) + (c if sign > 0 else -c)
+    return _nonzero(out)
+
+
+def terms_scale(a, c):
+    return _nonzero({m: v * c for m, v in a.items()})
+
+
+def terms_mul(a, b):
+    out = {}
+    for ma, ca in a.items():
+        for mb, cb in b.items():
+            m = tuple(x + y for x, y in zip(ma, mb))
+            out[m] = out.get(m, GaussRat()) + ca * cb
+    return _nonzero(out)
+
+
+def terms_pow(a, nvars, n):
+    out = {(0,) * nvars: GaussRat(1)}
+    for _ in range(n):
+        out = terms_mul(out, a)
+    return out
+
+
+def terms_derivative(a, index):
+    """The partial derivative in the 1-based variable ``index``."""
+    i = index - 1
+    return {m[:i] + (m[i] - 1,) + m[i + 1:]: c * GaussRat(m[i]) for m, c in a.items() if m[i]}
+
+
+def terms_leading(a):
+    """(monomial, coefficient) of the largest term in graded lex with
+    z1 > z2 > ... ."""
+    mono = max(a, key=lambda m: (sum(m), m))
+    return mono, a[mono]
+
+
+def terms_coefficients_in(a, index):
+    """[c_0, ..., c_d] with a = sum c_k * z_index^k, z_index's slot of each
+    c_k set to 0."""
+    i = index - 1
+    out = [{} for _ in range(max((m[i] for m in a), default=-1) + 1)]
+    for m, c in a.items():
+        out[m[i]][m[:i] + (0,) + m[i + 1:]] = c
+    return out
+
+
+def terms_remap(a, nvars, places):
+    """a in nvars variables, variable k+1 moved to places[k], and the terms
+    using a variable whose place is None dropped."""
+    out = {}
+    for m, c in a.items():
+        if any(e and t is None for e, t in zip(m, places)):
+            continue
+        new = [0] * nvars
+        for e, t in zip(m, places):
+            if t is not None:
+                new[t - 1] = e
+        out[tuple(new)] = c
+    return out
+
+
+def terms_compose(a, subs, nvars):
+    """a with the term dict subs[k] in nvars variables substituted for its
+    variable k+1."""
+    out = {}
+    for m, c in a.items():
+        piece = {(0,) * nvars: c}
+        for s, e in zip(subs, m):
+            for _ in range(e):
+                piece = terms_mul(piece, s)
+        out = terms_add(out, piece)
+    return out
+
+
+def reference_print(terms, names):
+    """The canonical text of a term dict (``kohnmult.polyring``'s grammar),
+    written from exponent tuples and Fractions."""
+    if not terms:
+        return "0"
+    out = []
+    for mono in sorted(terms, key=lambda m: (sum(m), m), reverse=True):
+        c = terms[mono]
+        powers = "*".join(n if e == 1 else f"{n}^{e}" for n, e in zip(names, mono) if e)
+        if c.im:
+            neg = c.im < 0
+            mag = abs(c.im)
+            cs = "i" if mag == 1 else f"{mag}*i"
+            if c.re:
+                cs = f"({c.re}{'-' if neg else '+'}{cs})"
+                neg = False
+        else:
+            neg = c.re < 0
+            cs = "" if abs(c.re) == 1 and powers else str(abs(c.re))
+        out.append(" - " if neg else " + ")
+        out.append("*".join(filter(None, (cs, powers))))
+    out[0] = "-" if out[0] == " - " else ""
+    return "".join(out)
 
 
 # ---------------------------------------------------------------------------

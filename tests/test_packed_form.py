@@ -1,18 +1,20 @@
-"""The packed form of polynomials against the term dicts it stands for.
+"""Every public operation of a Poly against the term-dict oracle.
 
-A product, power, sum of products or derivative is a `_Packed` Poly: integer
-numerators over one common denominator, keyed by packed monomials, whose
-`terms` dict is built on first read.  Printing, differentiation, negation,
-equality, total degree, truth value and term count work on the numerators.
-These tests check each of them against the polynomial's terms, read through
-a reference printer and derivative that walk exponent tuples and Fractions,
-on packed forms with wider fields and larger, unreduced common denominators
-than the kernel makes, and on the kernel's own results.  They also check
-that none of these operations builds the terms, and that real canonical
-text parses straight into the packed form as the recursive-descent parser
-reads it.
+A Poly holds one form: packed monomial keys, and integer numerators over the
+least common denominator of its coefficients.  The field width is the one
+its constructor or operation chose, so equal polynomials may sit in fields
+of different widths: a derivative, or a sum whose top terms cancel, keeps
+its operands' wider fields.  These tests draw term dicts with Gaussian and
+non-integer coefficients, build each as a Poly at its own width and at wider
+ones, and check every public operation against the term-by-term reference
+in ``oracles.py``: the terms, print, equality and hash, degrees, leading
+term and constant, and the results of sums, products, powers, scaling,
+shifts, derivatives, sums of products, ``monic``, ``coefficients_in``,
+``remap``, ``compose`` and ``equal_up_to_unit``.  Real canonical text parses
+straight into the same form as the recursive-descent parser reads it.
 """
 
+import math
 from fractions import Fraction
 
 from hypothesis import given, settings
@@ -21,18 +23,27 @@ from hypothesis import strategies as st
 from kohnmult.polyring import (
     GaussRat,
     Poly,
-    _field_width,
-    _new_packed,
-    _pack,
-    _Packed,
     _parse_canonical,
     _Parser,
-    _term_count,
-    _unpack,
     differentiate,
     dot,
-    grlex_key,
+    equal_up_to_unit,
+    parse_poly,
     poly_to_string,
+    vanishing_order,
+)
+
+from oracles import (
+    reference_print,
+    terms_add,
+    terms_coefficients_in,
+    terms_compose,
+    terms_derivative,
+    terms_leading,
+    terms_mul,
+    terms_pow,
+    terms_remap,
+    terms_scale,
 )
 
 NAME_SETS = [("z1",), ("z1", "z2"), ("x", "yy", "w_3")]
@@ -57,104 +68,73 @@ real_coefficients = st.one_of(
 
 
 @st.composite
-def eager_polys(draw, nv, coeffs=coefficients, max_terms=6):
-    # small exponents repeat monomials, and half the draws are one term
-    exps = st.tuples(*[st.integers(min_value=0, max_value=9)] * nv)
+def term_dicts(draw, nv, coeffs=coefficients, max_exponent=9, max_terms=6):
+    # small exponents repeat monomials, whose coefficients add up or cancel,
+    # and half the draws have at most one term
+    exps = st.tuples(*[st.integers(min_value=0, max_value=max_exponent)] * nv)
     size = draw(st.sampled_from([1, max_terms]))
-    terms = draw(st.lists(st.tuples(exps, coeffs), min_size=1, max_size=size))
-    return sum((Poly.monomial(nv, m, c) for m, c in terms), Poly.zero(nv))
+    terms = {}
+    for mono, c in draw(st.lists(st.tuples(exps, coeffs), max_size=size)):
+        terms = terms_add(terms, {mono: c})
+    return terms
 
 
-def _repacked(p: Poly, extra_bits: int, factor: int) -> _Packed:
-    """Nonzero p as a _Packed with ``extra_bits`` more bits per field than
-    its degree needs and numerators and denominator times ``factor``."""
-    width = _field_width(p.total_degree()) + extra_bits
-    (real, imag), den = _pack(p.terms, width)
-    return _new_packed(p.nvars, width, {k: c * factor for k, c in real.items()},
-                       {k: c * factor for k, c in imag.items()}, den * factor)
+def _widened(p: Poly, degree: int) -> Poly:
+    """p as the sum p + t - t, t a term of total degree ``degree`` whose
+    coefficient has a denominator of its own: the sum keeps the field width
+    that holds ``degree``."""
+    top = Poly.monomial(p.nvars, (0,) * (p.nvars - 1) + (degree,), GaussRat(Fraction(1, 7), 3))
+    return (p + top) - top
 
 
-def _reference_print(terms: dict, names) -> str:
-    """The canonical text of a term dict, from exponent tuples and Fractions."""
-    if not terms:
-        return "0"
-    out = []
-    for mono in sorted(terms, key=grlex_key, reverse=True):
-        c = terms[mono]
-        powers = "*".join(n if e == 1 else f"{n}^{e}" for n, e in zip(names, mono) if e)
-        if c.im:
-            neg = c.im < 0
-            mag = abs(c.im)
-            cs = "i" if mag == 1 else f"{mag}*i"
-            if c.re:
-                cs = f"({c.re}{'-' if neg else '+'}{cs})"
-                neg = False
-        else:
-            neg = c.re < 0
-            cs = "" if abs(c.re) == 1 and powers else str(abs(c.re))
-        out.append(" - " if neg else " + ")
-        out.append("*".join(filter(None, (cs, powers))))
-    out[0] = "-" if out[0] == " - " else ""
-    return "".join(out)
-
-
-def _reference_derivative(terms: dict, index: int) -> dict:
-    i = index - 1
-    return {
-        m[:i] + (m[i] - 1,) + m[i + 1:]: GaussRat(c.re * m[i], c.im * m[i])
-        for m, c in terms.items() if m[i]
-    }
-
-
-def _terms_of(p: Poly) -> dict:
-    """p's terms, built from the packed form without setting p.terms."""
-    return _unpack(p.nvars, *p._pk) if type(p) is _Packed else p.terms
-
-
-def _has_terms(p: Poly) -> bool:
-    try:
-        Poly.terms.__get__(p)
-    except AttributeError:
-        return False
-    return True
-
-
-def _check_packed(p: _Packed, names):
-    """Each packed operation of p against its terms, none building them."""
-    assert type(p) is _Packed and not _has_terms(p)
-    terms = _terms_of(p)
-    nv = p.nvars
-    eager = Poly(nv, terms)
-    assert poly_to_string(p, names) == _reference_print(terms, names)
+def _check_form(q: Poly, terms: dict, names):
+    """Each operation of one Poly against its term dict."""
+    nv = q.nvars
+    own = Poly(nv, terms)
+    origin = (0,) * nv
+    assert q.terms == terms
+    assert poly_to_string(q, names) == reference_print(terms, names)
+    assert parse_poly(poly_to_string(q, names), names) == q
+    assert q == own and own == q and not q != own and hash(q) == hash(own)
+    assert q != own + Poly.monomial(nv, (1,) * nv, GaussRat(Fraction(1, 3)))
+    assert q.total_degree() == max(map(sum, terms), default=-1)
+    assert vanishing_order(q) == min(map(sum, terms), default=math.inf)
+    assert bool(q) == bool(terms) and q.is_zero() == (not terms)
+    assert q.is_constant() == (terms.keys() <= {origin})
+    assert q.is_unit() == (terms.keys() == {origin})
+    assert q.constant_value() == terms.get(origin, GaussRat())
+    assert (-q).terms == terms_scale(terms, GaussRat(-1))
     for j in range(1, nv + 1):
-        d = differentiate(p, j)
-        assert _terms_of(d) == _reference_derivative(terms, j)
-        assert poly_to_string(d, names) == _reference_print(_terms_of(d), names)
-    assert _terms_of(-p) == {m: -c for m, c in terms.items()}
-    assert p == eager and eager == p and not p != eager
-    assert p == _repacked(eager, 2, 6) and _repacked(eager, 1, 35) == p
-    assert p != -p
-    assert p != eager + Poly.monomial(nv, (1,) * nv, GaussRat(Fraction(1, 3)))
-    assert p.total_degree() == max(sum(m) for m in terms)
-    assert bool(p) and not p.is_zero()
-    assert _term_count(p) == len(terms)
-    assert p.is_constant() == eager.is_constant() and p.is_unit() == eager.is_unit()
-    assert p.constant_value() == eager.constant_value()
-    assert not _has_terms(p)
+        assert q.degree_in(j) == max((m[j - 1] for m in terms), default=-1)
+        assert differentiate(q, j).terms == terms_derivative(terms, j)
+        assert [c.terms for c in q.coefficients_in(j)] == terms_coefficients_in(terms, j)
+    if terms:
+        mono, c = terms_leading(terms)
+        assert q.leading() == (mono, c)
+        assert q.monic().terms == terms_scale(terms, c.inverse())
 
 
 @st.composite
 def cases(draw):
     names = draw(st.sampled_from(NAME_SETS))
-    return names, draw(eager_polys(len(names)))
+    return names, draw(term_dicts(len(names)))
 
 
 @settings(max_examples=200, deadline=None)
-@given(cases(), st.integers(min_value=0, max_value=3), st.integers(min_value=1, max_value=30))
-def test_wide_and_unreduced_packed_forms_match_their_terms(case, extra_bits, factor):
-    names, p = case
-    if p:
-        _check_packed(_repacked(p, extra_bits, factor), names)
+@given(cases(), st.sampled_from([1, 2, 15, 16, 40, 255]))
+def test_wide_and_unreduced_packed_forms_match_their_terms(case, degree):
+    names, terms = case
+    p = Poly(len(names), terms)
+    forms = [p, _widened(p, degree), _widened(_widened(p, degree), 3 * degree)]
+    for q in forms:
+        _check_form(q, terms, names)
+    # equal polynomials at every width are one dict key
+    assert len({q: None for q in forms}) == 1
+
+
+def _operand(data, terms, nv):
+    p = Poly(nv, terms)
+    return _widened(p, data.draw(st.sampled_from([16, 70]))) if data.draw(st.booleans()) else p
 
 
 @settings(max_examples=150, deadline=None)
@@ -162,40 +142,72 @@ def test_wide_and_unreduced_packed_forms_match_their_terms(case, extra_bits, fac
 def test_kernel_results_match_their_terms(data):
     names = data.draw(st.sampled_from(NAME_SETS))
     nv = len(names)
-    a, b, c = (data.draw(eager_polys(nv)) for _ in range(3))
-    # repacked operands of other widths and denominators give the same results
-    wide = [_repacked(x, 2, 4) if x else x for x in (a, b, c)]
-    # an eager one-term factor shifts the other eagerly; a packed one does not
-    for x, y in ((a, b), (wide[0], b), (wide[0], wide[1])):
-        product = x * y
-        assert product == a * b
-        if type(product) is _Packed:
-            _check_packed(product, names)
-    assert type(wide[0] * wide[1]) is (_Packed if a and b else Poly)
-    for x in (a, wide[0]):
-        power = x ** 3
-        assert power == a * a * a
-        if type(power) is _Packed:
-            _check_packed(power, names)
-    assert type(wide[0] ** 3) is (_Packed if a else Poly)
-    # cancellation: to zero, and down to one product's terms
-    zero = dot(nv, [(a, b), (-a, b)])
-    assert not zero and zero.is_zero() and poly_to_string(zero, names) == "0"
-    assert zero == Poly.zero(nv) and Poly.zero(nv) == zero
-    rest = dot(nv, [(wide[0], b), (c, c), (-a, b)])
-    assert rest == c * c
-    if type(rest) is _Packed:
-        _check_packed(rest, names)
+    a, b, c = (data.draw(term_dicts(nv)) for _ in range(3))
+    # operands at their own widths and at wider ones
+    pa, pb, pc = (_operand(data, t, nv) for t in (a, b, c))
+    assert (pa + pb).terms == terms_add(a, b)
+    assert (pa - pb).terms == terms_add(a, b, -1)
+    assert (pa * pb).terms == terms_mul(a, b)
+    for n in range(4):
+        assert (pa ** n).terms == terms_pow(a, nv, n)
+    k = data.draw(coefficients)
+    mono = data.draw(st.tuples(*[st.integers(min_value=0, max_value=9)] * nv))
+    assert pa.scale(k).terms == terms_scale(a, k)
+    assert pa.mul_term(mono, k).terms == terms_mul(a, {mono: k} if k else {})
+    pairs = [(pa, pb), (pc, pc), (pb, pa.scale(GaussRat(-1)))]
+    assert dot(nv, pairs).terms == terms_mul(c, c)
+    assert dot(nv, pairs[:2]).terms == terms_add(terms_mul(a, b), terms_mul(c, c))
+    # scaled copies, and only those, are equal up to a unit
+    if a and k:
+        assert equal_up_to_unit(pa.scale(k), pa) == k
+    if a and b:
+        m = terms_leading(a)[0]
+        unit = a[m] / b[m] if m in b else None
+        want = unit if unit is not None and terms_scale(b, unit) == a else None
+    else:
+        want = GaussRat(1) if a == b else None
+    assert equal_up_to_unit(pa, pb) == want
+    # move the variables into a larger ring, and back
+    places = list(range(2, nv + 2))
+    up = pa.remap(nv + 1, places)
+    assert up.terms == terms_remap(a, nv + 1, places)
+    assert up.remap(nv, [None] + list(range(1, nv + 1))) == pa
+    dropped = [None] + list(range(1, nv))
+    assert pa.remap(nv - 1, dropped).terms == terms_remap(a, nv - 1, dropped)
+    # substitute small polynomials of another ring
+    small = data.draw(term_dicts(nv, max_exponent=3, max_terms=3))
+    subs = [data.draw(term_dicts(2, max_exponent=2, max_terms=2)) for _ in range(nv)]
+    got = Poly(nv, small).compose([_operand(data, s, 2) for s in subs])
+    assert got.nvars == 2 and got.terms == terms_compose(small, subs, 2)
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_real_canonical_text_parses_into_the_packed_form(data):
     names = data.draw(st.sampled_from(NAME_SETS))
-    p = data.draw(eager_polys(len(names), real_coefficients))
+    terms = data.draw(term_dicts(len(names), real_coefficients))
     index = {name: j for j, name in enumerate(names)}
-    text = poly_to_string(p, names)
+    text = poly_to_string(Poly(len(names), terms), names)
     fast = _parse_canonical(text, index)
-    want = _Parser(text, index).parse()
-    assert _terms_of(fast) == want.terms
-    assert type(fast) is (_Packed if p else Poly)
+    assert fast is not None and fast.terms == terms
+    assert fast == _Parser(text, index).parse()
+
+
+def test_equal_polynomials_of_other_widths_hash_alike():
+    names = ("z1", "z2")
+    p = parse_poly("z1^2 - 1/2*z1*z2 + (3+i)", names)
+    z1, z2 = (Poly.variable(2, j) for j in (1, 2))
+    far = z2 ** 300
+    forms = [
+        p,
+        # a derivative keeps the field of its degree-200 operand
+        differentiate(parse_poly("1/3*z1^3 - 1/4*z1^2*z2 + (3+i)*z1 + z2^200", names), 1),
+        # a sum of products whose degree-301 products cancel
+        dot(2, [(p, Poly.one(2)), (far, z1), (-far, z1)]),
+        # a sum whose top term, with a denominator of its own, cancels
+        (p + far.scale(GaussRat(Fraction(2, 9)))) - far.scale(GaussRat(Fraction(2, 9))),
+    ]
+    assert all(q == p and p == q for q in forms)
+    assert len({hash(q) for q in forms}) == 1
+    assert len({q: None for q in forms}) == len(set(forms)) == 1
+    assert len({poly_to_string(q, names) for q in forms}) == 1

@@ -7,8 +7,8 @@ four variables, over Q and Q(i), with exponents that reach and cross the
 bit widths of the packed exponent fields.  sympy is a test-only dependency;
 the comparisons with it are skipped where it is absent.
 
-`dot` sums products in the same kernel, each operand packed once and every
-product added in packed form.  It is checked against the sum of `Poly`
+`dot` sums products in the same kernel, each distinct operand brought to
+the common field width once and every product added in packed form.  It is checked against the sum of `Poly`
 products, which runs without sympy, and against sympy.
 
 Large products multiply dense residue classes of packed keys as big ints.
@@ -41,7 +41,7 @@ from kohnmult.polyring import (
     _dict_mul,
     _field_width,
     _int_mul,
-    _pack,
+    _operand,
     _parse_canonical,
     _Parser,
     default_names,
@@ -286,13 +286,13 @@ def test_sums_with_empty_and_one_term_operands(nv):
 
 def test_shared_operands_are_packed_once(monkeypatch):
     packs = []
-    pack = polyring._pack
+    operand = polyring._operand
 
-    def counting(terms, width):
-        packs.append(terms)
-        return pack(terms, width)
+    def counting(p, width):
+        packs.append(p)
+        return operand(p, width)
 
-    monkeypatch.setattr(polyring, "_pack", counting)
+    monkeypatch.setattr(polyring, "_operand", counting)
     rng = random.Random("kernel-dot-shared")
     for _ in range(10):
         a = _random_poly(rng, 2, 6, 6, True)
@@ -336,7 +336,7 @@ def _p(text):
 def _packed(p: Poly, q: Poly):
     """The packed (real, imag) dicts of p and q, in fields that hold p*q."""
     width = _field_width(p.total_degree() + q.total_degree())
-    return _pack(p.terms, width)[0], _pack(q.terms, width)[0]
+    return _operand(p, width)[0], _operand(q, width)[0]
 
 
 def _nonzero(d: dict) -> dict:
