@@ -11,6 +11,7 @@ anything unexpected.  Output files are written atomically.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -245,6 +246,7 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 # parser and dispatch
 
+@functools.cache  # built once per process; parse_args leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="kohnmult",

@@ -11,8 +11,8 @@ Ideal-theoretic operations used by the multiplier algorithms live here as
 well: normal forms with cofactor tracking, vector-space dimension of the
 quotient, radical membership (Rabinowitsch trick), the least power of a list
 of elements lying in an ideal, isolation of the origin, elimination, gcd (a
-heuristic integer gcd, with the intersection (p) ∩ (q) = (lcm) as the
-fallback), and squarefree parts.
+monomial's in closed form, else a heuristic integer gcd, with the
+intersection (p) ∩ (q) = (lcm) as the fallback), and squarefree parts.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from kohnmult.polyring import (
     exact_divide,
     grlex_key,
     heuristic_gcd,
+    monomial_gcd,
 )
 
 
@@ -376,16 +377,17 @@ def eliminate(gens: Sequence[Poly], drop: Sequence[int]) -> list:
 
 
 # ---------------------------------------------------------------------------
-# gcd: the heuristic integer gcd, else p*q over the lcm from an intersection
+# gcd: a monomial's closed form, the heuristic integer gcd, or p*q over the lcm
 
 def multivariate_gcd(p: Poly, q: Poly) -> Poly:
     """gcd over Q(i)[z], normalized monic in graded lex; gcd(0, 0) = 0.
 
-    The heuristic integer gcd answers first; Gaussian data and its rare
-    failures go to :func:`_intersection_gcd`.  The monic gcd is unique, so
-    both give the same polynomial.
+    A one-term operand c*z^a gives the closed form :func:`monomial_gcd`,
+    over Q and Q(i) alike; the heuristic integer gcd answers the rest, its
+    rare failures and Gaussian data going to :func:`_intersection_gcd`.  The
+    monic gcd is unique, so every path gives the same polynomial.
     """
-    g = heuristic_gcd(p, q)
+    g = monomial_gcd(p, q) or heuristic_gcd(p, q)
     return _intersection_gcd(p, q) if g is None else g
 
 
@@ -414,11 +416,14 @@ def _exact(p: Poly, d: Poly) -> Poly:
 
 def squarefree_part(p: Poly) -> Poly:
     """Product of the distinct irreducible factors, monic; 0 and units map
-    to themselves (a unit to 1)."""
+    to themselves (a unit to 1), and a term c*z^a to the product of the z_j
+    with a_j > 0, its gcd with z1*...*zn."""
     if p.is_zero():
         return p
     if p.is_constant():
         return Poly.one(p.nvars)
+    if p.term_count() == 1:
+        return monomial_gcd(p, Poly.monomial(p.nvars, (1,) * p.nvars))
     g = p
     for j in range(1, p.nvars + 1):
         d = differentiate(p, j)

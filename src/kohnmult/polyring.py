@@ -318,6 +318,11 @@ class Poly:
             self._degree = degree
         return degree
 
+    def term_count(self) -> int:
+        """len(self.terms), without building the terms."""
+        _, real, imag, _ = self._pk
+        return len(real.keys() | imag.keys()) if imag else len(real)
+
     def leading(self, key=grlex_key):
         """(monomial, coefficient) of the largest term under ``key``."""
         if not self:
@@ -683,12 +688,6 @@ def _leading_key(p: Poly, key) -> int:
     return max(keys, key=lambda k: key(mono(k)))
 
 
-def _term_count(p: Poly) -> int:
-    """len(p.terms), without building the terms."""
-    _, real, imag, _ = p._pk
-    return len(real.keys() | imag.keys()) if imag else len(real)
-
-
 def _width_for(degree: int, polys) -> int:
     """The field width that holds ``degree`` and the packed forms of
     ``polys`` as they are: a wider field changes no product."""
@@ -798,6 +797,30 @@ def _gauss_pow(c: GaussRat, n: int) -> GaussRat:
         if n:
             c = c * c
     return GR_ONE if result is None else result
+
+
+# ---------------------------------------------------------------------------
+# gcds with a monomial, in closed form
+
+def monomial_gcd(p: Poly, q: Poly):
+    """gcd(p, q) over Q(i)[z], monic, when both are nonzero and one is a
+    single term c*z^a; else None.  Every divisor of c*z^a is a unit times a
+    monomial, so the gcd is z^b, with b_j the least exponent of z_j over
+    the terms of p and q."""
+    if p.nvars != q.nvars:
+        raise ValueError("operands live in different rings")
+    if not p or not q or (p.term_count() != 1 and q.term_count() != 1):
+        return None
+    low = None
+    for r in (p, q):
+        width, real, imag, _ = r._pk
+        mono = _unpacker(r.nvars, width)
+        for key in real.keys() | imag.keys() if imag else real:
+            low = mono(key) if low is None else tuple(map(min, low, mono(key)))
+    degree = sum(low)
+    width = _field_width(degree)
+    key = sum(e << width * j for j, e in enumerate(reversed(low)))
+    return _new(p.nvars, width, {key: 1}, {}, 1, degree)
 
 
 # ---------------------------------------------------------------------------
@@ -1069,7 +1092,7 @@ def equal_up_to_unit(p: Poly, q: Poly):
         return GR_ONE
     if p.is_zero() or q.is_zero():
         return None
-    if _term_count(p) != _term_count(q):
+    if p.term_count() != q.term_count():
         return None
     # c*q has q's leading monomial
     (mono, cp), (mono_q, cq) = p.leading(), q.leading()
@@ -1516,7 +1539,7 @@ class _Parser:
                 e = int(etext)
                 self.k += 2
                 deg = -1 if group is None else group.total_degree()
-                if (deg > 0 and _term_count(group) > 1
+                if (deg > 0 and group.term_count() > 1
                         and math.comb(self.nvars + e * deg, self.nvars) > MAX_POWER_TERMS):
                     raise ParseError(f"power may expand to more than {MAX_POWER_TERMS} terms", at)
             if group is not None or scalar is not None:
@@ -1524,7 +1547,7 @@ class _Parser:
                 if group is None:
                     coeff = scalar
                 else:
-                    coeff = group.leading()[1] if _term_count(group) == 1 else None
+                    coeff = group.leading()[1] if group.term_count() == 1 else None
                 if coeff and coeff not in GAUSS_UNITS:
                     group_bits += e * coefficient_bits(coeff)
                     if group_bits > MAX_NUMBER_BITS:
@@ -1597,7 +1620,7 @@ def _size_bounds(p: Poly) -> tuple:
     them, and degree 0 for the zero polynomial."""
     _, real, imag, den = p._pk
     norm = sum(map(abs, real.values())) + sum(map(abs, imag.values()))
-    return _term_count(p), max(p.total_degree(), 0), (max(norm, den) - 1).bit_length()
+    return p.term_count(), max(p.total_degree(), 0), (max(norm, den) - 1).bit_length()
 
 
 def parse_poly(text: str, variables: Sequence[str]) -> Poly:

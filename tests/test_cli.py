@@ -92,6 +92,24 @@ def test_full_radical_deformed(tmp_path, capsys):
     assert data["order_bound"] == "1/96"
 
 
+
+def test_repeated_main_calls_share_no_state(tmp_path, capsys):
+    # the parser is built once per process; each call must still see only
+    # its own arguments and defaults
+    dom = _domain_file(tmp_path, ["z1^2", "z2^3 + z2*z1^9"])
+    code, out = _run(capsys, ["full-radical", dom, "--power-cap", "8"])
+    assert code == 3 and json.loads(out)["caps"]["power_cap"] == 8
+    code, out = _run(capsys, ["full-radical", dom])
+    assert code == 0 and json.loads(out)["caps"]["power_cap"] == 64
+    with pytest.raises(SystemExit) as usage:
+        cli.main(["full-radical", dom, "--power-cap", "eight"])
+    assert usage.value.code == 2
+    capsys.readouterr()
+    code, out = _run(capsys, ["multiplicity", dom])
+    assert code == 0 and json.loads(out)["kind"] == "multiplicity"
+    assert cli.build_parser() is cli.build_parser()
+
+
 # -- effective3d and verify --------------------------------------------------
 
 def test_effective3d_writes_verifiable_certificate(tmp_path, capsys):

@@ -291,7 +291,7 @@ def _gcd_polys(nv):
 
 @settings(max_examples=60, deadline=None)
 @given(nv=st.integers(1, 3), data=st.data())
-def test_heuristic_gcd_agrees_with_the_subresultant_path(nv, data):
+def test_heuristic_gcd_agrees_with_the_intersection_gcd(nv, data):
     f, g, h = (data.draw(_gcd_polys(nv)) for _ in range(3))
     a, b = f * g, f * h
     want = _intersection_gcd(a, b)

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from kohnmult import cli
+from kohnmult import cli, groebner
 from kohnmult.polyring import Poly, heuristic_gcd, parse_poly
 from kohnmult.groebner import (
     _intersection_gcd,
@@ -160,6 +160,23 @@ def test_fast_gcd_answers_every_pairwise_gcd_of_the_three_variable_run():
         assert g == _intersection_gcd(a, b)
 
 
+def test_gcds_with_a_one_term_operand_take_the_closed_form(monkeypatch):
+    # gaussian-2 below: heuristic_gcd turns every Gaussian pair away, so a
+    # one-term pair that got past monomial_gcd would show in both logs
+    calls = {name: [] for name in ("monomial_gcd", "heuristic_gcd", "_intersection_gcd")}
+    for name, log in calls.items():
+        def spy(p, q, real=getattr(groebner, name), log=log):
+            got = real(p, q)
+            log.append((p, q, got))
+            return got
+        monkeypatch.setattr(groebner, name, spy)
+    run_full_radical(_dom(["z1^2", "z2^2 + i*z1*z2"]))
+    assert any(g is not None for *_, g in calls["monomial_gcd"])
+    assert len(calls["_intersection_gcd"]) == 4
+    for p, q, _ in calls["heuristic_gcd"] + calls["_intersection_gcd"]:
+        assert p.term_count() > 1 and q.term_count() > 1, (p, q)
+
+
 @pytest.mark.parametrize(
     "variables, gens, extra, digest",
     [
@@ -167,7 +184,8 @@ def test_fast_gcd_answers_every_pairwise_gcd_of_the_three_variable_run():
          "766cb8d4faa1e0f1e6735943a99a175652a06de4a646d7995d5b8e4a2ee477cd"),
         (("z1", "z2"), ["z1^2", "z2^5 + z2*z1^9"], [],
          "c8129b30f96f1175bb0d2e3b27a889ff5e8168dee0bd1db6a74e12374106ef72"),
-        # Gaussian, so each of its gcds goes to the intersection fallback
+        # Gaussian: the gcds with a one-term operand take the closed form,
+        # and the other four go to the intersection fallback
         (("z1", "z2"), ["z1^2", "z2^2 + i*z1*z2"], [],
          "15a9488d20eb0512880a71daf9677c2c920324cd3375eb722d71eefb0fb8af70"),
     ],

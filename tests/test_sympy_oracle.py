@@ -22,6 +22,7 @@ from kohnmult.polyring import (
     gr,
     grlex_key,
     heuristic_gcd,
+    monomial_gcd,
     poly_matrix_det,
 )
 
@@ -153,7 +154,7 @@ def _gcd_pairs(rng, nv):
 
 
 @pytest.mark.parametrize("nv", [1, 2, 3])
-def test_heuristic_gcd_matches_subresultant_and_sympy(nv):
+def test_heuristic_gcd_matches_the_intersection_gcd_and_sympy(nv):
     rng = make_rng(f"sympy-heugcd-{nv}")
     zs = _symbols(nv)
     nontrivial = set()
@@ -182,6 +183,40 @@ def test_gaussian_gcd_takes_the_intersection_path_and_matches_sympy(nv):
         assert exact_divide(got, u) is not None
         want = sympy.gcd(_to_sympy(a, zs), _to_sympy(b, zs), *zs, domain="QQ_I")
         assert got == _from_sympy(want, zs, "QQ_I").monic(), (a, b)
+
+
+def _monomial_pairs(rng, nv, gaussian):
+    """(kind, a, b) operand pairs with a one-term, constant or zero operand."""
+    c = gr(Fraction(2, 3), Fraction(-5, 7) if gaussian else 0)
+    for _ in range(4):
+        m, n = (random_poly(rng, nv, 4, max_terms=1, gaussian=gaussian) for _ in range(2))
+        f = random_poly(rng, nv, 3, max_terms=4, gaussian=gaussian)
+        yield "monomials", m, n
+        yield "monomial-poly", m, f * n
+        yield "constant-term", f * n + Poly.const(nv, 1), m.scale(c)
+        yield "coefficient", m.scale(c), n.scale(c) * f
+        yield "constant", Poly.const(nv, c), f
+        yield "zero", Poly.zero(nv), m.scale(c)
+    yield "zeros", Poly.zero(nv), Poly.zero(nv)
+
+
+@pytest.mark.parametrize("nv", [2, 3])
+@pytest.mark.parametrize("domain", ["QQ", "QQ_I"])
+def test_monomial_gcds_and_squarefree_parts_match_sympy(nv, domain):
+    rng = make_rng(f"sympy-monomial-gcd-{domain}-{nv}")
+    zs = _symbols(nv)
+    nontrivial = set()
+    for kind, a, b in _monomial_pairs(rng, nv, domain == "QQ_I"):
+        sa, sb = _to_sympy(a, zs), _to_sympy(b, zs)
+        got = multivariate_gcd(a, b)
+        assert got == _from_sympy(sympy.gcd(sa, sb, *zs, domain=domain), zs, domain).monic()
+        assert (monomial_gcd(a, b) == got) if a and b else monomial_gcd(a, b) is None
+        for p, sp in ((a, sa), (b, sb)):
+            want = _from_sympy(sympy.sqf_part(sp, *zs, domain=domain), zs, domain).monic()
+            assert squarefree_part(p) == want, (kind, p)
+        if not got.is_constant():
+            nontrivial.add(kind)
+    assert nontrivial >= {"monomials", "monomial-poly", "coefficient"}
 
 
 @pytest.mark.parametrize("rank", [2, 3])
