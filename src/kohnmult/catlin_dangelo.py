@@ -12,7 +12,6 @@ report.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -415,9 +414,6 @@ class CDReport:
             "trace": self.trace.to_json(),
             "chain": self.chain.to_json(),
         }
-
-    def dumps(self) -> str:
-        return json.dumps(self.to_json(), indent=2, sort_keys=True)
 
 
 def run(params: CDParams, power_cap: int | None = None) -> CDReport:

@@ -30,27 +30,26 @@ from kohnmult.polyring import (
     Poly,
     differentiate,
     exact_divide,
-    grlex_key,
     heuristic_gcd,
     monomial_gcd,
 )
 
 
 class MonomialOrder:
-    """Monomial order given by a sort key function (max = leading).
+    """Monomial order given by its block splits: graded lex within each
+    block, the first block dominant.
 
-    ``elim(k)`` builds the block order that makes the first k variables
-    expensive: graded lex within each block, first block dominant.  A basis
-    under that order intersected with the cheap block solves elimination.
     ``splits`` are the variable indices where a block after the first
-    starts: () for grlex, (k,) for elim(k).
+    starts: () for grlex, (k,) for elim(k), the order that makes the first
+    k variables expensive.  A basis under elim(k) intersected with the cheap
+    block solves elimination.  ``polyring`` ranks monomials under the
+    splits, on packed order keys.
     """
 
-    __slots__ = ("name", "key", "splits")
+    __slots__ = ("name", "splits")
 
-    def __init__(self, name: str, key, splits: tuple = ()):
+    def __init__(self, name: str, splits: tuple = ()):
         self.name = name
-        self.key = key
         self.splits = splits
 
     def __repr__(self):
@@ -61,15 +60,11 @@ class MonomialOrder:
 
     @staticmethod
     def grlex() -> "MonomialOrder":
-        return MonomialOrder("grlex", grlex_key)
+        return MonomialOrder("grlex")
 
     @staticmethod
     def elim(k: int) -> "MonomialOrder":
-        def key(m):
-            head, tail = m[:k], m[k:]
-            return (sum(head), head, sum(tail), tail)
-
-        return MonomialOrder(f"elim({k})", key, (k,))
+        return MonomialOrder(f"elim({k})", (k,))
 
 
 GRLEX = MonomialOrder.grlex()
@@ -132,7 +127,7 @@ class GroebnerBasis:
         return _combine(quots, self.provenance, len(self.gens), self.nvars), r
 
     def leading_monomials(self):
-        return [b.leading(self.order.key)[0] for b in self.basis]
+        return [b.leading(self.order.splits)[0] for b in self.basis]
 
 
 def groebner_basis(
@@ -155,22 +150,21 @@ def groebner_basis(
         if g.nvars != nv:
             raise ValueError("generators live in different rings")
 
-    key = order.key
+    splits = order.splits
     monic: list[Poly] = []
     leads: list[tuple] = []
     provs: list[list[Poly]] = []
     for j, g in enumerate(gens):
         if g.is_zero():
             continue
-        m, c = g.leading(key)
-        inv = c.inverse()
-        monic.append(g.scale(inv))
+        m, c = g.leading(splits)
+        monic.append(g.monic(splits))
         leads.append(m)
         if provenance:
-            provs.append([Poly.const(nv, inv if t == j else 0) for t in range(len(gens))])
+            provs.append([Poly.const(nv, c.inverse() if t == j else 0) for t in range(len(gens))])
     if not monic:
         return GroebnerBasis(gens, [], order, [] if provenance else None)
-    work = Divisors(nv, order.splits, monic)
+    work = Divisors(nv, splits, monic)
 
     heap: list = []
     for i, j in itertools.combinations(range(len(leads)), 2):
@@ -186,13 +180,13 @@ def groebner_basis(
         quots, r = work.reduce(lambda: work.s_poly(i, j, lcm), provenance)
         if r.is_zero():
             continue
-        m, c = r.leading(key)
-        inv = c.inverse()
-        r = r.scale(inv)
+        m, c = r.leading(splits)
+        r = r.monic(splits)
         if provenance:
             # s = (lcm/mi)*work[i] - (lcm/mj)*work[j] = sum(quots*work) + r
             qi, qj = tuple(map(operator.sub, lcm, mi)), tuple(map(operator.sub, lcm, mj))
             used = _combine(quots, provs, len(gens), nv)
+            inv = c.inverse()
             provs.append([(a.mul_term(qi, GR_ONE) - b.mul_term(qj, GR_ONE) - u).scale(inv)
                           for a, b, u in zip(provs[i], provs[j], used)])
         new = len(leads)
@@ -206,12 +200,12 @@ def groebner_basis(
     # tail-reduce each survivor against the rest; a survivor keeps its monic
     # leading term, so the basis comes out sorted by the order
     kept: list[int] = []
-    for t in sorted(range(len(leads)), key=lambda t: key(leads[t])):
+    for t in sorted(range(len(leads)), key=work.keys.__getitem__):
         if not any(all(map(operator.le, leads[s], leads[t])) for s in kept):
             kept.append(t)
     final: list[Poly] = []
     final_prov: list[list[Poly]] = []
-    reducers = Divisors(nv, order.splits, [work.polys[t] for t in kept])
+    reducers = Divisors(nv, splits, [work.polys[t] for t in kept])
     for idx, t in enumerate(kept):
         # reduce the tail by every survivor: no other survivor's leading term
         # divides this leading term, and this one divides no term below it
@@ -262,7 +256,7 @@ def standard_monomials(gens_or_gb):
         for mono in itertools.product(*(range(b) for b in bounds))
         if not any(all(map(operator.le, m, mono)) for m in lms)
     ]
-    out.sort(key=grlex_key)
+    out.sort(key=lambda m: (sum(m), m))
     return out
 
 

@@ -19,7 +19,6 @@ derivative against the ideal of the bottom corner entry.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 from .polyring import (
@@ -85,9 +84,6 @@ class ComparisonReport:
             "decomposition": [s(c) for c in self.decomposition],
             "verdict": self.verdict,
         }
-
-    def dumps(self) -> str:
-        return json.dumps(self.to_json(), indent=2, sort_keys=True)
 
 
 def compare_procedures(entries, names=None) -> ComparisonReport:
@@ -209,9 +205,6 @@ class TriangularReport:
         data["obstruction"] = self.obstruction
         data["obstruction_witness"] = self.obstruction_witness
         return data
-
-    def dumps(self) -> str:
-        return json.dumps(self.to_json(), indent=2, sort_keys=True)
 
 
 def triangular_comparison(a11, a22, a33, xi, eta, names=("z1", "z2", "z3")) -> TriangularReport:

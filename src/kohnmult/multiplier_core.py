@@ -214,13 +214,22 @@ class DerivationCertificate:
     def from_json(data: dict) -> "DerivationCertificate":
         if data.get("schema") != CERT_SCHEMA:
             raise ValueError(f"unsupported certificate schema {data.get('schema')!r}")
-        dom = SpecialDomain.from_strings(
-            data["domain"]["variables"], data["domain"]["generators"]
-        )
+        domain = data.get("domain")
+        if not isinstance(domain, dict):
+            raise ValueError("certificate domain must be an object")
+        dom = SpecialDomain.from_strings(domain.get("variables"), domain.get("generators"))
         cert = DerivationCertificate(dom)
-        for s in data["steps"]:
+        steps = data.get("steps")
+        if not isinstance(steps, list):
+            raise ValueError("certificate steps must be a list of objects")
+        for n, s in enumerate(steps):
+            if not isinstance(s, dict):
+                raise ValueError(f"step {n} must be an object")
+            for field in ("id", "rule", "inputs", "payload", "order"):
+                if field not in s:
+                    raise ValueError(f"step {n} has no field {field!r}")
             if not isinstance(s["inputs"], list):
-                raise ValueError("step inputs must be a list of step ids")
+                raise ValueError(f"step {n}: inputs must be a list of step ids")
             cert.steps.append(
                 Step(
                     id=_step_id(s["id"]),

@@ -23,10 +23,13 @@ substitution), and the remaining terms one by one.  A sum of products,
 product's numerators over one common denominator; determinants and the
 multiplier rules' sums of products use it.
 
+A monomial order is its block splits: () for graded lex, (k,) for the
+elimination order elim(k).  One function, ``_order_keys``, ranks monomials:
+it maps packed monomials to ints whose integer order is the monomial order,
+and leading terms, ``monic``, the printer and division all compare those.
 Division, and with it ``groebner``'s normal forms and Buchberger's
-algorithm, packs each monomial as one int whose integer order is the
-monomial order, each divisor once (``Divisors``; see "division on packed
-order keys" below).
+algorithm, packs each divisor once on these keys (``Divisors``; see
+"division on packed order keys" below).
 
 ``poly_to_string`` writes one canonical form: terms in graded-lex
 descending order joined by `` + `` and `` - ``, each a coefficient
@@ -142,11 +145,6 @@ def coefficient_bits(c: GaussRat) -> int:
     in lowest terms."""
     return max(abs(c.re.numerator).bit_length(), c.re.denominator.bit_length(),
                abs(c.im.numerator).bit_length(), c.im.denominator.bit_length())
-
-
-def grlex_key(mono: tuple):
-    """Sort key for graded lexicographic order with z1 > z2 > ... ."""
-    return (sum(mono), mono)
 
 
 class Poly:
@@ -323,20 +321,22 @@ class Poly:
         _, real, imag, _ = self._pk
         return len(real.keys() | imag.keys()) if imag else len(real)
 
-    def leading(self, key=grlex_key):
-        """(monomial, coefficient) of the largest term under ``key``."""
+    def leading(self, splits: tuple = ()):
+        """(monomial, coefficient) of the largest term under the order of
+        block boundaries ``splits`` (see :func:`_order_keys`)."""
         if not self:
             raise ValueError("zero polynomial has no leading term")
         width, real, imag, den = self._pk
-        k = _leading_key(self, key)
+        k = _leading_key(self, splits)
         return _unpacker(self.nvars, width)(k), _gauss(real.get(k, 0), imag.get(k, 0), den)
 
-    def monic(self, key=grlex_key) -> "Poly":
-        """Scale so the leading coefficient is 1; self when it already is."""
+    def monic(self, splits: tuple = ()) -> "Poly":
+        """Scale so the leading coefficient under ``splits`` is 1; self when
+        it already is."""
         if not self:
             return self
         width, real, imag, den = self._pk
-        k = _leading_key(self, key)
+        k = _leading_key(self, splits)
         r, i = real.get(k, 0), imag.get(k, 0)
         if i:
             return self.scale(_gauss(r, i, den).inverse())
@@ -669,23 +669,34 @@ def _max_degree(part: dict, width: int) -> int:
     return max([(k - 1) % top for k in part if k], default=-1) + 1
 
 
-def _grlex_ranks(keys, width: int, nvars: int) -> list:
-    """Each key with its total degree (see _max_degree) in the bits above it:
-    the ranks order as the monomials do in graded lex, and masking off the
-    degree gives the key back."""
+def _order_keys(keys, width: int, nvars: int, splits: tuple = ()) -> list:
+    """The order key of each monomial packed at ``width``: an int whose
+    integer order is the monomial order of block boundaries ``splits``,
+    graded lex within each block and the first block dominant; () is graded
+    lex, (k,) elim(k).  Each block gives its degree, the sum of its fields
+    (see _max_degree), and then its exponents, one field of ``width`` bits
+    each.  Under graded lex that is the key with its degree above it."""
     top = (1 << width) - 1
-    span = width * nvars
-    return [(((k - 1) % top + 1) << span) | k if k else 0 for k in keys]
+    if not splits:
+        span = width * nvars
+        return [(((k - 1) % top + 1) << span) | k if k else 0 for k in keys]
+    keys = list(keys)
+    out = [0] * len(keys)
+    bounds = [min(s, nvars) for s in splits]
+    for a, b in zip((0, *bounds), (*bounds, nvars)):
+        mask, at = (1 << width * (b - a)) - 1, width * (nvars - b)
+        span = width * (b - a)
+        out = [(o << width | ((e - 1) % top + 1 if e else 0)) << span | e
+               for o, e in zip(out, [(k >> at) & mask for k in keys])]
+    return out
 
 
-def _leading_key(p: Poly, key) -> int:
-    """The packed key of the largest term of a nonzero p under ``key``."""
+def _leading_key(p: Poly, splits: tuple) -> int:
+    """The packed key of the largest term of a nonzero p under ``splits``."""
     width, real, imag, _ = p._pk
-    keys = real.keys() | imag.keys() if imag else real.keys()
-    if key is grlex_key:
-        return max(_grlex_ranks(keys, width, p.nvars)) & ((1 << width * p.nvars) - 1)
-    mono = _unpacker(p.nvars, width)
-    return max(keys, key=lambda k: key(mono(k)))
+    keys = list(real.keys() | imag.keys() if imag else real)
+    ranks = _order_keys(keys, width, p.nvars, splits)
+    return keys[ranks.index(max(ranks))]
 
 
 def _width_for(degree: int, polys) -> int:
@@ -859,12 +870,7 @@ def heuristic_gcd(p: Poly, q: Poly):
     if f_imag or g_imag:
         return None
     h = _heu_gcd(_primitive(f), _primitive(g), nv, width)
-    if h is None:
-        return None
-    lead = h[max(_grlex_ranks(h, width, nv)) & ((1 << width * nv) - 1)]
-    if lead < 0:
-        h = {k: -c for k, c in h.items()}
-    return _packed(nv, width, (h, {}), abs(lead))
+    return None if h is None else _new(nv, width, h, {}, 1).monic()
 
 
 def _int_content(f: dict) -> int:
@@ -1105,10 +1111,11 @@ def equal_up_to_unit(p: Poly, q: Poly):
 # ---------------------------------------------------------------------------
 # division on packed order keys
 #
-# A key holds, per block of variables (one for grlex, two for elim(k)), the
-# block's degree and then its exponents, the first variable highest, in
-# fields whose top bit is a guard that no key sets: a product of monomials
-# is a sum of keys, and l divides m exactly when m - l sets no guard bit.
+# A key is the monomial's order key (see _order_keys): per block of
+# variables (one for grlex, two for elim(k)), the block's degree and then its
+# exponents, the first variable highest, in fields whose top bit is a guard
+# that no key sets: a product of monomials is a sum of keys, and l divides m
+# exactly when m - l sets no guard bit.
 # The degrees set the width, and bound every term met under grlex; under
 # elim(k) the second block's degree can grow (z1^3 by z1 - z2^40 leaves
 # z2^120), so a step that would set a guard bit repacks the divisors at
@@ -1130,26 +1137,18 @@ class Divisors:
 
     def _pack_all(self, width: int, polys) -> None:
         self.width, self.polys, self.keys, self.items = width, [], [], []
-        self.blocks = list(zip((0, *self.splits), (*self.splits, self.nvars)))
-        f = self.nvars + len(self.blocks)  # fields
+        blocks = list(zip((0, *self.splits), (*self.splits, self.nvars)))
+        f = self.nvars + len(blocks)  # fields
         self.guards = sum(1 << (width * g + width - 1) for g in range(f))
         # per block: the shift of its exponents, which lie side by side as
-        # in a monomial packed at this width, their mask, their shift in that
-        # monomial, and the shift of the block's degree
+        # in a monomial packed at this width, their mask, and their shift in
+        # that monomial
         self.chunks = []
-        for a, b in self.blocks:
+        for a, b in blocks:
             f -= 1 + b - a
-            self.chunks.append((width * f, (1 << width * (b - a)) - 1,
-                                width * (self.nvars - b), width * (f + b - a)))
+            self.chunks.append((width * f, (1 << width * (b - a)) - 1, width * (self.nvars - b)))
         for p in polys:
             self.add(p)
-
-    def pack(self, mono: tuple) -> int:
-        key, w = 0, self.width
-        for a, b in self.blocks:
-            for e in (sum(mono[a:b]), *mono[a:b]):
-                key = (key << w) | e
-        return key
 
     def encode(self, p: Poly) -> dict:
         """p's terms, key -> coefficient, widening until its degree fits."""
@@ -1157,12 +1156,7 @@ class Divisors:
             self._pack_all(2 * self.width, self.polys)
         (real, imag), den = _operand(p, self.width)
         monos = list(real.keys() | imag.keys() if imag else real)
-        keys = [0] * len(monos)
-        top = (1 << self.width) - 1
-        for shift, mask, at, degree in self.chunks:
-            # a block's degree is the sum of its fields (see _max_degree)
-            keys = [key | e << shift | ((e - 1) % top + 1 if e else 0) << degree
-                    for key, e in zip(keys, [(m >> at) & mask for m in monos])]
+        keys = _order_keys(monos, self.width, self.nvars, self.splits)
         if self.real:
             return {key: Fraction(real[m], den) for key, m in zip(keys, monos)}
         return {key: _gauss(real.get(m, 0), imag.get(m, 0), den) for key, m in zip(keys, monos)}
@@ -1172,7 +1166,7 @@ class Divisors:
         block's degree stays below half of a field's reach, so a total
         degree of at most two blocks fits in one field."""
         keys = [0] * len(work)
-        for shift, mask, at, _ in self.chunks:
+        for shift, mask, at in self.chunks:
             keys = [key | ((k >> shift) & mask) << at for key, k in zip(keys, work)]
         cs = work.values()
         parts = (cs, ()) if self.real else ([c.re for c in cs], [c.im for c in cs])
@@ -1198,7 +1192,10 @@ class Divisors:
     def s_poly(self, i: int, j: int, lcm: tuple) -> dict:
         """The S-polynomial of the monic divisors i and j, whose leading
         monomials have the lcm ``lcm``, with zero coefficients left in."""
-        top = self.pack(lcm)
+        top = 0
+        for e in lcm:
+            top = (top << self.width) | e
+        top = _order_keys((top,), self.width, self.nvars, self.splits)[0]
         si, sj = top - self.keys[i], top - self.keys[j]
         out = {k + si: c for k, c in self.items[i][1]}
         for k, c in self.items[j][1]:
@@ -1249,9 +1246,9 @@ class Divisors:
         return quots and [self.poly(q) for q in quots], self.poly(rem)
 
 
-def divide(p: Poly, divisors: Sequence[Poly], key, want_quotients: bool):
-    """Multivariate division of p by the divisor list under the order
-    ``key``: ``grlex_key`` or a ``groebner.MonomialOrder``.
+def divide(p: Poly, divisors: Sequence[Poly], splits: tuple, want_quotients: bool):
+    """Multivariate division of p by the divisor list under the order of
+    block boundaries ``splits``: () for grlex, (k,) for elim(k).
 
     Returns (quotients, remainder) with p == sum(q_i * divisors_i) + remainder
     and no remainder term divisible by any divisor's leading term; quotients
@@ -1259,7 +1256,6 @@ def divide(p: Poly, divisors: Sequence[Poly], key, want_quotients: bool):
     list order, so the quotients are deterministic even where the remainder
     alone would be.
     """
-    splits = () if key is grlex_key else key.splits
     return Divisors(p.nvars, splits, divisors).divide(p, want_quotients)
 
 
@@ -1271,7 +1267,7 @@ def exact_divide(p: Poly, d: Poly):
     """
     if d.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
-    quots, rem = divide(p, [d], grlex_key, True)
+    quots, rem = divide(p, [d], (), True)
     return quots[0] if rem.is_zero() else None
 
 
@@ -1669,7 +1665,7 @@ def poly_to_string(p: Poly, names: Sequence[str] | None = None) -> str:
     top = (1 << width) - 1
     fields = [(name, width * (nvars - 1 - j)) for j, name in enumerate(names)]
     low = (1 << width * nvars) - 1
-    order = _grlex_ranks(real.keys() | imag.keys() if imag else real, width, nvars)
+    order = _order_keys(real.keys() | imag.keys() if imag else real, width, nvars)
     order.sort(reverse=True)
     out = []
     for k in order:

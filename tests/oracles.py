@@ -421,6 +421,17 @@ def random_poly(rng, nvars, max_degree, max_terms=4, zero_constant=False,
             return p
 
 
+def order_key(splits=()):
+    """Sort key on exponent tuples for the monomial order of block
+    boundaries ``splits``: graded lex within each block, the first block
+    dominant.  () is graded lex and (k,) the elimination order elim(k)."""
+    def key(mono):
+        bounds = (0, *splits, len(mono))
+        return tuple(itertools.chain.from_iterable(
+            (sum(mono[a:b]), mono[a:b]) for a, b in zip(bounds, bounds[1:])))
+    return key
+
+
 def divide_reference(p, divisors, key, want_quotients):
     """Multivariate division term by term on exponent tuples, as
     ``kohnmult.polyring.divide`` defines it: each step takes the largest

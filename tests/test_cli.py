@@ -268,6 +268,69 @@ def test_verify_rejects_mistyped_certificate_fields(
     assert "internal error" not in captured.err
 
 
+def _step_without_rule(cert):
+    del cert["steps"][2]["rule"]
+    return cert
+
+
+def _step_as_number(cert):
+    cert["steps"][2] = 7
+    return cert
+
+
+def _steps_as_object(cert):
+    cert["steps"] = {"a": 1}
+    return cert
+
+
+def _steps_as_empty_object(cert):
+    cert["steps"] = {}
+    return cert
+
+
+def _steps_empty(cert):
+    cert["steps"] = []
+    return cert
+
+
+def _domain_as_number(cert):
+    cert["domain"] = 5
+    return cert
+
+
+def _domain_without_generators(cert):
+    del cert["domain"]["generators"]
+    return cert
+
+
+@pytest.mark.parametrize(
+    "mutate, code, message",
+    [
+        (_step_without_rule, 2, "input error: step 2 has no field 'rule'"),
+        (_step_as_number, 2, "input error: step 2 must be an object"),
+        (_steps_as_object, 2, "input error: certificate steps must be a list of objects"),
+        (_steps_as_empty_object, 2, "input error: certificate steps must be a list of objects"),
+        (_steps_empty, 1, ""),
+        (_domain_as_number, 2, "input error: certificate domain must be an object"),
+        (_domain_without_generators, 2, "input error: generators must be a list of strings"),
+    ],
+    ids=["no-rule", "step-7", "steps-object", "steps-empty-object", "steps-empty-list",
+         "domain-5", "domain-no-generators"],
+)
+def test_verify_names_the_malformed_part_of_a_certificate(
+    tmp_path, capsys, square_certificate, mutate, code, message
+):
+    domain, cert = square_certificate
+    cert = mutate(json.loads(json.dumps(cert)))
+    dom = _write(tmp_path, "domain.json", domain)
+    got = cli.main(["verify", dom, _write(tmp_path, "cert.json", cert)])
+    captured = capsys.readouterr()
+    assert got == code
+    assert captured.err.strip() == message
+    if code == 1:
+        assert captured.out.startswith("certificate rejected at preamble")
+
+
 def test_verify_rejects_deeply_nested_payload_at_its_step(tmp_path, capsys, square_certificate):
     domain, cert = square_certificate
     cert = json.loads(json.dumps(cert))
