@@ -51,6 +51,13 @@ def _atomic_write(path: str, text: str) -> None:
     os.replace(tmp, path)
 
 
+def _check_out(path: str) -> None:
+    """Refuse an output path that cannot be written, before any computation."""
+    folder = os.path.dirname(path) or "."
+    if os.path.isdir(path) or not os.path.isdir(folder) or not os.access(folder, os.W_OK):
+        raise OSError(f"cannot write {path}: not a file in a writable directory")
+
+
 def _load_json(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
@@ -303,6 +310,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "out", None):
+            _check_out(args.out)
         return args.func(args)
     except (ParseError, DomainError, OSError,
             json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:

@@ -139,7 +139,7 @@ def groebner_basis(
 
     Pairs are processed by (degree of the leading-term lcm, the lcm itself,
     generator indices); pairs with coprime leading terms, or of two
-    monomials, are skipped.  The final interreduction drops redundant
+    monomials, are never queued.  The final interreduction drops redundant
     elements and tail-reduces the rest.
     """
     gens = [g for g in gens]
@@ -167,16 +167,18 @@ def groebner_basis(
     work = Divisors(nv, splits, monic)
 
     heap: list = []
+
+    def push(i: int, j: int) -> None:
+        # coprime leading terms, or two monomials, give nothing new
+        if any(map(min, leads[i], leads[j])) and (work.items[i][1] or work.items[j][1]):
+            lcm = tuple(map(max, leads[i], leads[j]))
+            heapq.heappush(heap, (sum(lcm), lcm, i, j))
+
     for i, j in itertools.combinations(range(len(leads)), 2):
-        lcm = tuple(map(max, leads[i], leads[j]))
-        heap.append((sum(lcm), lcm, i, j))
-    heapq.heapify(heap)
+        push(i, j)
 
     while heap:
         _, lcm, i, j = heapq.heappop(heap)
-        mi, mj = leads[i], leads[j]
-        if not any(map(min, mi, mj)) or not (work.items[i][1] or work.items[j][1]):
-            continue  # coprime leading terms, or two monomials, give nothing new
         quots, r = work.reduce(lambda: work.s_poly(i, j, lcm), provenance)
         if r.is_zero():
             continue
@@ -184,7 +186,7 @@ def groebner_basis(
         r = r.monic(splits)
         if provenance:
             # s = (lcm/mi)*work[i] - (lcm/mj)*work[j] = sum(quots*work) + r
-            qi, qj = tuple(map(operator.sub, lcm, mi)), tuple(map(operator.sub, lcm, mj))
+            qi, qj = (tuple(map(operator.sub, lcm, leads[t])) for t in (i, j))
             used = _combine(quots, provs, len(gens), nv)
             inv = c.inverse()
             provs.append([(a.mul_term(qi, GR_ONE) - b.mul_term(qj, GR_ONE) - u).scale(inv)
@@ -193,8 +195,7 @@ def groebner_basis(
         work.add(r)
         leads.append(m)
         for t in range(new):
-            lcm = tuple(map(max, leads[t], m))
-            heapq.heappush(heap, (sum(lcm), lcm, t, new))
+            push(t, new)
 
     # interreduce: drop elements whose leading term another divides, then
     # tail-reduce each survivor against the rest; a survivor keeps its monic

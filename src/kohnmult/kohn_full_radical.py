@@ -24,7 +24,7 @@ from .groebner import (
     squarefree_part,
 )
 from .multiplier_core import DomainError, SpecialDomain, order_str
-from .polyring import Poly, equal_up_to_unit, jacobian_det, poly_to_string
+from .polyring import Poly, equal_up_to_unit, gradient, poly_matrix_det, poly_to_string
 
 TRACE_SCHEMA = "kohn-trace/1"
 
@@ -92,13 +92,23 @@ class FullRadicalOutcome:
         return json.dumps(self.to_json(), indent=2, sort_keys=True)
 
 
-def _jacobian_ideal_gens(v_list: list[Poly], nvars: int) -> list[Poly]:
-    """Monic Jacobian determinants of all n-subsets of V, deduplicated, in subset order."""
+def _jacobian_ideal_gens(
+    v_list: list[Poly], nvars: int, grads: list[tuple], dets: dict[tuple, Poly | None]
+) -> list[Poly]:
+    """Monic Jacobian determinants of all n-subsets of V, deduplicated, in subset order.
+
+    ``grads`` and ``dets`` hold the gradients and the determinants (None for
+    zero) of earlier calls on a prefix of V, and are extended in place, so
+    only the subsets that contain a new index are computed.
+    """
+    grads.extend(gradient(v) for v in v_list[len(grads):])
     out: dict[Poly, None] = {}  # insertion-ordered set
     for combo in itertools.combinations(range(len(v_list)), nvars):
-        d = jacobian_det([v_list[i] for i in combo])
-        if not d.is_zero():
-            out.setdefault(d.monic())
+        if combo not in dets:
+            d = poly_matrix_det([grads[i] for i in combo])
+            dets[combo] = None if d.is_zero() else d.monic()
+        if dets[combo] is not None:
+            out.setdefault(dets[combo])
     return list(out)
 
 
@@ -128,6 +138,16 @@ def _certified_radical(
     if len(j_gb.basis) == 1:
         return (squarefree_part(j_gb.basis[0]),), True
 
+    def certify(c: Poly) -> bool:
+        # a bounded-power witness is preferred; Rabinowitsch decides the leftovers
+        return power_in_ideal(c, power_cap, j_gb) or radical_membership(c, j_gens)
+
+    variables = [Poly.variable(nvars, k) for k in range(1, nvars + 1)]
+    verdicts = {v: certify(v) for v in variables}
+    if all(verdicts.values()):
+        # V(J) = {0}: the radical is the maximal ideal, generated by the variables
+        return tuple(variables), True
+
     # many pairwise gcds coincide; take each distinct one's squarefree part
     # once (every input below is monic: J's generators and basis, and gcds)
     parts: dict[Poly, Poly] = {}
@@ -138,10 +158,7 @@ def _certified_radical(
             got = parts[p] = squarefree_part(p)
         return got
 
-    variables = [Poly.variable(nvars, k) for k in range(1, nvars + 1)]
-    candidates: dict[Poly, None] = {}
-    for v in variables:
-        _push_unique(candidates, v)
+    candidates: dict[Poly, None] = dict.fromkeys(variables)
     for g in j_gens:
         _push_unique(candidates, part(g))
     for b in j_gb.basis:
@@ -152,16 +169,7 @@ def _certified_radical(
         if 0 < d.total_degree() <= degree_cap:
             _push_unique(candidates, part(d))
 
-    # a bounded-power witness is preferred; Rabinowitsch decides the leftovers
-    certified = [
-        c for c in candidates
-        if power_in_ideal(c, power_cap, j_gb) or radical_membership(c, j_gens)
-    ]
-
-    if all(any(v == c for c in certified) for v in variables):
-        # V(J) = {0}: the radical is the maximal ideal, generated by the variables
-        return tuple(variables), True
-
+    certified = [c for c in candidates if (verdicts[c] if c in verdicts else certify(c))]
     i_out = dict.fromkeys(certified)
     for g in j_gens:
         _push_unique(i_out, g)
@@ -186,13 +194,16 @@ def run_full_radical(
 
     n = domain.nvars
     v_list: list[Poly] = list(domain.generators)
+    # V is only appended to, so a gradient or determinant, once computed, holds for the run
+    grads: list[tuple] = []
+    dets: dict[tuple, Poly | None] = {}
     trace: list[RadicalRoundState] = []
     terminated = False
     nu_star: int | None = None
     run_flags: list[str] = []
 
     for nu in range(max_rounds):
-        j_gens = _jacobian_ideal_gens(v_list, n)
+        j_gens = _jacobian_ideal_gens(v_list, n, grads, dets)
         if not j_gens:
             run_flags.append("degenerate_jacobians")
             break

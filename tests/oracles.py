@@ -7,6 +7,10 @@ plain division loop and Buchberger's algorithm on exponent tuples that the
 packed division kernel must reproduce term for term (``divide_reference``,
 ``groebner_reference``); they share no code with the engine's.  The point is
 that agreement between these and the engine is evidence, not circularity.
+The radical loop's round (``jacobian_ideal_gens_reference``,
+``certified_radical_reference``) is kept as it read before the loop
+certified the variables first and cached its determinants: the engine's
+primitives, without the shortcuts.
 """
 
 import itertools
@@ -14,7 +18,20 @@ import math
 import random
 from fractions import Fraction
 
-from kohnmult.polyring import GaussRat, Poly, differentiate, gr, poly_matrix_adjugate
+from kohnmult.groebner import (
+    multivariate_gcd,
+    power_in_ideal,
+    radical_membership,
+    squarefree_part,
+)
+from kohnmult.polyring import (
+    GaussRat,
+    Poly,
+    differentiate,
+    gr,
+    jacobian_det,
+    poly_matrix_adjugate,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -535,6 +552,75 @@ def groebner_reference(gens, key, provenance):
         rows.append([(a - u).scale(inv) for a, u in zip(provs[t], used)])
     order = sorted(range(len(basis)), key=lambda t: key(lead(basis[t])[0]))
     return [basis[t] for t in order], [rows[t] for t in order] if provenance else None
+
+
+# ---------------------------------------------------------------------------
+# one round of the radical loop: a fresh determinant for each subset, and
+# the full candidate search before any certificate
+# ---------------------------------------------------------------------------
+
+def jacobian_ideal_gens_reference(v_list, nvars):
+    """Monic Jacobian determinants of all n-subsets of V, deduplicated, in subset order."""
+    out = {}  # insertion-ordered set
+    for combo in itertools.combinations(range(len(v_list)), nvars):
+        d = jacobian_det([v_list[i] for i in combo])
+        if not d.is_zero():
+            out.setdefault(d.monic())
+    return list(out)
+
+
+def _push_unique(acc, p):
+    """Add p made monic to the insertion-ordered set ``acc``, unless p is constant."""
+    if not p.is_constant():
+        acc.setdefault(p.monic())
+
+
+def certified_radical_reference(j_gens, j_gb, nvars, power_cap, degree_cap):
+    """(generators, complete) of the round's certified radical, every
+    candidate built and tested before the variables are looked at."""
+    if j_gb.is_unit_ideal():
+        return (Poly.one(nvars),), True
+    if len(j_gb.basis) == 1:
+        return (squarefree_part(j_gb.basis[0]),), True
+
+    # many pairwise gcds coincide; take each distinct one's squarefree part
+    # once (every input below is monic: J's generators and basis, and gcds)
+    parts = {}
+
+    def part(p):
+        got = parts.get(p)
+        if got is None:
+            got = parts[p] = squarefree_part(p)
+        return got
+
+    variables = [Poly.variable(nvars, k) for k in range(1, nvars + 1)]
+    candidates = {}
+    for v in variables:
+        _push_unique(candidates, v)
+    for g in j_gens:
+        _push_unique(candidates, part(g))
+    for b in j_gb.basis:
+        if b.total_degree() <= degree_cap:
+            _push_unique(candidates, part(b))
+    for a, b in itertools.combinations(j_gens, 2):
+        d = multivariate_gcd(a, b)
+        if 0 < d.total_degree() <= degree_cap:
+            _push_unique(candidates, part(d))
+
+    # a bounded-power witness is preferred; Rabinowitsch decides the leftovers
+    certified = [
+        c for c in candidates
+        if power_in_ideal(c, power_cap, j_gb) or radical_membership(c, j_gens)
+    ]
+
+    if all(any(v == c for c in certified) for v in variables):
+        # V(J) = {0}: the radical is the maximal ideal, generated by the variables
+        return tuple(variables), True
+
+    i_out = dict.fromkeys(certified)
+    for g in j_gens:
+        _push_unique(i_out, g)
+    return tuple(i_out), False
 
 
 def random_matrix(rng, n, max_degree=3, max_terms=3):

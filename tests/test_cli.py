@@ -9,7 +9,7 @@ import time
 
 import pytest
 
-from kohnmult import cli
+from kohnmult import catlin_dangelo, cli, groebner, kohn_effective3d, kohn_full_radical
 from kohnmult.kohn_effective3d import run_effective3d
 from kohnmult.multiplier_core import Derivation, SpecialDomain
 
@@ -649,6 +649,42 @@ def test_out_files_are_written_atomically(tmp_path, capsys):
     data = json.loads(open(out_path).read())
     assert data["multiplicity"] == 4
     assert not [p for p in os.listdir(tmp_path) if ".tmp" in p]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["full-radical", "DOMAIN"], ["effective3d", "DOMAIN"], ["multiplicity", "DOMAIN"],
+     ["catlin-dangelo", "--M", "2", "--N", "3", "--K", "3"]],
+    ids=["full-radical", "effective3d", "multiplicity", "catlin-dangelo"],
+)
+@pytest.mark.parametrize(
+    "out", ["missing/out.json", "file/out.json", "folder", "locked/out.json"],
+    ids=["missing-directory", "under-a-file", "a-directory", "unwritable-directory"],
+)
+def test_unwritable_out_is_an_input_error_before_any_computation(
+    tmp_path, capsys, monkeypatch, argv, out
+):
+    def engine(*_args, **_kwargs):
+        raise AssertionError("the engine ran before --out was checked")
+
+    for module, name in [(kohn_full_radical, "run_full_radical"),
+                         (kohn_effective3d, "run_effective3d"),
+                         (catlin_dangelo, "run"), (groebner, "groebner_basis"),
+                         (cli, "groebner_basis")]:
+        monkeypatch.setattr(module, name, engine)
+    (tmp_path / "file").write_text("{}")
+    (tmp_path / "folder").mkdir()
+    (tmp_path / "locked").mkdir()
+    access = os.access
+    monkeypatch.setattr(
+        cli.os, "access",
+        lambda path, mode: not path.endswith("locked") and access(path, mode),
+    )
+    dom = _domain_file(tmp_path, ["z1^2", "z2^2"])
+    argv = [dom if a == "DOMAIN" else a for a in argv]
+    code = cli.main([*argv, "--out", str(tmp_path / out)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("input error: cannot write")
 
 
 # -- console entry point -----------------------------------------------------

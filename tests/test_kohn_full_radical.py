@@ -17,9 +17,17 @@ from kohnmult.groebner import (
     radical_membership,
 )
 from kohnmult.multiplier_core import SpecialDomain
-from kohnmult.kohn_full_radical import ineffectiveness_witness, run_full_radical
+from kohnmult.kohn_full_radical import (
+    _certified_radical,
+    ineffectiveness_witness,
+    run_full_radical,
+)
 
-from oracles import uniform_power_brute
+from oracles import (
+    certified_radical_reference,
+    jacobian_ideal_gens_reference,
+    uniform_power_brute,
+)
 
 
 def _dom(gens):
@@ -149,6 +157,35 @@ def test_uniform_power_scan_matches_brute_force(variables, i_gens, j_gens, cap, 
 THREE_SQUARES = (("z1", "z2", "z3"), ["z1^2", "z2^2", "z3^2"])
 
 
+CD_GRID = [(m, n, k) for m in (2, 3) for n in (3, 4, 5) for k in range(m + 1, m + 9)]
+
+
+@pytest.mark.parametrize(
+    "variables, gens, cap",
+    [(("z1", "z2"), [f"z1^{m}", f"z2^{n} + z2*z1^{k}"], 64) for m, n, k in CD_GRID]
+    + [
+        (*THREE_SQUARES, 8),
+        (("z1", "z2", "z3"), ["z1^2", "z2^2 + z1*z3", "z3^2"], 8),
+        (("z1", "z2"), ["z1^2", "z2^2 + i*z1*z2"], 64),
+        # round 1 certifies z2 but not z1
+        (("z1", "z2"), ["z1^3", "z2^3 + z1*z2 + z1^2*z2"], 64),
+    ],
+    ids=[f"catlin-dangelo-{m}-{n}-{k}" for m, n, k in CD_GRID]
+    + ["three-squares", "three-variable", "gaussian-2", "one-variable-certified"],
+)
+def test_each_round_matches_the_full_candidate_search(variables, gens, cap):
+    # the loop certifies the variables before building candidates and keeps
+    # its determinants across rounds; the reference does neither
+    n = len(variables)
+    out = run_full_radical(SpecialDomain.from_strings(variables, gens), power_cap=cap)
+    for state in out.trace:
+        j_gens = list(state.J.gens)
+        assert j_gens == jacobian_ideal_gens_reference(list(state.V), n)
+        want = certified_radical_reference(j_gens, state.J, n, cap, 6)
+        assert _certified_radical(j_gens, state.J, n, cap, 6) == want
+        assert state.I_gens == want[0]
+
+
 def test_fast_gcd_answers_every_pairwise_gcd_of_the_three_variable_run():
     out = run_full_radical(SpecialDomain.from_strings(*THREE_SQUARES), power_cap=8)
     pairs = [p for state in out.trace for p in itertools.combinations(state.J.gens, 2)]
@@ -161,8 +198,13 @@ def test_fast_gcd_answers_every_pairwise_gcd_of_the_three_variable_run():
 
 
 def test_gcds_with_a_one_term_operand_take_the_closed_form(monkeypatch):
-    # gaussian-2 below: heuristic_gcd turns every Gaussian pair away, so a
-    # one-term pair that got past monomial_gcd would show in both logs
+    # the loop certifies gaussian-2's variables before its pairwise gcds, so
+    # drive the gcd over every pair of each round's J; heuristic_gcd turns every
+    # Gaussian pair away, so a one-term pair that got past monomial_gcd
+    # would show in both logs
+    out = run_full_radical(_dom(["z1^2", "z2^2 + i*z1*z2"]))
+    pairs = [p for state in out.trace for p in itertools.combinations(state.J.gens, 2)]
+    assert len(pairs) == 31
     calls = {name: [] for name in ("monomial_gcd", "heuristic_gcd", "_intersection_gcd")}
     for name, log in calls.items():
         def spy(p, q, real=getattr(groebner, name), log=log):
@@ -170,9 +212,11 @@ def test_gcds_with_a_one_term_operand_take_the_closed_form(monkeypatch):
             log.append((p, q, got))
             return got
         monkeypatch.setattr(groebner, name, spy)
-    run_full_radical(_dom(["z1^2", "z2^2 + i*z1*z2"]))
+    for a, b in pairs:
+        groebner.multivariate_gcd(a, b)
     assert any(g is not None for *_, g in calls["monomial_gcd"])
-    assert len(calls["_intersection_gcd"]) == 4
+    # one pair of many-term generators in round 1, and six in round 2
+    assert len(calls["_intersection_gcd"]) == 7
     for p, q, _ in calls["heuristic_gcd"] + calls["_intersection_gcd"]:
         assert p.term_count() > 1 and q.term_count() > 1, (p, q)
 
@@ -184,12 +228,18 @@ def test_gcds_with_a_one_term_operand_take_the_closed_form(monkeypatch):
          "766cb8d4faa1e0f1e6735943a99a175652a06de4a646d7995d5b8e4a2ee477cd"),
         (("z1", "z2"), ["z1^2", "z2^5 + z2*z1^9"], [],
          "c8129b30f96f1175bb0d2e3b27a889ff5e8168dee0bd1db6a74e12374106ef72"),
-        # Gaussian: the gcds with a one-term operand take the closed form,
-        # and the other four go to the intersection fallback
+        # Gaussian: round 1 certifies its variables before any gcd; the one
+        # gcd left, in round 0's squarefree part, goes to the intersection fallback
         (("z1", "z2"), ["z1^2", "z2^2 + i*z1*z2"], [],
          "15a9488d20eb0512880a71daf9677c2c920324cd3375eb722d71eefb0fb8af70"),
+        # the CI workflow checks the same two three-variable traces from the shell
+        (("z1", "z2", "z3"), ["z1^2", "z2^2 + z1*z3", "z3^2"], ["--power-cap", "8"],
+         "fe9047870e03ca11cd21f39d9b47c39e670ddad6697de11212629dda9702b733"),
+        (("z1", "z2", "z3"), ["z1^2", "z2^2 + i*z1*z3", "z3^2"], ["--power-cap", "8"],
+         "12f83d6758c8eb7535bf14318b6cc7d370e60cb20794f825437f22eef034e139"),
     ],
-    ids=["three-squares", "catlin-dangelo-2-5-9", "gaussian-2"],
+    ids=["three-squares", "catlin-dangelo-2-5-9", "gaussian-2", "three-variable",
+         "gaussian-three-variable"],
 )
 def test_full_radical_trace_bytes_are_pinned(tmp_path, capsys, variables, gens, extra, digest):
     # perfbench checks only p_list and order_bound; this pins every round's
