@@ -4,13 +4,15 @@ Subcommands parse domain or matrix files, dispatch the algorithms, and
 emit versioned JSON (or a plain table with --format table).  Exit codes
 separate the outcomes a caller needs to distinguish: 0 success, 1 a
 certificate or identity failed verification, 2 malformed input or
-parameters, 3 a declared cap or retry budget cut the run short, 4
-anything unexpected.  Output files are written atomically.
+parameters ("input error") or a result that could not be written ("output
+error"), 3 a declared cap or retry budget cut the run short, 4 anything
+unexpected.  Output files are written atomically.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import hashlib
 import json
@@ -44,11 +46,27 @@ EXIT_INTERNAL = 4
 # ---------------------------------------------------------------------------
 # plumbing
 
+class OutputError(Exception):
+    """An OSError raised while the result of a run was being written."""
+
+
 def _atomic_write(path: str, text: str) -> None:
     tmp = f"{path}.tmp{os.getpid()}"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except OSError as exc:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise OutputError(exc) from exc
+
+
+def _print(text: str) -> None:
+    try:
+        print(text, flush=True)
+    except OSError as exc:
+        raise OutputError(exc) from exc
 
 
 def _check_out(path: str) -> None:
@@ -76,9 +94,9 @@ def _emit(args, data: dict, table: str) -> None:
     if getattr(args, "out", None):
         _atomic_write(args.out, text)
     if args.format == "table":
-        print(table)
+        _print(table)
     else:
-        print(text)
+        _print(text)
 
 
 # ---------------------------------------------------------------------------
@@ -167,9 +185,9 @@ def cmd_effective3d(args) -> int:
         f"certificate steps {len(result.certificate.steps)}",
     ]
     if args.format == "table":
-        print("\n".join(lines))
+        _print("\n".join(lines))
     else:
-        print(json.dumps(data, indent=2, sort_keys=True))
+        _print(json.dumps(data, indent=2, sort_keys=True))
     return EXIT_OK
 
 
@@ -239,14 +257,14 @@ def cmd_verify(args) -> int:
     cert = DerivationCertificate.from_json(_load_json(args.certificate))
     outcome = certificate_verify(cert, domain)
     if outcome.ok:
-        print(
+        _print(
             f"certificate ok: {len(cert.steps)} steps, "
             f"final order {order_str(outcome.final_order)}, "
             f"{len(outcome.assumptions)} assumption(s)"
         )
         return EXIT_OK
     where = "preamble" if outcome.failed_step is None else f"step {outcome.failed_step}"
-    print(f"certificate rejected at {where}: {outcome.reason}")
+    _print(f"certificate rejected at {where}: {outcome.reason}")
     return EXIT_VERIFY
 
 
@@ -313,6 +331,9 @@ def main(argv=None) -> int:
         if getattr(args, "out", None):
             _check_out(args.out)
         return args.func(args)
+    except OutputError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
     except (ParseError, DomainError, OSError,
             json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         print(f"input error: {exc}", file=sys.stderr)

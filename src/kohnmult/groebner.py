@@ -140,7 +140,8 @@ def groebner_basis(
     Pairs are processed by (degree of the leading-term lcm, the lcm itself,
     generator indices); pairs with coprime leading terms, or of two
     monomials, are never queued.  The final interreduction drops redundant
-    elements and tail-reduces the rest.
+    elements and tail-reduces the rest.  A nonzero constant generator gives
+    the basis (1) at once, with that generator's cofactor.
     """
     gens = [g for g in gens]
     if not gens:
@@ -158,10 +159,13 @@ def groebner_basis(
         if g.is_zero():
             continue
         m, c = g.leading(splits)
-        monic.append(g.monic(splits))
-        leads.append(m)
         if provenance:
             provs.append([Poly.const(nv, c.inverse() if t == j else 0) for t in range(len(gens))])
+        if not any(m):
+            # a nonzero constant: the unit ideal, 1 = g_j / c
+            return GroebnerBasis(gens, [Poly.one(nv)], order, provs[-1:] if provenance else None)
+        monic.append(g.monic(splits))
+        leads.append(m)
     if not monic:
         return GroebnerBasis(gens, [], order, [] if provenance else None)
     work = Divisors(nv, splits, monic)

@@ -838,11 +838,16 @@ def monomial_gcd(p: Poly, q: Poly):
 # the heuristic integer gcd
 #
 # GCDHEU (Char, Geddes & Gonnet, J. Symb. Comput. 1989; Liao & Fateman,
-# ISSAC 1995) on the packed integer dicts of the product kernel.  Each field
-# gets one guard bit above the exponents it holds, so a borrow in packed
-# subtraction shows as a set guard bit: m - l has no guard bit set exactly
-# when every field of m is at least that of l.  At k variables the keys use
-# the k lowest fields, the current (first remaining) variable in the top one.
+# ISSAC 1995) on the packed integer dicts of the product kernel.  At k
+# variables the keys use the k lowest fields, the current (first remaining)
+# variable in the top one.  Each field has one bit more than the inputs'
+# degree needs: headroom for candidate exponents.  Interpolation writes a
+# candidate's top field unmasked, and it may exceed d = min(deg f, deg g).
+# A candidate whose top exponent is at most d has fields that sum to at most
+# 2d < 2^width - 1, so _max_degree reads its total degree exactly, and a
+# candidate with a term above d is refused before it is packed as a Poly.
+# The others are certified by trial division in the one division loop,
+# ``Divisors``.
 
 # xi growth steps per level before the heuristic gives up
 _HEU_TRIES = 4
@@ -852,7 +857,8 @@ def heuristic_gcd(p: Poly, q: Poly):
     """gcd(p, q) over Q[z], monic in graded lex, or None.
 
     None means the heuristic did not answer: some coefficient is not real,
-    or no evaluation point gave a candidate that survived trial division.
+    or no evaluation point gave a candidate that survived the degree check
+    and trial division.
     An answer is exact: every candidate is certified by exact division of
     both inputs, and at each level xi >= 2*min(|f|, |g|) + 2 (max norms)
     makes a certified candidate the gcd (Char, Geddes & Gonnet 1989).
@@ -893,6 +899,7 @@ def _heu_gcd(f: dict, g: dict, k: int, width: int):
         return {0: 1}
     shift = width * (k - 1)
     low = (1 << shift) - 1
+    bound = min(_max_degree(f, width), _max_degree(g, width))
     xi = 2 * min(max(map(abs, f.values())), max(map(abs, g.values()))) + 2
     for _ in range(_HEU_TRIES):
         ff = _eval_top(f, xi, shift, low)
@@ -903,8 +910,10 @@ def _heu_gcd(f: dict, g: dict, k: int, width: int):
                 return None
             c = math.gcd(_int_content(ff), _int_content(gg))
             h = _primitive(_interpolate(inner, c, xi, shift))
-            if _divides(f, h, k, width) and _divides(g, h, k, width):
-                return h
+            if max(h) >> shift <= bound and _max_degree(h, width) <= bound:
+                d = Divisors(k, (), [_new(k, width, h, {}, 1)])
+                if all(d.divide(_new(k, width, p, {}, 1), False)[1].is_zero() for p in (f, g)):
+                    return h
         xi = 2 * xi + xi.bit_length()
     return None
 
@@ -941,62 +950,6 @@ def _interpolate(gamma: dict, c: int, xi: int, shift: int) -> dict:
             v = (v - d) // xi
             e += 1
     return out
-
-
-def _field_max(f: dict, k: int, width: int) -> list:
-    """Largest exponent in each of the k fields, the top one unmasked."""
-    top = width * (k - 1)
-    mask = (1 << width) - 1
-    out = [0] * k
-    for key in f:
-        out[0] = max(out[0], key >> top)
-        for j in range(1, k):
-            out[j] = max(out[j], (key >> (top - width * j)) & mask)
-    return out
-
-
-def _divides(f: dict, d: dict, k: int, width: int) -> bool:
-    """Whether d divides f in Z[z]: division in lex order (packed keys compare
-    as lex), which stops at the first leading term d's does not divide, at
-    the first quotient term above deg(f) - deg(d) in some variable, and at
-    the first inexact coefficient quotient (d is primitive, so by Gauss's
-    lemma its quotient of f, when there is one, has integer coefficients).
-    The degree check keeps every field of every term within its bits."""
-    room = [a - b for a, b in zip(_field_max(f, k, width), _field_max(d, k, width))]
-    if min(room) < 0:
-        return False
-    bound = guards = 0
-    for r in room:
-        bound = (bound << width) | r
-        guards = (guards << width) | (1 << (width - 1))
-    lead = max(d)
-    lead_c = d[lead]
-    tail = [(m, c) for m, c in d.items() if m != lead]
-    work = dict(f)
-    heap = [-m for m in work]
-    heapq.heapify(heap)
-    while heap:
-        m = -heapq.heappop(heap)
-        c = work.pop(m, 0)
-        if not c:
-            continue  # cancelled since it was pushed
-        t = m - lead
-        if t < 0 or t & guards or t > bound or (bound - t) & guards:
-            return False
-        qc, r = divmod(c, lead_c)
-        if r:
-            return False
-        for bm, bc in tail:
-            key = t + bm
-            old = work.get(key)
-            if old is None:
-                work[key] = -qc * bc
-                heapq.heappush(heap, -key)
-            elif old == qc * bc:
-                del work[key]
-            else:
-                work[key] = old - qc * bc
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -1122,17 +1075,21 @@ def equal_up_to_unit(p: Poly, q: Poly):
 # twice the width and starts over.  Each divisor's leading key, leading
 # coefficient and tail are packed once, and the terms left to reduce wait on
 # a max-heap of keys (Johnson 1974; Monagan & Pearce, CASC 2007), with
-# Fraction coefficients unless some input is Gaussian.
+# Fraction coefficients while every polynomial met is real.  The first
+# Gaussian dividend switches the divisors to GaussRat coefficients, once and
+# in place.
 
 class Divisors:
     """Nonzero polynomials ``polys`` packed once for division under the
     order of block boundaries ``splits``: () for grlex, (k,) for elim(k).
     Divisor i has the leading key ``keys[i]`` and ``items[i]`` = (leading
-    coefficient or None for 1, tail [(key, coefficient)])."""
+    coefficient or None for 1, tail [(key, coefficient)]).  The
+    coefficients are Fractions while ``real`` holds, else GaussRats; the
+    field is read from the polynomials, and :meth:`divide` switches it."""
 
-    def __init__(self, nvars: int, splits: tuple, polys: Sequence[Poly], real: bool = True):
+    def __init__(self, nvars: int, splits: tuple, polys: Sequence[Poly]):
         self.nvars, self.splits = nvars, tuple(min(s, nvars) for s in splits)
-        self.real = real and not any(p._pk[2] for p in polys)
+        self.real = not any(p._pk[2] for p in polys)
         self._pack_all(_field_width(max((p.total_degree() for p in polys), default=0)) + 1, polys)
 
     def _pack_all(self, width: int, polys) -> None:
@@ -1184,9 +1141,11 @@ class Divisors:
         self.items.append((None if lc == 1 else lc, list(work.items())))
 
     def divide(self, p: Poly, want_quotients: bool):
-        """:func:`divide` of p by the divisors."""
+        """:func:`divide` of p by the divisors.  A Gaussian p switches real
+        divisors to GaussRat coefficients for good."""
         if self.real and p._pk[2]:
-            return Divisors(self.nvars, self.splits, self.polys, False).divide(p, want_quotients)
+            self.real = False
+            self._pack_all(self.width, self.polys)
         return self.reduce(lambda: self.encode(p), want_quotients)
 
     def s_poly(self, i: int, j: int, lcm: tuple) -> dict:

@@ -1,6 +1,7 @@
 """Command line interface: subcommands, formats, exit codes, files."""
 
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -685,6 +686,31 @@ def test_unwritable_out_is_an_input_error_before_any_computation(
     code = cli.main([*argv, "--out", str(tmp_path / out)])
     assert code == 2
     assert capsys.readouterr().err.startswith("input error: cannot write")
+
+
+def test_a_closed_stdout_is_an_output_error(tmp_path, capsys, monkeypatch):
+    class ClosedPipe(io.StringIO):
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    dom = _domain_file(tmp_path, ["z1^2", "z2^2"])
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    code = cli.main(["multiplicity", dom])
+    assert code == 2
+    assert capsys.readouterr().err == "output error: [Errno 32] Broken pipe\n"
+
+
+def test_a_failing_out_write_after_the_run_is_an_output_error(tmp_path, capsys, monkeypatch):
+    def replace(src, dst):
+        raise PermissionError(13, "Permission denied", dst)
+
+    dom = _domain_file(tmp_path, ["z1^2", "z2^2"])
+    monkeypatch.setattr(cli.os, "replace", replace)
+    code = cli.main(["multiplicity", dom, "--out", str(tmp_path / "report.json")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("output error: [Errno 13] Permission denied")
+    assert sorted(os.listdir(tmp_path)) == ["domain.json"]
 
 
 # -- console entry point -----------------------------------------------------

@@ -22,7 +22,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kohnmult.groebner import MonomialOrder, eliminate, groebner_basis
-from kohnmult.polyring import GR_ONE, Poly, divide, parse_poly
+from kohnmult.polyring import GR_ONE, Poly, divide, gr, parse_poly
 
 from oracles import divide_reference, groebner_reference, order_key, random_poly
 
@@ -172,3 +172,38 @@ def test_s_polynomial_past_the_width_keeps_the_reference_cofactors():
     basis, rows = groebner_reference(gens, order_key(order.splits), True)
     assert [b.terms for b in gb.basis] == [b.terms for b in basis]
     assert [[c.terms for c in row] for row in gb.provenance] == [[c.terms for c in row] for row in rows]
+
+
+@settings(max_examples=60, deadline=None)
+@given(nv=st.integers(2, 3), seed=st.integers(0, 2**32 - 1), split=st.integers(0, 1),
+       gaussian=st.booleans())
+@example(nv=2, seed=0, split=0, gaussian=False)
+@example(nv=3, seed=1, split=1, gaussian=True)
+def test_a_constant_generator_gives_the_unit_basis_of_the_reference(nv, seed, split, gaussian):
+    # the basis (1) returns at once, with the first constant's cofactor;
+    # the reference runs the whole loop
+    rng = random.Random(seed)
+    order = MonomialOrder.elim(split) if split else MonomialOrder.grlex()
+    gens = [random_poly(rng, nv, 2, max_terms=3, gaussian=gaussian) for _ in range(rng.randint(1, 3))]
+    for _ in range(rng.randint(1, 2)):
+        c = gr(rng.choice([1, -2, 3, 5]), rng.choice([0, 1, -2]) if gaussian else 0)
+        gens.insert(rng.randint(0, len(gens)), Poly.const(nv, c))
+    gb = groebner_basis(gens, order, provenance=True)
+    basis, rows = groebner_reference(gens, order_key(order.splits), True)
+    assert [b.terms for b in gb.basis] == [b.terms for b in basis] == [{(0,) * nv: GR_ONE}]
+    assert [[c.terms for c in row] for row in gb.provenance] == [[c.terms for c in row] for row in rows]
+    assert groebner_basis(gens, order).basis == gb.basis
+
+
+def test_one_basis_answers_real_then_gaussian_then_real_normal_forms():
+    # the first Gaussian dividend switches the basis's packed divisors to
+    # Gaussian coefficients in place; the real dividend after it must not
+    # notice
+    names = ["z1", "z2", "z3"]
+    gens = [parse_poly(t, names) for t in ("z1^2 - z2*z3", "z2^2 + 3*z1", "z3^3 - 2*z1*z2")]
+    gb = groebner_basis(gens)
+    key = order_key(())
+    for text in ("z1^3*z2 + z3^4 - 5", "i*z1^3 + (2-i)*z2^3*z3 + z3^5", "z1*z2*z3^3 - 7/3*z2^4"):
+        p = parse_poly(text, names)
+        assert gb.normal_form(p).terms == divide_reference(p, list(gb.basis), key, False)[1]
+    assert not gb._divisors.real

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kohnmult import polyring
 from kohnmult.polyring import (
     MAX_NESTING,
     MAX_NUMBER_BITS,
@@ -377,3 +378,39 @@ def test_remap_drops_terms_that_use_a_dropped_variable():
         p.remap(2, (1, 3, None))
     with pytest.raises(ValueError):
         p.remap(3, (1, 2))
+
+
+# -- the heuristic gcd's candidates -------------------------------------------
+
+@pytest.mark.parametrize(
+    "nv, planted",
+    [(1, 3), (1, 8), (2, (2 << 3) | 1), (2, 8 << 3)],
+    ids=["top-exponent-over-degree", "top-field-past-its-bits",
+         "total-degree-over-degree", "top-field-past-its-bits-in-two-variables"],
+)
+def test_an_over_degree_candidate_is_refused_before_packing(monkeypatch, nv, planted):
+    # both operands have degree 2, so the fields are 3 bits wide, and every
+    # candidate at the top level is one planted term: its top exponent above
+    # 2, its top field past 3 bits, or its total degree above 2 with the top
+    # exponent at 2.  Each is refused before it is packed as a Poly, and the
+    # heuristic gives up.
+    names = ["z1", "z2"][:nv]
+    f = parse_poly("z1^2 - 1" if nv == 1 else "z1^2 - z2^2", names)
+    g = parse_poly("z1^2 + 3*z1" if nv == 1 else "z1^2 + z1*z2", names)
+    interpolate, new = polyring._interpolate, polyring._new
+    candidates = []
+
+    def fake(gamma, c, xi, shift):
+        if shift != 3 * (nv - 1):
+            return interpolate(gamma, c, xi, shift)
+        candidates.append({planted: 1})
+        return candidates[-1]
+
+    def packing(nvars, width, real, *rest):
+        assert all(real is not h for h in candidates), "a refused candidate was packed"
+        return new(nvars, width, real, *rest)
+
+    monkeypatch.setattr(polyring, "_interpolate", fake)
+    monkeypatch.setattr(polyring, "_new", packing)
+    assert polyring.heuristic_gcd(f, g) is None
+    assert len(candidates) == polyring._HEU_TRIES

@@ -12,6 +12,7 @@ import pytest
 
 sympy = pytest.importorskip("sympy")
 
+from kohnmult import polyring
 from kohnmult.groebner import _intersection_gcd, groebner_basis, multivariate_gcd, squarefree_part
 from kohnmult.modules import VecPoly, module_membership
 from kohnmult.polyring import (
@@ -22,6 +23,7 @@ from kohnmult.polyring import (
     gr,
     heuristic_gcd,
     monomial_gcd,
+    parse_poly,
     poly_matrix_det,
 )
 
@@ -166,6 +168,29 @@ def test_heuristic_gcd_matches_the_intersection_gcd_and_sympy(nv):
         if not fast.is_constant():
             nontrivial.add(kind)
     assert nontrivial == {"common", "rational", "big"}
+
+
+def test_a_candidate_that_fails_trial_division_is_rejected(monkeypatch):
+    # with z1 at the first evaluation point, the candidate z2 divides the
+    # image of a but not that of b; the candidate 1 after it is certified,
+    # and so is its interpolation 2*z1^3 + 3*z1, the gcd
+    zs = _symbols(2)
+    a, b = (parse_poly(t, ["z1", "z2"]) for t in (
+        "6*z1^3*z2^2 + 9*z1*z2^2",
+        "-6*z1^5 - 6*z1^3*z2^2 - 4*z1^3*z2 - 9*z1^3 - 9*z1*z2^2 - 6*z1*z2"))
+    divide_by = polyring.Divisors.divide
+    remainders = []
+
+    def spy(self, p, want_quotients):
+        out = divide_by(self, p, want_quotients)
+        remainders.append(out[1])
+        return out
+
+    monkeypatch.setattr(polyring.Divisors, "divide", spy)
+    got = heuristic_gcd(a, b)
+    assert [bool(r) for r in remainders] == [False, True, False, False, False, False]
+    want = _from_sympy(sympy.gcd(_to_sympy(a, zs), _to_sympy(b, zs), *zs, domain="QQ"), zs)
+    assert got == _intersection_gcd(a, b) == want.monic() == parse_poly("z1^3 + 3/2*z1", ["z1", "z2"])
 
 
 @pytest.mark.parametrize("nv", [1, 2, 3])
