@@ -185,7 +185,8 @@ def run_ineffective_trace(params: CDParams, power_cap: int | None = None) -> Ine
         if p1_exact < m + k - 2:
             raise VerificationError("stage 2: power undercuts the benchmark bound")
 
-    i1 = tuple(v for v in (z1, z2) if radical_membership(v, list(j1)))
+    # z1^upper lies in J1, certified above, so z1 is in its radical
+    i1 = (z1,) + tuple(v for v in (z2,) if radical_membership(v, list(j1)))
     if z1 not in i1:
         raise VerificationError("stage 2: z1 missed the radical of J1")
     stages.append(

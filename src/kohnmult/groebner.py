@@ -4,8 +4,9 @@ The basis returned by :func:`groebner_basis` is the monic reduced basis, which
 is unique for a given ideal and monomial order; combined with a fixed pair
 processing order this makes every computation in the package reproducible
 byte for byte.  Buchberger's running basis, and a basis on its first normal
-form, are packed once as ``polyring.Divisors``: integer order keys with the
-leading terms split off, divided on a heap of keys.
+form, are packed once as ``polyring.Divisors``: integer order keys and
+integer numerators with the leading terms split off, pseudo-divided on a
+heap of keys.  The power scans keep their normal forms there too.
 
 Ideal-theoretic operations used by the multiplier algorithms live here as
 well: normal forms with cofactor tracking, vector-space dimension of the
@@ -22,6 +23,7 @@ import heapq
 import itertools
 import math
 import operator
+from fractions import Fraction
 from typing import Sequence
 
 from kohnmult.polyring import (
@@ -30,6 +32,7 @@ from kohnmult.polyring import (
     Poly,
     differentiate,
     exact_divide,
+    gr,
     heuristic_gcd,
     monomial_gcd,
 )
@@ -109,8 +112,6 @@ class GroebnerBasis:
         return Divisors(self.nvars, self.order.splits, self.basis)
 
     def normal_form(self, p: Poly) -> Poly:
-        if not self.basis:
-            return p
         return self._divisors.divide(p, False)[1]
 
     def contains(self, p: Poly) -> bool:
@@ -151,24 +152,21 @@ def groebner_basis(
         if g.nvars != nv:
             raise ValueError("generators live in different rings")
 
-    splits = order.splits
-    monic: list[Poly] = []
-    leads: list[tuple] = []
-    provs: list[list[Poly]] = []
-    for j, g in enumerate(gens):
-        if g.is_zero():
-            continue
-        m, c = g.leading(splits)
-        if provenance:
-            provs.append([Poly.const(nv, c.inverse() if t == j else 0) for t in range(len(gens))])
-        if not any(m):
+    cols = [j for j, g in enumerate(gens) if g]
+    for j in cols:
+        if gens[j].is_constant():
             # a nonzero constant: the unit ideal, 1 = g_j / c
-            return GroebnerBasis(gens, [Poly.one(nv)], order, provs[-1:] if provenance else None)
-        monic.append(g.monic(splits))
-        leads.append(m)
-    if not monic:
+            prov = [[Poly.const(nv, gens[j].constant_value().inverse() if t == j else 0)
+                     for t in range(len(gens))]] if provenance else None
+            return GroebnerBasis(gens, [Poly.one(nv)], order, prov)
+    if not cols:
         return GroebnerBasis(gens, [], order, [] if provenance else None)
-    work = Divisors(nv, splits, monic)
+    # divisor i is an integer polynomial, a generator times its denominator
+    # or an S-remainder over its content; provs[i] writes it over the gens
+    work = Divisors(nv, order.splits, [gens[j] for j in cols])
+    leads = [work.leading_monomial(i) for i in range(len(cols))]
+    provs = [[Poly.const(nv, d if t == j else 0) for t in range(len(gens))]
+             for j, d in zip(cols, work.dens)] if provenance else []
 
     heap: list = []
 
@@ -183,42 +181,49 @@ def groebner_basis(
 
     while heap:
         _, lcm, i, j = heapq.heappop(heap)
-        quots, r = work.reduce(lambda: work.s_poly(i, j, lcm), provenance)
-        if r.is_zero():
+        quots, r, s = work.reduce(lambda: work.s_poly(i, j, lcm), provenance)
+        if not r:
             continue
-        m, c = r.leading(splits)
-        r = r.monic(splits)
         if provenance:
-            # s = (lcm/mi)*work[i] - (lcm/mj)*work[j] = sum(quots*work) + r
+            # s*(L_j*(lcm/mi)*work[i] - L_i*(lcm/mj)*work[j]) = sum(quots*work) + r
             qi, qj = (tuple(map(operator.sub, lcm, leads[t])) for t in (i, j))
-            used = _combine(quots, provs, len(gens), nv)
-            inv = c.inverse()
-            provs.append([(a.mul_term(qi, GR_ONE) - b.mul_term(qj, GR_ONE) - u).scale(inv)
-                          for a, b, u in zip(provs[i], provs[j], used)])
+            a, b = (gr(work.items[t][0].real, work.items[t][0].imag) for t in (j, i))
+            used = _combine([work.poly(q, s) for q in quots], provs, len(gens), nv)
         new = len(leads)
-        work.add(r)
-        leads.append(m)
+        content = work.add(r)
+        leads.append(work.leading_monomial(new))
+        if provenance:
+            provs.append([(x.mul_term(qi, a) - y.mul_term(qj, b) - u).scale(Fraction(s, content))
+                          for x, y, u in zip(provs[i], provs[j], used)])
         for t in range(new):
             push(t, new)
 
     # interreduce: drop elements whose leading term another divides, then
-    # tail-reduce each survivor against the rest; a survivor keeps its monic
-    # leading term, so the basis comes out sorted by the order
+    # tail-reduce each survivor against the rest; a survivor keeps its
+    # leading term, made monic, so the basis comes out sorted by the order
     kept: list[int] = []
     for t in sorted(range(len(leads)), key=work.keys.__getitem__):
         if not any(all(map(operator.le, leads[s], leads[t])) for s in kept):
             kept.append(t)
     final: list[Poly] = []
     final_prov: list[list[Poly]] = []
-    reducers = Divisors(nv, splits, [work.polys[t] for t in kept])
+    # the divisors shrink to the survivors, in that order
+    work.keys, work.items, work.dens = ([seq[t] for t in kept]
+                                        for seq in (work.keys, work.items, work.dens))
     for idx, t in enumerate(kept):
         # reduce the tail by every survivor: no other survivor's leading term
-        # divides this leading term, and this one divides no term below it
-        quots, r = reducers.reduce(lambda: dict(reducers.items[idx][1]), provenance)
-        final.append(r + Poly.monomial(nv, leads[t]))
+        # divides this leading term, and this one divides no term below it;
+        # (items hold it negated) s*tail = sum(quots*work) + r, so the
+        # element is (s*L*lead + r)/(s*L)
+        quots, r, s = work.reduce(lambda: {k: -c for k, c in work.items[idx][1]}, provenance)
+        lc = work.items[idx][0]
+        r[work.keys[idx]] = s * lc
+        final.append(work.poly(r, s * lc))
         if provenance:
-            used = _combine(quots, [provs[s] for s in kept], len(gens), nv)
-            final_prov.append([a - u for a, u in zip(provs[t], used)])
+            used = _combine([work.poly(q, s) for q in quots], [provs[u] for u in kept],
+                            len(gens), nv)
+            inv = gr(lc.real, lc.imag).inverse()
+            final_prov.append([(x - u).scale(inv) for x, u in zip(provs[t], used)])
     return GroebnerBasis(gens, final, order, final_prov if provenance else None)
 
 
@@ -271,24 +276,25 @@ def power_in_ideal(p: Poly, s: int, gens_or_gb) -> bool:
     The normal form map is the projection onto the quotient ring, so
     NF(p^s) can be built from NF(p) by square-and-multiply with a reduction
     after every product; the huge intermediate power is never expanded.
+    The normal forms stay packed in the basis' ``Divisors``, up to a
+    constant, which a zero test ignores.
     """
     if s < 1:
         raise ValueError("power must be >= 1")
-    gb = _as_gb(gens_or_gb)
-    r = gb.normal_form(p)
+    div = _as_gb(gens_or_gb)._divisors
+    r = div.times(div.encode(p), div.encode(Poly.one(p.nvars)))
     acc = None
-    while True:
+    while r is not None:
         if s & 1:
-            acc = r if acc is None else gb.normal_form(acc * r)
-            if acc.is_zero():
+            acc = r if acc is None else div.times(acc, r)
+            if acc is None:
                 return True
         s >>= 1
         if not s:
-            return acc.is_zero()
-        r = gb.normal_form(r * r)
-        if r.is_zero():
-            # a set bit remains, so the final product picks up this zero
-            return True
+            return False
+        # a set bit remains, so a zero square makes the final product zero
+        r = div.times(r, r)
+    return True
 
 
 def least_power(gens: Sequence[Poly], gens_or_gb, cap: int):
@@ -299,7 +305,8 @@ def least_power(gens: Sequence[Poly], gens_or_gb, cap: int):
     s-fold products, taken as multisets: a product is extended only by
     generators at or after its last factor.  NF(NF(p)*g) = NF(p*g), and a
     product in the ideal stays there when extended, so the first empty layer
-    is the least s.
+    is the least s.  The normal forms stay packed in the basis' ``Divisors``,
+    up to a constant, which a zero test ignores.
     """
     if cap < 1:
         raise ValueError("cap must be >= 1")
@@ -308,13 +315,15 @@ def least_power(gens: Sequence[Poly], gens_or_gb, cap: int):
     if any(g.is_constant() for g in gens):
         return 1 if gb.is_unit_ideal() else None
 
-    layer = [(0, Poly.one(gb.nvars))]  # (index of the last factor, normal form)
+    div = gb._divisors
+    gens = [div.encode(g) for g in gens]
+    layer = [(0, div.encode(Poly.one(gb.nvars)))]  # (index of the last factor, normal form)
     for s in range(1, cap + 1):
         nxt = []
         for last, p in layer:
             for j in range(last, len(gens)):
-                r = gb.normal_form(p * gens[j])
-                if not r.is_zero():
+                r = div.times(p, gens[j])
+                if r is not None:
                     nxt.append((j, r))
         if not nxt:
             return s

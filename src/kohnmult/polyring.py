@@ -880,9 +880,10 @@ def heuristic_gcd(p: Poly, q: Poly):
 
 
 def _int_content(f: dict) -> int:
+    """The gcd of the integer parts of f's int or _GaussInt values."""
     c = 0
     for v in f.values():
-        c = math.gcd(c, v)
+        c = math.gcd(c, v.real, v.imag)
         if c == 1:
             break
     return c
@@ -1074,105 +1075,191 @@ def equal_up_to_unit(p: Poly, q: Poly):
 # z2^120), so a step that would set a guard bit repacks the divisors at
 # twice the width and starts over.  Each divisor's leading key, leading
 # coefficient and tail are packed once, and the terms left to reduce wait on
-# a max-heap of keys (Johnson 1974; Monagan & Pearce, CASC 2007), with
-# Fraction coefficients while every polynomial met is real.  The first
-# Gaussian dividend switches the divisors to GaussRat coefficients, once and
-# in place.
+# a max-heap of keys (Johnson 1974; Monagan & Pearce, CASC 2007).  The
+# coefficients are integer numerators, ints or _GaussInts, and division is
+# pseudo-division (Knuth, TAOCP vol. 2, 4.6.1): to reduce a term c by a
+# leading coefficient L, with u = conj(L) and n = L*u > 0, all terms are
+# first scaled by n/g, g = gcd(n, c*u), so that the quotient c*u/g is integral.
+
+class _GaussInt:
+    """A Gaussian integer real + imag*i, imag != 0, that mixes with ints in
+    +, * and // by an int: ints have ``real``, ``imag`` and ``conjugate``
+    too.  A result with no imaginary part is an int."""
+
+    __slots__ = ("real", "imag")
+
+    def __init__(self, real: int, imag: int):
+        self.real, self.imag = real, imag
+
+    def __neg__(self):
+        return _GaussInt(-self.real, -self.imag)
+
+    def __add__(self, other):
+        return _zi(self.real + other.real, self.imag + other.imag)
+
+    def __mul__(self, other):
+        a, b, c, d = self.real, self.imag, other.real, other.imag
+        return _zi(a * c - b * d, a * d + b * c)
+
+    def __floordiv__(self, n: int):
+        return _GaussInt(self.real // n, self.imag // n)
+
+    def conjugate(self):
+        return _GaussInt(self.real, -self.imag)
+
+    __radd__, __rmul__ = __add__, __mul__
+
+
+def _zi(real: int, imag: int):
+    return _GaussInt(real, imag) if imag else real
+
 
 class Divisors:
     """Nonzero polynomials ``polys`` packed once for division under the
     order of block boundaries ``splits``: () for grlex, (k,) for elim(k).
-    Divisor i has the leading key ``keys[i]`` and ``items[i]`` = (leading
-    coefficient or None for 1, tail [(key, coefficient)]).  The
-    coefficients are Fractions while ``real`` holds, else GaussRats; the
-    field is read from the polynomials, and :meth:`divide` switches it."""
+    Divisor i is an integer polynomial, its Poly's numerators over
+    ``dens[i]``, with the leading key ``keys[i]`` and ``items[i]`` =
+    (leading coefficient, tail [(key, -coefficient)])."""
 
     def __init__(self, nvars: int, splits: tuple, polys: Sequence[Poly]):
         self.nvars, self.splits = nvars, tuple(min(s, nvars) for s in splits)
-        self.real = not any(p._pk[2] for p in polys)
-        self._pack_all(_field_width(max((p.total_degree() for p in polys), default=0)) + 1, polys)
+        self.blocks = list(zip((0, *self.splits), (*self.splits, nvars)))
+        self.keys, self.items, self.dens = [], [], []
+        self._layout(_field_width(max((p.total_degree() for p in polys), default=0)) + 1)
+        for p in polys:
+            self._push(self.encode(p)[1], p._pk[3])
 
-    def _pack_all(self, width: int, polys) -> None:
-        self.width, self.polys, self.keys, self.items = width, [], [], []
-        blocks = list(zip((0, *self.splits), (*self.splits, self.nvars)))
-        f = self.nvars + len(blocks)  # fields
+    def _layout(self, width: int) -> None:
+        self.width, f = width, self.nvars + len(self.blocks)  # fields
         self.guards = sum(1 << (width * g + width - 1) for g in range(f))
         # per block: the shift of its exponents, which lie side by side as
         # in a monomial packed at this width, their mask, and their shift in
         # that monomial
         self.chunks = []
-        for a, b in blocks:
+        for a, b in self.blocks:
             f -= 1 + b - a
             self.chunks.append((width * f, (1 << width * (b - a)) - 1, width * (self.nvars - b)))
-        for p in polys:
-            self.add(p)
 
-    def encode(self, p: Poly) -> dict:
-        """p's terms, key -> coefficient, widening until its degree fits."""
-        while p.total_degree() >= 1 << (self.width - 1):
-            self._pack_all(2 * self.width, self.polys)
-        (real, imag), den = _operand(p, self.width)
-        monos = list(real.keys() | imag.keys() if imag else real)
-        keys = _order_keys(monos, self.width, self.nvars, self.splits)
-        if self.real:
-            return {key: Fraction(real[m], den) for key, m in zip(keys, monos)}
-        return {key: _gauss(real.get(m, 0), imag.get(m, 0), den) for key, m in zip(keys, monos)}
+    def _widen(self) -> None:
+        """Repack every divisor at twice the width."""
+        old, dens = self.width, self.dens
+        whole = [{lead: lc, **{k: -c for k, c in tail}}
+                 for lead, (lc, tail) in zip(self.keys, self.items)]
+        self._layout(2 * old)
+        self.keys, self.items, self.dens = [], [], []
+        for work, den in zip(whole, dens):
+            self._push(self._at_width([old, work]), den)
 
-    def poly(self, work: dict) -> Poly:
-        """The Poly of a dict key -> nonzero coefficient, at this width: a
-        block's degree stays below half of a field's reach, so a total
-        degree of at most two blocks fits in one field."""
-        keys = [0] * len(work)
+    def _at_width(self, value: list) -> dict:
+        """The key dict of a [width, key dict] operand, repacked in place."""
+        if value[0] != self.width:
+            fields = self.nvars + len(self.blocks)
+            value[:] = self.width, _repack(value[1], fields, value[0], self.width)
+        return value[1]
+
+    def _unkey(self, keys) -> list:
+        """The packed monomials of order keys: a block's degree stays below
+        half of a field's reach, so a total degree of at most two blocks
+        fits in one field."""
+        out = [0] * len(keys)
         for shift, mask, at in self.chunks:
-            keys = [key | ((k >> shift) & mask) << at for key, k in zip(keys, work)]
-        cs = work.values()
-        parts = (cs, ()) if self.real else ([c.re for c in cs], [c.im for c in cs])
-        den = math.lcm(*[c.denominator for part in parts for c in part])
-        real, imag = [{k: c.numerator * (den // c.denominator) for k, c in zip(keys, part) if c}
-                      for part in parts]
-        return _new(self.nvars, self.width, real, imag, den)
+            out = [m | ((k >> shift) & mask) << at for m, k in zip(out, keys)]
+        return out
 
-    def add(self, p: Poly) -> None:
-        work = self.encode(p)
+    def encode(self, p: Poly) -> list:
+        """[width, p's numerators as a key dict of int or _GaussInt], the
+        operand of :meth:`times`, widening until p's degree fits."""
+        while p.total_degree() >= 1 << (self.width - 1):
+            self._widen()
+        (real, imag), _ = _operand(p, self.width)
+        if not imag:
+            return [self.width, dict(zip(_order_keys(real, self.width, self.nvars, self.splits),
+                                         real.values()))]
+        monos = list(real.keys() | imag.keys())
+        keys = _order_keys(monos, self.width, self.nvars, self.splits)
+        return [self.width, {k: _zi(real.get(m, 0), imag.get(m, 0)) for k, m in zip(keys, monos)}]
+
+    def poly(self, work: dict, den=1) -> Poly:
+        """The Poly of work/den at this width, for a key dict of int or
+        _GaussInt numerators and a nonzero int or _GaussInt den."""
+        if type(den) is not int or den < 0:
+            u = den.conjugate()
+            den, work = den * u, {k: c * u for k, c in work.items()}
+        keys, cs = self._unkey(work), work.values()
+        return _packed(self.nvars, self.width, ({k: c.real for k, c in zip(keys, cs)},
+                                                 {k: c.imag for k, c in zip(keys, cs) if c.imag}), den)
+
+    def _push(self, work: dict, den: int) -> None:
         lead = max(work)
-        lc = work.pop(lead)
-        self.polys.append(p)
         self.keys.append(lead)
-        self.items.append((None if lc == 1 else lc, list(work.items())))
+        self.items.append((work[lead], [(k, -c) for k, c in work.items() if k != lead]))
+        self.dens.append(den)
+
+    def add(self, work: dict) -> int:
+        """Add the nonzero key dict ``work`` over its integer content as a
+        divisor over 1, and return that content."""
+        g = _int_content(work)
+        self._push(work if g == 1 else {k: c // g for k, c in work.items()}, 1)
+        return g
+
+    def leading_monomial(self, i: int) -> tuple:
+        return _unpacker(self.nvars, self.width)(self._unkey([self.keys[i]])[0])
 
     def divide(self, p: Poly, want_quotients: bool):
-        """:func:`divide` of p by the divisors.  A Gaussian p switches real
-        divisors to GaussRat coefficients for good."""
-        if self.real and p._pk[2]:
-            self.real = False
-            self._pack_all(self.width, self.polys)
-        return self.reduce(lambda: self.encode(p), want_quotients)
+        """:func:`divide` of p by the divisors."""
+        quots, rem, scale = self.reduce(lambda: self.encode(p)[1], want_quotients)
+        den = scale * p._pk[3]
+        if quots is not None:
+            quots = [self.poly({k: c * d for k, c in q.items()}, den)
+                     for q, d in zip(quots, self.dens)]
+        return quots, self.poly(rem, den)
+
+    def times(self, a: list, b: list):
+        """The remainder of a*b up to a positive constant, or None when it
+        is zero, for operands [width, key dict] as :meth:`encode` and this
+        method give them: order keys add like monomials, so the product
+        kernel multiplies them, widening when a product sets a guard bit."""
+        def build():
+            while True:
+                x, y = self._at_width(a), self._at_width(b)
+                # _GaussInts multiply term by term, outside the dense path
+                real = all(type(c) is int for c in itertools.chain(x.values(), y.values()))
+                work = _int_mul(x, y) if real else _dict_mul(x, y, {})
+                if not any(k & self.guards for k in work):
+                    return work
+                self._widen()
+
+        _, rem, scale = self.reduce(build, False)
+        return [self.width, rem if scale == 1 else _primitive(rem)] if rem else None
 
     def s_poly(self, i: int, j: int, lcm: tuple) -> dict:
-        """The S-polynomial of the monic divisors i and j, whose leading
-        monomials have the lcm ``lcm``, with zero coefficients left in."""
+        """L_j*(lcm/m_i)*divisor_i - L_i*(lcm/m_j)*divisor_j, for divisors of
+        leading monomials m_i, m_j and coefficients L_i, L_j, with zero
+        coefficients left in."""
         top = 0
         for e in lcm:
             top = (top << self.width) | e
         top = _order_keys((top,), self.width, self.nvars, self.splits)[0]
         si, sj = top - self.keys[i], top - self.keys[j]
-        out = {k + si: c for k, c in self.items[i][1]}
+        a, b = -self.items[j][0], self.items[i][0]
+        out = {k + si: a * c for k, c in self.items[i][1]}
         for k, c in self.items[j][1]:
-            out[k + sj] = out[k + sj] - c if k + sj in out else -c
+            out[k + sj] = out.get(k + sj, 0) + b * c
         if any(k & self.guards for k in out):
-            self._pack_all(2 * self.width, self.polys)
+            self._widen()
             return self.s_poly(i, j, lcm)
         return out
 
     def reduce(self, build, want_quotients: bool):
-        """(quotients or None, remainder) of the key dict that ``build()``
-        returns, each term by the first divisor whose leading key divides
-        it.  A term cancelled to zero stays in the dict until its key is
-        popped.  Where a product would set a guard bit, it starts over at
-        twice the width."""
+        """(quotients or None, remainder, scale) of the key dict d that
+        ``build()`` returns: scale*d = sum(quotient_i * divisor_i) +
+        remainder, scale a positive int.  Each term is reduced by the first
+        divisor whose leading key divides it.  A term cancelled to zero
+        stays in the dict until its key is popped.  Where a product would
+        set a guard bit, it starts over at twice the width."""
         work, leads, divs, guards = build(), self.keys, self.items, self.guards
         quots = [{} for _ in divs] if want_quotients else None
-        rem = {}
+        rem, scale = {}, 1
         heap = [-k for k in work]
         heapq.heapify(heap)
         pop, push = heapq.heappop, heapq.heappush
@@ -1189,20 +1276,30 @@ class Divisors:
                 rem[m] = c
                 continue
             lc, tail = divs[idx]
-            qc = c if lc is None else c / lc
+            if lc != 1:
+                u = lc.conjugate()
+                n = lc * u
+                c *= u
+                g = math.gcd(n, c.real, c.imag)
+                c, f = c // g, n // g
+                if f != 1:
+                    scale *= f
+                    for part in (work, rem, *(quots or ())):
+                        for k in part:
+                            part[k] *= f
             if quots is not None:
-                quots[idx][t] = qc  # leading keys strictly decrease, so t is new here
+                quots[idx][t] = c  # leading keys strictly decrease, so t is new here
             for k, bc in tail:
                 k += t
                 if k & guards:
-                    self._pack_all(2 * self.width, self.polys)
+                    self._widen()
                     return self.reduce(build, want_quotients)
                 if k in work:
-                    work[k] -= bc * qc
+                    work[k] += bc * c
                 else:
-                    work[k] = -bc * qc
+                    work[k] = bc * c
                     push(heap, -k)
-        return quots and [self.poly(q) for q in quots], self.poly(rem)
+        return quots, rem, scale
 
 
 def divide(p: Poly, divisors: Sequence[Poly], splits: tuple, want_quotients: bool):
@@ -1253,9 +1350,9 @@ def exact_divide(p: Poly, d: Poly):
 # parser reads as the same polynomial.  Every other text (``i``, a mixed
 # coefficient, a repeated monomial, a power of a number, a number after a
 # power) goes to that parser, which alone checks the resource bounds below
-# and raises ``ParseError`` with a position.  The fast path packs its terms
-# over the lcm of their denominators, which no bound below limits: terms
-# with many distinct denominators give every numerator that lcm's bits.
+# and raises ``ParseError`` with a position.  Both pack the terms over the
+# lcm of their denominators, which every numerator is scaled to, so both
+# refuse an lcm past MAX_NUMBER_BITS at the term that takes it there.
 
 # Deepest parenthesis nesting the parser accepts (the printer writes depth 1)
 MAX_NESTING = 100
@@ -1269,7 +1366,8 @@ MAX_POWER_TERMS = 10_000
 # products of numbers, ``9^999999999`` for one, and likewise its constant
 # parenthesised factors, such as ``(9)^e``; estimated as e*bits(base) per
 # factor before any power is taken (a literal of the interpreter's longest
-# int string, 4,300 digits, has about 14,300 bits)
+# int string, 4,300 digits, has about 14,300 bits).  Also the most bits of
+# a text's common denominator
 MAX_NUMBER_BITS = 1 << 16
 
 # Most work one parse may spend on the powers and products of parenthesised
@@ -1350,7 +1448,8 @@ def _parse_canonical(text: str, index: dict):
     """The packed Poly of ``text`` when it has the real canonical shape (see
     above) over the variables of ``index`` (name -> 0-based slot), with no
     monomial twice; else None.  It never raises and takes no power of a
-    number: what it cannot read is left to ``_Parser``."""
+    number: what it cannot read, or a common denominator past
+    MAX_NUMBER_BITS bits, is left to ``_Parser``."""
     if not isinstance(text, str):
         return None
     nvars = len(index)
@@ -1366,6 +1465,9 @@ def _parse_canonical(text: str, index: dict):
                 if ratio is not None:
                     del factors[0]
                 num, den = ratio or (1, 1)
+                if den != 1:
+                    g = math.gcd(num, den)
+                    num, den = num // g, den // g
                 mono = [0] * nvars
                 for factor in factors:
                     name, caret, exp = factor.partition("^")
@@ -1374,11 +1476,12 @@ def _parse_canonical(text: str, index: dict):
                         return None
                     mono[v] += int(exp) if caret else 1
                 items.append((mono, sign * num, den))
+        den = _common_denominator({t[2] for t in items}, 0)
     except ValueError:
-        # int() refuses digit strings longer than the interpreter's limit
+        # int() refuses digit strings longer than the interpreter's limit,
+        # and _common_denominator a denominator past its bound
         return None
     width = _field_width(max(sum(t[0]) for t in items))
-    den = math.lcm(*(t[2] for t in items))
     real = {}
     for mono, num, d in items:
         key = 0
@@ -1387,7 +1490,20 @@ def _parse_canonical(text: str, index: dict):
         real[key] = num if d == den else num * (den // d)
     if len(real) != len(items):
         return None
-    return _packed(nvars, width, (real, {}), den)
+    # the ratios are in lowest terms, so den is their least common denominator
+    return _new(nvars, width, real, {}, den) if all(real.values()) else _packed(
+        nvars, width, (real, {}), den)
+
+
+def _common_denominator(dens, at: int) -> int:
+    """The lcm of ``dens``, built one at a time: every numerator is scaled
+    to it, so ParseError at ``at`` once it passes MAX_NUMBER_BITS bits."""
+    den = 1
+    for d in dens:
+        den = math.lcm(den, d)
+        if den.bit_length() > MAX_NUMBER_BITS:
+            raise ParseError(f"common denominator exceeds {MAX_NUMBER_BITS} bits", at)
+    return den
 
 
 def _tokenize(text: str):
@@ -1429,6 +1545,8 @@ class _Parser:
         kind, val, pos = self.tokens[self.k]
         if kind != "end":
             raise ParseError(f"unexpected {val!r}", pos)
+        cs = terms.values()
+        _common_denominator({c.re.denominator for c in cs} | {c.im.denominator for c in cs}, pos)
         return Poly(self.nvars, terms)
 
     def expr(self) -> dict:
@@ -1476,6 +1594,9 @@ class _Parser:
                 if inner.keys() <= {origin}:
                     scalar = inner.get(origin, GR_ZERO)
                 else:
+                    cs = inner.values()
+                    _common_denominator({c.re.denominator for c in cs} | {c.im.denominator for c in cs},
+                                        close)
                     group = Poly(self.nvars, inner)
             elif kind == "num":
                 ratio = _ratio(val)
@@ -1586,7 +1707,8 @@ def parse_poly(text: str, variables: Sequence[str]) -> Poly:
     deep; exponents are non-negative integer literals.  A parenthesised
     factor raised to a power that may expand to more than
     ``MAX_POWER_TERMS`` terms is refused, and so is a term whose powers and
-    products of numbers may pass ``MAX_NUMBER_BITS`` bits, and a text whose
+    products of numbers may pass ``MAX_NUMBER_BITS`` bits, a text whose
+    terms' common denominator passes it, and a text whose
     powers and products of parenthesised factors may cost more than
     ``MAX_PARSE_WORK``, each charged before any factor of its term is
     expanded.  ``variables`` must pass :func:`check_names`.

@@ -10,7 +10,10 @@ that agreement between these and the engine is evidence, not circularity.
 The radical loop's round (``jacobian_ideal_gens_reference``,
 ``certified_radical_reference``) is kept as it read before the loop
 certified the variables first and cached its determinants: the engine's
-primitives, without the shortcuts.
+primitives, without the shortcuts.  The power scans
+(``least_power_reference``, ``power_in_ideal_reference``) multiply Polys
+and take exact normal forms, as the engine's scans did before they kept
+their normal forms packed in the basis' divisors.
 """
 
 import itertools
@@ -19,6 +22,8 @@ import random
 from fractions import Fraction
 
 from kohnmult.groebner import (
+    GroebnerBasis,
+    groebner_basis,
     multivariate_gcd,
     power_in_ideal,
     radical_membership,
@@ -552,6 +557,62 @@ def groebner_reference(gens, key, provenance):
         rows.append([(a - u).scale(inv) for a, u in zip(provs[t], used)])
     order = sorted(range(len(basis)), key=lambda t: key(lead(basis[t])[0]))
     return [basis[t] for t in order], [rows[t] for t in order] if provenance else None
+
+
+# ---------------------------------------------------------------------------
+# the power scans on Polys: each product built with Poly.__mul__ and reduced
+# to its exact normal form, as the engine's scans read before they kept
+# their normal forms packed in the basis' divisors
+# ---------------------------------------------------------------------------
+
+def _reference_gb(gens_or_gb):
+    if isinstance(gens_or_gb, GroebnerBasis):
+        return gens_or_gb
+    return groebner_basis(list(gens_or_gb))
+
+
+def power_in_ideal_reference(p, s, gens_or_gb):
+    """Whether p^s lies in the ideal, by square-and-multiply on exact normal
+    forms."""
+    if s < 1:
+        raise ValueError("power must be >= 1")
+    gb = _reference_gb(gens_or_gb)
+    r = gb.normal_form(p)
+    acc = None
+    while True:
+        if s & 1:
+            acc = r if acc is None else gb.normal_form(acc * r)
+            if acc.is_zero():
+                return True
+        s >>= 1
+        if not s:
+            return acc.is_zero()
+        r = gb.normal_form(r * r)
+        if r.is_zero():
+            return True
+
+
+def least_power_reference(gens, gens_or_gb, cap):
+    """Least s <= cap with every s-fold product of gens in the ideal, else
+    None, by layers of exact normal forms of multiset products."""
+    if cap < 1:
+        raise ValueError("cap must be >= 1")
+    gb = _reference_gb(gens_or_gb)
+    gens = [g for g in gens if not g.is_zero()]
+    if any(g.is_constant() for g in gens):
+        return 1 if gb.is_unit_ideal() else None
+    layer = [(0, Poly.one(gb.nvars))]
+    for s in range(1, cap + 1):
+        nxt = []
+        for last, p in layer:
+            for j in range(last, len(gens)):
+                r = gb.normal_form(p * gens[j])
+                if not r.is_zero():
+                    nxt.append((j, r))
+        if not nxt:
+            return s
+        layer = nxt
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -258,6 +258,41 @@ def test_parser_bounds_number_powers():
         assert "number may exceed 65536 bits" in str(err.value)
 
 
+def _primes_above(lo, count):
+    """The first ``count`` primes above ``lo``, sieved from a span that holds
+    them (their density near 2^20 is about 1/14)."""
+    span = 16 * count
+    sieve = bytearray([1]) * span
+    for q in range(2, math.isqrt(lo + span) + 1):
+        sieve[(-lo) % q::q] = bytes(len(range((-lo) % q, span, q)))
+    primes = [lo + i for i in range(span) if sieve[i]][:count]
+    assert len(primes) == count
+    return primes
+
+
+def test_parser_bounds_the_common_denominator():
+    # 1/p_k*z1^k over the first primes above 2^20: every numerator is scaled
+    # to the lcm of the denominators, 21 bits a prime.  4,000 terms (79 KB of
+    # text, an 80,000-bit lcm) took 9.2 s on the fast path; now both paths
+    # refuse them once the lcm passes MAX_NUMBER_BITS.  3,000 terms (63,000
+    # bits) took 3 s and parse: each ratio is reduced as it is read, so the
+    # lcm is already the least common denominator
+    primes = _primes_above(1 << 20, 4000)
+    terms = [f"1/{p}*z1^{k}" for k, p in enumerate(primes, 1)]
+    for joiner in (" + ", "+"):
+        text = joiner.join(terms)
+        start = time.perf_counter()
+        with pytest.raises(ParseError) as err:
+            parse_poly(text, ("z1",))
+        assert time.perf_counter() - start < 1.0
+        assert f"common denominator exceeds {MAX_NUMBER_BITS} bits" in str(err.value)
+    start = time.perf_counter()
+    p = parse_poly(" + ".join(terms[:3000]), ("z1",))
+    assert time.perf_counter() - start < 1.0
+    assert p.term_count() == 3000
+    assert p.leading() == ((3000,), gr(Fraction(1, primes[2999])))
+
+
 def test_parser_powers_of_one_term_groups():
     # a one-term group stays one term at any exponent, so only its
     # coefficient is bounded, and the units 1, -1, i, -i not at all
