@@ -31,6 +31,7 @@ from .groebner import (
     radical_membership,
 )
 from .multiplier_core import (
+    REPORT_SCHEMA,
     Derivation,
     DerivationCertificate,
     DomainError,
@@ -39,8 +40,6 @@ from .multiplier_core import (
     certificate_verify,
     order_str,
 )
-
-REPORT_SCHEMA = "kohn-report/1"
 
 
 @dataclass(frozen=True)

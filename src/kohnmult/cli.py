@@ -19,15 +19,15 @@ import json
 import os
 import sys
 
-from .polyring import ParseError, Poly, poly_to_string
+from .polyring import Poly, poly_to_string
 from .groebner import (
     groebner_basis,
     origin_isolated,
     standard_monomials,
 )
 from .multiplier_core import (
+    REPORT_SCHEMA,
     DerivationCertificate,
-    DomainError,
     GenericityError,
     SpecialDomain,
     VerificationError,
@@ -108,7 +108,7 @@ def cmd_multiplicity(args) -> int:
     isolated = origin_isolated(gb)
     stairs = standard_monomials(gb)
     data = {
-        "schema": "kohn-report/1",
+        "schema": REPORT_SCHEMA,
         "kind": "multiplicity",
         "domain": domain.to_json(),
         "multiplicity": "infinite" if stairs is None else len(stairs),
@@ -153,7 +153,7 @@ def cmd_effective3d(args) -> int:
     result = kohn_effective3d.run_effective3d(domain, seed=args.seed)
     cert_json = result.certificate.to_json()
     data = {
-        "schema": "kohn-report/1",
+        "schema": REPORT_SCHEMA,
         "kind": "effective3d",
         "domain": domain.to_json(),
         "multiplicity": result.q,
@@ -334,8 +334,7 @@ def main(argv=None) -> int:
     except OutputError as exc:
         print(f"output error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (ParseError, DomainError, OSError,
-            json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+    except (OSError, KeyError, TypeError, ValueError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except GenericityError as exc:

@@ -38,41 +38,6 @@ from kohnmult.polyring import (
 )
 
 
-class MonomialOrder:
-    """Monomial order given by its block splits: graded lex within each
-    block, the first block dominant.
-
-    ``splits`` are the variable indices where a block after the first
-    starts: () for grlex, (k,) for elim(k), the order that makes the first
-    k variables expensive.  A basis under elim(k) intersected with the cheap
-    block solves elimination.  ``polyring`` ranks monomials under the
-    splits, on packed order keys.
-    """
-
-    __slots__ = ("name", "splits")
-
-    def __init__(self, name: str, splits: tuple = ()):
-        self.name = name
-        self.splits = splits
-
-    def __repr__(self):
-        return f"MonomialOrder({self.name})"
-
-    def __eq__(self, other):
-        return isinstance(other, MonomialOrder) and self.name == other.name
-
-    @staticmethod
-    def grlex() -> "MonomialOrder":
-        return MonomialOrder("grlex")
-
-    @staticmethod
-    def elim(k: int) -> "MonomialOrder":
-        return MonomialOrder(f"elim({k})", (k,))
-
-
-GRLEX = MonomialOrder.grlex()
-
-
 def _combine(quots, rows, ngens: int, nv: int) -> list:
     """sum_i quots[i] * rows[i], one entry per original generator."""
     out = [Poly.zero(nv) for _ in range(ngens)]
@@ -94,10 +59,10 @@ class GroebnerBasis:
     generators the caller supplied.
     """
 
-    def __init__(self, gens, basis, order, provenance=None):
+    def __init__(self, gens, basis, splits, provenance=None):
         self.gens = tuple(gens)
         self.basis = tuple(basis)
-        self.order = order
+        self.splits = splits
         self.provenance = provenance  # provenance[i][j]: basis[i] = sum_j prov*gens[j]
         self.nvars = gens[0].nvars if gens else 0
 
@@ -109,7 +74,7 @@ class GroebnerBasis:
 
     @functools.cached_property
     def _divisors(self) -> Divisors:
-        return Divisors(self.nvars, self.order.splits, self.basis)
+        return Divisors(self.nvars, self.splits, self.basis)
 
     def normal_form(self, p: Poly) -> Poly:
         return self._divisors.divide(p, False)[1]
@@ -128,15 +93,17 @@ class GroebnerBasis:
         return _combine(quots, self.provenance, len(self.gens), self.nvars), r
 
     def leading_monomials(self):
-        return [b.leading(self.order.splits)[0] for b in self.basis]
+        return [b.leading(self.splits)[0] for b in self.basis]
 
 
 def groebner_basis(
     gens: Sequence[Poly],
-    order: MonomialOrder = GRLEX,
+    splits: tuple = (),
     provenance: bool = False,
 ) -> GroebnerBasis:
-    """Buchberger with a fixed pair order, returning the monic reduced basis.
+    """Buchberger with a fixed pair order, returning the monic reduced basis
+    under the monomial order of block splits ``splits``: () for grlex, (k,)
+    for elim(k), which makes the first k variables expensive.
 
     Pairs are processed by (degree of the leading-term lcm, the lcm itself,
     generator indices); pairs with coprime leading terms, or of two
@@ -158,12 +125,12 @@ def groebner_basis(
             # a nonzero constant: the unit ideal, 1 = g_j / c
             prov = [[Poly.const(nv, gens[j].constant_value().inverse() if t == j else 0)
                      for t in range(len(gens))]] if provenance else None
-            return GroebnerBasis(gens, [Poly.one(nv)], order, prov)
+            return GroebnerBasis(gens, [Poly.one(nv)], splits, prov)
     if not cols:
-        return GroebnerBasis(gens, [], order, [] if provenance else None)
+        return GroebnerBasis(gens, [], splits, [] if provenance else None)
     # divisor i is an integer polynomial, a generator times its denominator
     # or an S-remainder over its content; provs[i] writes it over the gens
-    work = Divisors(nv, order.splits, [gens[j] for j in cols])
+    work = Divisors(nv, splits, [gens[j] for j in cols])
     leads = [work.leading_monomial(i) for i in range(len(cols))]
     provs = [[Poly.const(nv, d if t == j else 0) for t in range(len(gens))]
              for j, d in zip(cols, work.dens)] if provenance else []
@@ -224,7 +191,7 @@ def groebner_basis(
                             len(gens), nv)
             inv = gr(lc.real, lc.imag).inverse()
             final_prov.append([(x - u).scale(inv) for x, u in zip(provs[t], used)])
-    return GroebnerBasis(gens, final, order, final_prov if provenance else None)
+    return GroebnerBasis(gens, final, splits, final_prov if provenance else None)
 
 
 def _as_gb(gens_or_gb) -> GroebnerBasis:
@@ -375,7 +342,7 @@ def eliminate(gens: Sequence[Poly], drop: Sequence[int]) -> list:
     # dropped variables first, so the elimination order makes them expensive
     layout = drop_set + keep
     places = [layout.index(j) + 1 for j in range(1, n + 1)]
-    gb = groebner_basis([g.remap(n, places) for g in gens], order=MonomialOrder.elim(k))
+    gb = groebner_basis([g.remap(n, places) for g in gens], (k,))
     restrict = [None] * k + list(range(1, len(keep) + 1))
     return [
         b.remap(len(keep), restrict)

@@ -26,7 +26,6 @@ from .groebner import (
     origin_isolated,
     power_in_ideal,
     quotient_dimension,
-    radical_membership,
     squarefree_part,
 )
 from .multiplier_core import (
@@ -44,6 +43,7 @@ from .polyring import (
     GaussRat,
     Poly,
     differentiate,
+    dot,
     exact_divide,
     gr,
     jacobian_det,
@@ -84,9 +84,7 @@ class WeierstrassData:
     distinguished: bool  # all lower v-coefficients of W vanish at u = 0
     chain: tuple  # h_{2,nu}(u,v): u^r*W then successive d/dv
     substituted: Poly  # (u^r W)(zeta1, zeta2)
-    cofactor: Poly | None  # E with substituted = E * H when division is exact
-    division_exact: bool
-    flags: tuple
+    cofactor: Poly  # E with substituted = E * H
 
 
 @dataclass(frozen=True)
@@ -127,10 +125,7 @@ def _isolated_at_origin(gens_or_gb) -> bool:
 
 
 def _combination(coeffs, pms) -> Poly:
-    acc = Poly.zero(2)
-    for c, pm in zip(coeffs, pms):
-        acc = acc + pm.poly.scale(gr(c))
-    return acc
+    return dot(2, [(pm.poly, Poly.const(2, c)) for c, pm in zip(coeffs, pms)])
 
 
 def step_one(der: Derivation, pms: list, q: int, seed: int) -> StepOneResult:
@@ -262,7 +257,8 @@ def step_two(der: Derivation, pms: list, q: int, seed: int, h2_hat: Poly) -> Ste
 def weierstrass_from_image(H: Poly, zeta1: Poly, zeta2: Poly, ell: int) -> WeierstrassData:
     """Equation of the image of V(H) under (zeta1, zeta2), normalized to a
     monic-in-v Weierstrass factor with a u-power prefix, plus the v-derivative
-    chain and the exact division certificate of the substituted equation by H."""
+    chain and the cofactor of the substituted equation by H.  The division is
+    exact or the step refuses: step three certifies nothing weaker."""
     if ell < 1:
         raise ValueError("ell must be positive")
     if H.nvars != 2 or zeta1.nvars != 2 or zeta2.nvars != 2:
@@ -282,13 +278,11 @@ def weierstrass_from_image(H: Poly, zeta1: Poly, zeta2: Poly, ell: int) -> Weier
     img = [p for p in img if not p.is_zero()]
     if not img:
         raise ValueError("the image ideal is zero; no curve equation exists")
-    flags = []
     T = img[0].monic()
     if len(img) > 1:
         for extra in img[1:]:
             T = multivariate_gcd(T, extra)
         T = T.monic()
-        flags.append("image_not_principal")
         if T.is_constant():
             raise ValueError("the image ideal has no common curve equation")
 
@@ -306,8 +300,6 @@ def weierstrass_from_image(H: Poly, zeta1: Poly, zeta2: Poly, ell: int) -> Weier
         raise ValueError(f"image degree {ell_tilde} exceeds the pledged bound {ell}")
     coeffs_v = W.coefficients_in(2)
     distinguished = all(not coeffs_v[j].constant_value() for j in range(ell_tilde))
-    if not distinguished:
-        flags.append("non_distinguished")
 
     h2uv = W.mul_term((r, 0), GR_ONE)
     chain = [h2uv]
@@ -318,11 +310,8 @@ def weierstrass_from_image(H: Poly, zeta1: Poly, zeta2: Poly, ell: int) -> Weier
 
     S = h2uv.compose([zeta1, zeta2])
     E = exact_divide(S, H)
-    division_exact = E is not None
-    if not division_exact:
-        flags.append("division_by_radical_only")
-        if not radical_membership(S, [H]):
-            raise ValueError("substituted image equation is not even radically in (H)")
+    if E is None:
+        raise VerificationError("H does not divide the substituted image equation")
 
     return WeierstrassData(
         prefix_r=r,
@@ -333,8 +322,6 @@ def weierstrass_from_image(H: Poly, zeta1: Poly, zeta2: Poly, ell: int) -> Weier
         chain=tuple(chain),
         substituted=S,
         cofactor=E,
-        division_exact=division_exact,
-        flags=tuple(flags),
     )
 
 
@@ -358,10 +345,6 @@ def step_three(der: Derivation, q: int, s1: StepOneResult, s2: StepTwoResult):
     det_g = g11 * g22 - g12 * g21
 
     w = weierstrass_from_image(s1.h2_hat, h1, s2.w2, q * q)
-    if not w.division_exact:
-        raise VerificationError(
-            "division certificate degraded to radical membership on squarefree data"
-        )
 
     def sub(p):
         return p.compose([h1, s2.w2])

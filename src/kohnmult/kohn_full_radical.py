@@ -69,11 +69,6 @@ class FullRadicalOutcome:
             return True
         return any(r.flags.get("cap_exceeded") for r in self.trace)
 
-    @property
-    def differentiation_stages(self) -> int:
-        # one Jacobian-forming stage per executed round
-        return len(self.trace)
-
     def to_json(self) -> dict:
         return {
             "schema": TRACE_SCHEMA,
@@ -263,32 +258,3 @@ def run_full_radical(
         },
     )
 
-
-def ineffectiveness_witness(
-    domain: SpecialDomain,
-    probe: Poly,
-    cap: int = 64,
-    round_index: int = 1,
-    j_gens: list[Poly] | None = None,
-) -> int | None:
-    """Least s ≤ cap with probe^s in the round's Jacobian ideal, or None past the cap.
-
-    The probe must first be certified to lie in the radical of that ideal; the
-    returned exponent is what callers compare against analytic lower bounds.
-    With an explicit generator list the loop is skipped and the list is used as
-    the round ideal directly.
-    """
-    if j_gens is None:
-        out = run_full_radical(domain, max_rounds=round_index + 1, power_cap=cap)
-        if len(out.trace) <= round_index:
-            raise ValueError(f"the loop ended before round {round_index}")
-        gb = out.trace[round_index].J
-        gens_list = list(gb.gens)
-    else:
-        gens_list = list(j_gens)
-        if not gens_list:
-            raise ValueError("empty round ideal")
-        gb = groebner_basis(gens_list)
-    if not radical_membership(probe, gens_list):
-        raise ValueError("probe is not certified in the radical of the round ideal")
-    return least_power([probe], gb, cap)

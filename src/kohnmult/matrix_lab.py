@@ -26,6 +26,7 @@ from .polyring import (
     check_names,
     default_names,
     differentiate,
+    dot,
     equal_up_to_unit,
     parse_poly,
     poly_matrix_adjugate,
@@ -34,9 +35,7 @@ from .polyring import (
 )
 from .groebner import ideal_membership
 from .modules import VecPoly, module_membership
-from .multiplier_core import VerificationError, matrix_to_vector_form
-
-REPORT_SCHEMA = "kohn-report/1"
+from .multiplier_core import REPORT_SCHEMA, VerificationError, matrix_to_vector_form
 
 
 def determinant_gradient(entries) -> list:
@@ -116,10 +115,7 @@ def compare_procedures(entries, names=None) -> ComparisonReport:
 
     closed = adjugate_divergence(entries)
     for j in range(n):
-        acc = Poly.zero(nv)
-        for k in range(n):
-            acc = acc + closed[k] * entries[k][j]
-        if acc != diff[j]:
+        if dot(nv, [(c, row[j]) for c, row in zip(closed, entries)]) != diff[j]:
             raise VerificationError("divergence identity failed; engine defect")
 
     member, cofs = module_membership(VecPoly(diff), [VecPoly(r) for r in entries])
@@ -128,10 +124,7 @@ def compare_procedures(entries, names=None) -> ComparisonReport:
             "module membership denies the divergence decomposition; engine defect"
         )
     for j in range(n):
-        acc = Poly.zero(nv)
-        for k in range(n):
-            acc = acc + cofs[k] * entries[k][j]
-        if acc != diff[j]:
+        if dot(nv, [(c, row[j]) for c, row in zip(cofs, entries)]) != diff[j]:
             raise VerificationError("module cofactors fail to replay")
     return ComparisonReport(
         names=names,
@@ -159,11 +152,8 @@ def verify_planar_equivalence(entries) -> bool:
     g = determinant_gradient(entries)
     c1 = differentiate(entries[1][0], 2) - differentiate(entries[1][1], 1)
     c2 = differentiate(entries[0][1], 1) - differentiate(entries[0][0], 2)
-    for j in range(2):
-        want = c1 * entries[0][j] + c2 * entries[1][j]
-        if want != b[j] - g[j]:
-            return False
-    return True
+    return all(dot(2, [(c1, entries[0][j]), (c2, entries[1][j])]) == b[j] - g[j]
+               for j in range(2))
 
 
 def triangular_matrix(a11, a22, a33, xi, eta) -> tuple:

@@ -15,8 +15,8 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from kohnmult.groebner import MonomialOrder, groebner_basis
-from kohnmult.polyring import GR_ONE, Poly
+from kohnmult.groebner import groebner_basis
+from kohnmult.polyring import Poly, dot
 
 
 class VecPoly:
@@ -66,10 +66,9 @@ def _lift(v: VecPoly) -> Poly:
     """sum_i v_i*e_i in Q(i)[e_1..e_r, z]."""
     r, nv = v.rank, v.nvars
     places = range(r + 1, r + nv + 1)
-    acc = Poly.zero(r + nv)
-    for i, p in enumerate(v.parts):
-        acc = acc + p.remap(r + nv, places).mul_term(_marker(r, i) + (0,) * nv, GR_ONE)
-    return acc
+    z0 = (0,) * nv
+    return dot(r + nv, [(p.remap(r + nv, places), Poly.monomial(r + nv, _marker(r, i) + z0))
+                        for i, p in enumerate(v.parts)])
 
 
 def module_membership(v: VecPoly, gens: Sequence[VecPoly]):
@@ -91,9 +90,7 @@ def module_membership(v: VecPoly, gens: Sequence[VecPoly]):
         for i in range(r)
         for j in range(i, r)
     ]
-    gb = groebner_basis(
-        [_lift(g) for g in gens] + quadrics, MonomialOrder.elim(r), provenance=True
-    )
+    gb = groebner_basis([_lift(g) for g in gens] + quadrics, (r,), provenance=True)
     cofs, rem = gb.cofactors(_lift(v))
     if not rem.is_zero():
         return False, None

@@ -50,6 +50,7 @@ from kohnmult.polyring import (
 from kohnmult.groebner import groebner_basis
 
 CERT_SCHEMA = "kohn-cert/1"
+REPORT_SCHEMA = "kohn-report/1"
 
 # kinds of multiplier a step yields
 SCALAR, VECTOR, PREMULT = "scalar", "vector", "pre-multiplier"

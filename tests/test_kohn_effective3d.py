@@ -150,7 +150,6 @@ def test_weierstrass_parabola():
     assert data.wpoly == v - u**2
     assert data.degree == 1
     assert data.prefix_r == 0
-    assert data.division_exact
     # substituted equation factors exactly through H
     assert data.cofactor * H == data.substituted
 
@@ -180,6 +179,15 @@ def test_weierstrass_validates_hypotheses():
     with pytest.raises(ValueError):
         # z2^1 lies outside (z2^2 - z1^3, z1)
         weierstrass_from_image(_p("z2^2 - z1^3"), _p("z1"), _p("z2"), ell=1)
+
+
+def test_weierstrass_refuses_a_curve_equation_that_h_does_not_divide():
+    # V(z1) maps onto v = 0 and the double line V(z1 - 1) to the point (5, 0)
+    # on it; the image ideal (v^2, v*(u - 5)) is not principal, and its gcd v
+    # pulls back to z1^2 - z1, in rad(H) but not in (H)
+    H = _p("z1*(z1 - 1)^2")
+    with pytest.raises(VerificationError, match="does not divide"):
+        weierstrass_from_image(H, _p("z2 - z1*z2 + 5*z1"), _p("z1^2 - z1"), ell=1)
 
 
 # -- certified multipliers land in the right ideals --------------------------

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from kohnmult import cli, groebner
-from kohnmult.polyring import Poly, heuristic_gcd, parse_poly
+from kohnmult.polyring import heuristic_gcd, parse_poly
 from kohnmult.groebner import (
     _intersection_gcd,
     groebner_basis,
@@ -19,7 +19,6 @@ from kohnmult.groebner import (
 from kohnmult.multiplier_core import SpecialDomain
 from kohnmult.kohn_full_radical import (
     _certified_radical,
-    ineffectiveness_witness,
     run_full_radical,
 )
 
@@ -39,7 +38,7 @@ def test_linear_domain_terminates_in_one_round():
     assert out.terminated and not out.capped
     assert out.p_list == (1,)
     assert out.order_bound == Fraction(1, 4)
-    assert out.differentiation_stages == 1
+    assert len(out.trace) == 1
     assert out.flags == ()
 
 
@@ -58,7 +57,7 @@ def test_deformed_domain_full_run():
     assert out.terminated and not out.capped
     assert out.p_list == (1, 6, 1)
     assert out.order_bound == Fraction(1, 96)
-    assert out.differentiation_stages == 3
+    assert len(out.trace) == 3
     # the order bound follows from the uniform powers by halving per round
     order = Fraction(1, 4)
     for p in out.p_list:
@@ -101,7 +100,7 @@ def test_trace_json_schema():
     assert data["schema"] == "kohn-trace/1"
     assert data["generator_level"] is True
     assert data["terminated"] is True
-    assert len(data["rounds"]) == out.differentiation_stages
+    assert len(data["rounds"]) == len(out.trace)
     for r in data["rounds"]:
         assert set(r) >= {"nu", "V", "J", "I", "p", "flags"}
     assert data["caps"]["power_cap"] == 64
@@ -112,22 +111,6 @@ def test_max_rounds_is_honored():
     assert not out.terminated
     assert out.capped
     assert len(out.trace) == 1
-
-
-def test_ineffectiveness_witness_explicit_ideal():
-    z1 = Poly.variable(2, 1)
-    dom = _dom(["z1", "z2"])
-    assert ineffectiveness_witness(dom, z1, j_gens=[z1]) == 1
-    assert ineffectiveness_witness(dom, z1, j_gens=[z1**5]) == 5
-    with pytest.raises(ValueError):
-        ineffectiveness_witness(dom, z1, j_gens=[Poly.variable(2, 2)])
-
-
-def test_ineffectiveness_witness_from_loop_round():
-    dom = _dom(["z1^2", "z2^3 + z2*z1^4"])
-    z1 = Poly.variable(2, 1)
-    s = ineffectiveness_witness(dom, z1, round_index=1)
-    assert s == 6
 
 
 @pytest.mark.parametrize(
