@@ -17,7 +17,6 @@ from fractions import Fraction
 
 from .polyring import (
     Poly,
-    differentiate,
     gr,
     jacobian_det,
     poly_to_string,
@@ -339,7 +338,7 @@ def run_effective_chain(params: CDParams) -> EffectiveChain:
             f"final order {final.order} differs from the closed form {want}"
         )
 
-    outcome = certificate_verify(der.cert, domain)
+    outcome = certificate_verify(der.cert, domain, printed=der.printed)
     if not outcome:
         raise VerificationError(f"self-verification failed: {outcome.reason}")
 

@@ -382,7 +382,9 @@ def _floor(q: int, r: int) -> Fraction:
 
 def run_effective3d(domain: SpecialDomain, seed: int = 0) -> Effective3dResult:
     """Steps one to three on a two-variable domain, then one floor check and
-    one self-verification of the emitted certificate.
+    one self-verification of the emitted certificate.  The verifier compares
+    each formula's result with the polynomials the emitter printed, so each
+    payload is printed once per run.
 
     A constant h2_hat ends the chain after step one (the short circuit): its
     root step has already emitted the constant multiplier 1.
@@ -405,7 +407,7 @@ def run_effective3d(domain: SpecialDomain, seed: int = 0) -> Effective3dResult:
     floor_prefixed = _floor(q, 0 if wdata is None else wdata.prefix_r)
     if final.order < floor_prefixed:
         raise VerificationError(f"final order {final.order} fell below the floor {floor_prefixed}")
-    vr = certificate_verify(der.cert, domain)
+    vr = certificate_verify(der.cert, domain, printed=der.printed)
     if not vr.ok:
         raise VerificationError(f"self-verification failed at step {vr.failed_step}: {vr.reason}")
     return Effective3dResult(

@@ -248,11 +248,14 @@ class DerivationCertificate:
 class Derivation:
     """Rule applicator: builds multiplier objects while logging certificate
     steps.  All payloads are rendered through the canonical printer so the
-    certificate is self-contained text."""
+    certificate is self-contained text.  `printed` maps each step id to the
+    `Step` written and the payload polynomials its text is the print of, for
+    the emitter's self-verification."""
 
     def __init__(self, domain: SpecialDomain):
         self.domain = domain
         self.cert = DerivationCertificate(domain)
+        self.printed: dict[int, tuple] = {}
 
     # -- helpers ------------------------------------------------------------
 
@@ -273,14 +276,16 @@ class Derivation:
             payload = rule.payload(self.domain, ms, aux)
         if order is None:
             order = rule.order(ms, aux)
+        polys = tuple(payload)
         step = self.cert.add(
             name,
             [m.step for m in ms],
-            [self._s(p) for p in payload],
+            [self._s(p) for p in polys],
             order,
             aux={k: _render(aux[k], self._s) for k in rule.aux},
         )
-        return Multiplier(rule.kind, tuple(payload), order, step.id)
+        self.printed[step.id] = (step, polys)
+        return Multiplier(rule.kind, polys, order, step.id)
 
     # -- rules --------------------------------------------------------------
 
@@ -624,7 +629,8 @@ def _fail(step_id, reason):
     return VerifyResult(False, step_id, reason)
 
 
-def certificate_verify(cert: DerivationCertificate, domain: SpecialDomain) -> VerifyResult:
+def certificate_verify(cert: DerivationCertificate, domain: SpecialDomain,
+                       printed: dict | None = None) -> VerifyResult:
     """Replay a certificate against a domain from its serialized payloads.
 
     Checks, per step and from the step's `RULES` entry: id topology, input
@@ -642,6 +648,16 @@ def certificate_verify(cert: DerivationCertificate, domain: SpecialDomain) -> Ve
     accepted, and that path alone rejects: a parse error still comes first,
     and every failing step and reason is the one the parse-first replay
     gives.
+
+    `printed` is `Derivation.printed` of the emitter that wrote `cert`, for
+    its self-verification.  A step that is the very `Step` object recorded
+    there has as its text the prints of the recorded polynomials, and a
+    frozen `Step` keeps that text; printing is a function, so a computed
+    payload equal to the recorded one prints as that text, and the step
+    takes the recorded polynomials without printing them again.  Every
+    other step, one swapped for another object or one whose computed
+    payload differs, is checked as text as above, so the verdicts are the
+    ones the certificate gets when read back from its JSON.
     """
     vs = domain.variables
     n = domain.nvars
@@ -665,6 +681,7 @@ def certificate_verify(cert: DerivationCertificate, domain: SpecialDomain) -> Ve
 
     polys: dict[int, tuple] = {}
     assumptions = []
+    printed = printed or {}
 
     def replay(st, rule, payload):
         """The input multipliers and aux values of a step, after every check
@@ -707,7 +724,10 @@ def certificate_verify(cert: DerivationCertificate, domain: SpecialDomain) -> Ve
                     pass  # the parsing path below names the first failure
                 else:
                     derived = tuple(rule.payload(domain, ins, aux))
-            if derived is not None and _prints_as(st.payload, derived, vs):
+            step, recorded = printed.get(pos, (None, None))
+            if derived is not None and step is st and derived == recorded:
+                payload = recorded  # one copy of the payload stays alive
+            elif derived is not None and _prints_as(st.payload, derived, vs):
                 payload = derived
             else:
                 try:

@@ -19,7 +19,6 @@ their normal forms packed in the basis' divisors.
 import itertools
 import math
 import random
-from fractions import Fraction
 
 from kohnmult.groebner import (
     GroebnerBasis,

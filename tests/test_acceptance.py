@@ -28,7 +28,6 @@ from kohnmult.groebner import (
     standard_monomials,
 )
 from kohnmult.multiplier_core import SpecialDomain, certificate_verify
-from kohnmult.kohn_full_radical import run_full_radical
 from kohnmult.kohn_effective3d import run_effective3d, skoda_verify
 from kohnmult.catlin_dangelo import (
     CDParams,

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from kohnmult.polyring import Poly, poly_to_string
+from kohnmult.polyring import Poly
 from kohnmult.groebner import quotient_dimension, groebner_basis
 from kohnmult.multiplier_core import DomainError, certificate_verify
 from kohnmult.catlin_dangelo import (

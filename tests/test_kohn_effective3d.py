@@ -1,14 +1,14 @@
 """Effective triangular-system procedure in two complex variables."""
 
 import dataclasses
+import json
 import re
 from fractions import Fraction
 
 import pytest
 
 from kohnmult.polyring import Poly, differentiate, parse_poly
-from kohnmult.groebner import groebner_basis, ideal_membership
-from kohnmult import kohn_effective3d
+from kohnmult import cli, kohn_effective3d
 from kohnmult.multiplier_core import (
     RULES,
     Derivation,
@@ -296,3 +296,19 @@ def test_each_formula_is_expanded_once_per_run(monkeypatch):
     assert len(calls) == combines
     m_h1 = 3 * res.q**2 * res.ell_tilde + res.prefix_r
     assert not [n for p, n in powers if n == m_h1 and p == res.step_two.h1]
+
+
+def test_each_payload_is_printed_once_per_run(reprints, tmp_path, capsys):
+    res = run_effective3d(_dom(["z1^2", "z2^2"]), seed=0)
+    # self-verification compares polynomials with the ones the emitter printed
+    assert reprints == []
+
+    # `kohnmult verify` reads the certificate as text and checks every
+    # derived payload against a fresh print
+    dom_path, cert_path = tmp_path / "domain.json", tmp_path / "cert.json"
+    dom_path.write_text(json.dumps(res.domain.to_json()))
+    cert_path.write_text(res.certificate.dumps())
+    assert cli.main(["verify", str(dom_path), str(cert_path)]) == 0
+    assert "certificate ok" in capsys.readouterr().out
+    derived = [st.payload for st in res.certificate.steps if RULES[st.rule].payload is not None]
+    assert len(derived) > 20 and reprints == derived

@@ -2,13 +2,12 @@
 
 import pytest
 
-from kohnmult.polyring import Poly, parse_poly, poly_matrix_det
-from kohnmult.modules import VecPoly, module_membership
+from kohnmult.polyring import Poly, parse_poly
+from kohnmult.modules import VecPoly
 from kohnmult.multiplier_core import VerificationError, matrix_to_vector_form
 from kohnmult.matrix_lab import (
     adjugate_divergence,
     compare_procedures,
-    determinant_gradient,
     load_matrix,
     triangular_comparison,
     triangular_matrix,

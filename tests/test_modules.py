@@ -2,7 +2,7 @@
 
 import pytest
 
-from kohnmult.polyring import Poly, gr, parse_poly
+from kohnmult.polyring import Poly, parse_poly
 from kohnmult.modules import VecPoly, module_membership
 
 from oracles import make_rng, random_poly

@@ -1,5 +1,6 @@
 """Derivation rules, order bookkeeping, and certificate replay."""
 
+import dataclasses
 import functools
 import hashlib
 import json
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from kohnmult import cli, multiplier_core, polyring
+from kohnmult import catlin_dangelo, cli, kohn_effective3d, multiplier_core, polyring
 from kohnmult.catlin_dangelo import CDParams, run_effective_chain
 from kohnmult.kohn_effective3d import run_effective3d
 from kohnmult.polyring import Poly, gr, parse_poly, poly_to_string
@@ -246,7 +247,7 @@ def test_general_gamma_requires_exact_hypothesis():
 
 # -- certificates ------------------------------------------------------------
 
-def _build_chain():
+def _build_derivation():
     dom = _dom(["z1^2", "z2^2"])
     der = Derivation(dom)
     pms = der.init_premultipliers()
@@ -255,6 +256,11 @@ def _build_chain():
     det = der.rule_det([t1, der.rule_differential(g)])
     root = der.rule_root(_p("z1"), 2, [det])
     der.rule_combine([_p("z2")], [root])
+    return dom, der
+
+
+def _build_chain():
+    dom, der = _build_derivation()
     return dom, der.cert
 
 
@@ -385,13 +391,30 @@ def test_order_string_round_trip():
 
 # -- the rule table ----------------------------------------------------------
 
-@functools.lru_cache(maxsize=None)
-def _all_rules_text():
+def _self_verified(make):
+    """Run `make` and return the certificate, domain and printed map that
+    its self-verification was given."""
+    calls = []
+
+    def spy(cert, domain, printed=None):
+        calls.append((cert, domain, printed))
+        return certificate_verify(cert, domain, printed=printed)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kohn_effective3d, "certificate_verify", spy)
+        mp.setattr(catlin_dangelo, "certificate_verify", spy)
+        make()
+    [call] = calls
+    return call
+
+
+def _all_rules_derivation():
     """The CD(2,3,5) chain followed by an assumed diagonal matrix, its
-    adjugate contraction and a general_gamma step: all ten rules."""
-    cert = run_effective_chain(CDParams(2, 3, 5)).certificate
+    adjugate contraction and a general_gamma step: all ten rules.  Its
+    `printed` holds every step, the chain's as the chain recorded them."""
+    cert, _, printed = _self_verified(lambda: run_effective_chain(CDParams(2, 3, 5)))
     der = Derivation(cert.domain)
-    der.cert = cert
+    der.cert, der.printed = cert, printed
     one = Multiplier(SCALAR, (Poly.one(2),), cert.final.order, cert.final.id)
     zero = Poly.zero(2)
     a = der.assume_matrix(
@@ -405,7 +428,12 @@ def _all_rules_text():
         a,
         alpha,
     )
-    return json.dumps(cert.to_json())
+    return der
+
+
+@functools.lru_cache(maxsize=None)
+def _all_rules_text():
+    return json.dumps(_all_rules_derivation().cert.to_json())
 
 
 def _all_rules():
@@ -757,3 +785,63 @@ def test_edited_derived_payloads_are_judged_by_their_polynomial(source, where, s
     else:
         assert (res.ok, res.failed_step) == (False, k)
         assert res.reason == f"payload does not match the {step['rule']} formula"
+
+
+# -- self-verification on the printed polynomials ----------------------------
+#
+# The emitter's self-verification hands `certificate_verify` the polynomials
+# each step's text was printed from; a step that is the recorded `Step`
+# object is decided by polynomial equality, with no second print.
+
+
+def _emitted(case):
+    """(certificate, domain, printed map) as the emitter leaves them."""
+    if case == "chain":
+        dom, der = _build_derivation()
+        return der.cert, dom, der.printed
+    if case == "all-rules":
+        der = _all_rules_derivation()
+        return der.cert, der.domain, der.printed
+    if case == "catlin-dangelo-3-4-5":
+        return _self_verified(lambda: run_effective_chain(CDParams(3, 4, 5)))
+    return _self_verified(PINNED[case][0])
+
+
+@pytest.mark.parametrize("case", ["chain", "all-rules", *sorted(PINNED), "catlin-dangelo-3-4-5"])
+def test_printed_polynomials_give_the_verdict_of_the_json_text(case, reprints):
+    cert, dom, printed = _emitted(case)
+    read_back = DerivationCertificate.from_json(json.loads(cert.dumps()))
+    reprints.clear()
+    res = certificate_verify(cert, dom, printed=printed)
+    assert res.ok, res.reason
+    assert reprints == []
+    assert res == certificate_verify(read_back, dom)
+
+
+def test_in_memory_tamper_gets_the_verdict_of_the_json_tamper(reprints):
+    dom, der = _build_derivation()
+    data = json.loads(der.cert.dumps())
+    k = next(s.id for s in der.cert.steps if s.rule == "det")
+    der.cert.steps[k] = dataclasses.replace(der.cert.steps[k], payload=("9*z1^2",))
+    data["steps"][k]["payload"] = ["9*z1^2"]
+    reprints.clear()
+    res = certificate_verify(der.cert, dom, printed=der.printed)
+    assert (res.ok, res.failed_step) == (False, k)
+    assert reprints == [("9*z1^2",)]
+    assert res == certificate_verify(DerivationCertificate.from_json(data), dom)
+
+
+def test_a_printed_map_decides_nothing_by_itself(reprints):
+    dom, der = _build_derivation()
+    k = next(s.id for s in der.cert.steps if s.rule == "det")
+    step, polys = der.printed[k]
+    # an equal copy of the step is not the recorded object: it is checked as text
+    der.cert.steps[k] = dataclasses.replace(step)
+    assert certificate_verify(der.cert, dom, printed=der.printed).ok
+    assert reprints == [step.payload]
+    # a recorded polynomial that differs from the formula leaves the text to decide
+    der.cert.steps[k] = step
+    der.printed[k] = (step, (polys[0] + _p("z1"),))
+    reprints.clear()
+    assert certificate_verify(der.cert, dom, printed=der.printed).ok
+    assert reprints == [step.payload]
