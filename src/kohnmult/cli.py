@@ -86,7 +86,7 @@ def _load_json(path: str) -> dict:
 
 def _load_domain(path: str) -> SpecialDomain:
     data = _load_json(path)
-    return SpecialDomain.from_strings(data["variables"], data["generators"])
+    return SpecialDomain.from_strings(data.get("variables"), data.get("generators"))
 
 
 def _emit(args, data: dict, table: str) -> None:

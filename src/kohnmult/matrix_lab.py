@@ -226,8 +226,8 @@ def triangular_comparison(a11, a22, a33, xi, eta, names=("z1", "z2", "z3")) -> T
 
 def load_matrix(data: dict):
     """Matrix-file JSON {"vars": [...], "entries": [[poly strings]]}."""
-    names = list(check_names(data["vars"]))
-    rows = data["entries"]
+    names = list(check_names(data.get("vars")))
+    rows = data.get("entries")
     if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
         raise ValueError("matrix entries must be a list of rows, each a list")
     entries = [[parse_poly(s, names) for s in row] for row in rows]

@@ -10,18 +10,20 @@ anywhere in this package.
 
 A Poly stores one form, the product kernel's (see "the integer product
 kernel" below): each exponent tuple packed into one int, and the
-coefficients as integer numerators over their least common denominator, real
-and imaginary parts in two dicts keyed by packed int.  Every constructor
-packs, and sums, products, powers, scaling, derivatives, printing,
-equality and hashing all work on the numerators, so a chain of rule steps
-builds no Fraction.  The ``terms`` dict, one GaussRat per term, is built on
-its first read and kept.  A large product splits the packed keys into
-residue classes modulo their most common gap, multiplies each pair of dense
-classes as one big int with a fixed-width slot per key (Kronecker
-substitution), and the remaining terms one by one.  A sum of products,
-``dot``, takes each distinct operand once at one field width and adds every
-product's numerators over one common denominator; determinants and the
-multiplier rules' sums of products use it.
+coefficients as numerators over their least common denominator in one dict
+keyed by packed int, an int for a real coefficient and a Gaussian integer
+otherwise, the numerators ``Divisors`` holds too.  Every constructor packs,
+and sums, products, powers, scaling, derivatives, printing, equality and
+hashing all work on the numerators, so a chain of rule steps builds no
+Fraction.  The ``terms`` dict, one GaussRat per term, is built on its first
+read and kept.  A large product splits the packed keys into residue classes
+modulo their most common gap, multiplies each pair of dense classes as one
+big int with a fixed-width slot per key (Kronecker substitution), the real
+and imaginary parts of Gaussian numerators apart, and the remaining terms
+one by one.  A sum of products, ``dot``, takes each distinct operand once
+at one field width and adds every product's numerators over one common
+denominator; determinants and the multiplier rules' sums of products use
+it.
 
 A monomial order is its block splits: () for graded lex, (k,) for the
 elimination order elim(k).  One function, ``_order_keys``, ranks monomials:
@@ -52,7 +54,6 @@ differentiates with respect to the first variable).
 from __future__ import annotations
 
 import heapq
-import itertools
 import math
 import operator
 import re
@@ -147,16 +148,56 @@ def coefficient_bits(c: GaussRat) -> int:
                abs(c.im.numerator).bit_length(), c.im.denominator.bit_length())
 
 
+class _GaussInt:
+    """A Gaussian integer real + imag*i, imag != 0, the numerator of a
+    coefficient that is not real.  It mixes with ints in +, * and // by an
+    int, since ints have ``real``, ``imag`` and ``conjugate`` too, and a
+    result with no imaginary part is an int; so it never equals an int."""
+
+    __slots__ = ("real", "imag")
+
+    def __init__(self, real: int, imag: int):
+        self.real, self.imag = real, imag
+
+    def __eq__(self, other):
+        return type(other) is _GaussInt and self.real == other.real and self.imag == other.imag
+
+    def __hash__(self):
+        return hash((self.real, self.imag))
+
+    def __neg__(self):
+        return _GaussInt(-self.real, -self.imag)
+
+    def __add__(self, other):
+        return _zi(self.real + other.real, self.imag + other.imag)
+
+    def __mul__(self, other):
+        a, b, c, d = self.real, self.imag, other.real, other.imag
+        return _zi(a * c - b * d, a * d + b * c)
+
+    def __floordiv__(self, n: int):
+        return _GaussInt(self.real // n, self.imag // n)
+
+    def conjugate(self):
+        return _GaussInt(self.real, -self.imag)
+
+    __radd__, __rmul__ = __add__, __mul__
+
+
+def _zi(real: int, imag: int):
+    return _GaussInt(real, imag) if imag else real
+
+
 class Poly:
     """Sparse multivariate polynomial with GaussRat coefficients.
 
     ``Poly(nvars, terms)`` takes a dict mapping exponent tuples to
     coefficients, drops the zero ones and packs the rest.  ``_pk`` is
-    (width, real, imag, den): dicts packed monomial -> nonzero integer
-    numerator over ``den``, the least positive common denominator of the
-    coefficients, each term's total degree within one field of ``width``
-    bits; the zero polynomial has two empty dicts over 1.  ``terms``, the
-    dict monomial -> GaussRat, is built from it on first read, and the
+    (width, nums, den): a dict packed monomial -> nonzero numerator, an int
+    or a _GaussInt, over ``den``, the least positive common denominator of
+    the coefficients, each term's total degree within one field of
+    ``width`` bits; the zero polynomial has an empty dict over 1.  ``terms``,
+    the dict monomial -> GaussRat, is built from it on first read, and the
     total degree is kept once computed.  Instances are immutable: every
     operation returns a fresh Poly or an operand, and no code mutates a
     packed dict after construction.
@@ -189,7 +230,7 @@ class Poly:
 
     @staticmethod
     def zero(nvars: int) -> "Poly":
-        return _new(nvars, 1, {}, {}, 1)
+        return _new(nvars, 1, {}, 1)
 
     @staticmethod
     def const(nvars: int, c) -> "Poly":
@@ -197,14 +238,14 @@ class Poly:
 
     @staticmethod
     def one(nvars: int) -> "Poly":
-        return _new(nvars, 1, {0: 1}, {}, 1)
+        return _new(nvars, 1, {0: 1}, 1)
 
     @staticmethod
     def variable(nvars: int, index: int) -> "Poly":
         """The variable with 1-based ``index``."""
         if not 1 <= index <= nvars:
             raise ValueError(f"variable index {index} out of range 1..{nvars}")
-        return _new(nvars, 1, {1 << (nvars - index): 1}, {}, 1)
+        return _new(nvars, 1, {1 << (nvars - index): 1}, 1)
 
     @staticmethod
     def monomial(nvars: int, mono: tuple, c=GR_ONE) -> "Poly":
@@ -213,20 +254,17 @@ class Poly:
     # -- predicates ---------------------------------------------------------
 
     def is_zero(self) -> bool:
-        _, real, imag, _ = self._pk
-        return not real and not imag
+        return not self._pk[1]
 
     def __bool__(self):
-        _, real, imag, _ = self._pk
-        return bool(real) or bool(imag)
+        return bool(self._pk[1])
 
     def is_constant(self) -> bool:
-        _, real, imag, _ = self._pk
-        return real.keys() <= {0} and imag.keys() <= {0}
+        return self._pk[1].keys() <= {0}
 
     def constant_value(self) -> GaussRat:
-        _, real, imag, den = self._pk
-        return _gauss(real.get(0, 0), imag.get(0, 0), den)
+        _, nums, den = self._pk
+        return _gauss(nums.get(0, 0), den)
 
     def is_unit(self) -> bool:
         """Nonzero constant."""
@@ -235,20 +273,20 @@ class Poly:
     def __eq__(self, other):
         if not isinstance(other, Poly):
             return NotImplemented
-        wa, ra, ia, da = self._pk
-        wb, rb, ib, db = other._pk
-        if self.nvars != other.nvars or da != db or len(ra) != len(rb) or len(ia) != len(ib):
+        wa, na, da = self._pk
+        wb, nb, db = other._pk
+        if self.nvars != other.nvars or da != db or len(na) != len(nb):
             return False
         if wa != wb:
-            (ra, ia), _ = _operand(self, max(wa, wb))
-            (rb, ib), _ = _operand(other, max(wa, wb))
-        return ra == rb and ia == ib
+            na, _ = _operand(self, max(wa, wb))
+            nb, _ = _operand(other, max(wa, wb))
+        return na == nb
 
     def __hash__(self):
         # at the least width that holds the degree: equal Polys of other
         # widths hash alike
-        (real, imag), den = _operand(self, _field_width(self.total_degree()))
-        return hash((self.nvars, den, frozenset(real.items()), frozenset(imag.items())))
+        nums, den = _operand(self, _field_width(self.total_degree()))
+        return hash((self.nvars, den, frozenset(nums.items())))
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -259,24 +297,19 @@ class Poly:
         return _sum(self, other, -1)
 
     def __neg__(self) -> "Poly":
-        width, real, imag, den = self._pk
-        return _new(self.nvars, width, {k: -c for k, c in real.items()},
-                    {k: -c for k, c in imag.items()}, den, self._degree)
+        width, nums, den = self._pk
+        return _new(self.nvars, width, {k: -c for k, c in nums.items()}, den, self._degree)
 
     def scale(self, c: GaussRat) -> "Poly":
         if not isinstance(c, GaussRat):
             c = GaussRat(c)
         if not c or not self:
             return Poly.zero(self.nvars)
-        # c = (cr + i*ci)/cd times each numerator
+        # c = z/cd, z a Gaussian integer, times each numerator
         cd = math.lcm(c.re.denominator, c.im.denominator)
-        cr, ci = c.re.numerator * (cd // c.re.denominator), c.im.numerator * (cd // c.im.denominator)
-        width, real, imag, den = self._pk
-        if ci:
-            parts = _gauss_mul((real, imag), ({0: cr} if cr else {}, {0: ci}))
-        else:
-            parts = {k: v * cr for k, v in real.items()}, {k: v * cr for k, v in imag.items()}
-        return _packed(self.nvars, width, parts, den * cd, self._degree)
+        z = _zi(c.re.numerator * (cd // c.re.denominator), c.im.numerator * (cd // c.im.denominator))
+        width, nums, den = self._pk
+        return _packed(self.nvars, width, {k: v * z for k, v in nums.items()}, den * cd, self._degree)
 
     def mul_term(self, mono: tuple, c: GaussRat) -> "Poly":
         return _product(self, Poly.monomial(self.nvars, mono, c))
@@ -298,11 +331,11 @@ class Poly:
         result = None
         while True:
             if n & 1:
-                result = base if result is None else _gauss_mul(result, base)
+                result = base if result is None else _mul(result, base)
             n >>= 1
             if not n:
                 break
-            base = _gauss_mul(base, base)
+            base = _mul(base, base)
         return _packed(self.nvars, width, result, den, degree)
 
     # -- structure ----------------------------------------------------------
@@ -311,60 +344,57 @@ class Poly:
         """Max total degree of a term; -1 for the zero polynomial."""
         degree = self._degree
         if degree is None:
-            width, real, imag, _ = self._pk
-            degree = max(_max_degree(real, width), _max_degree(imag, width)) if real or imag else -1
+            width, nums, _ = self._pk
+            degree = _max_degree(nums, width) if nums else -1
             self._degree = degree
         return degree
 
     def term_count(self) -> int:
         """len(self.terms), without building the terms."""
-        _, real, imag, _ = self._pk
-        return len(real.keys() | imag.keys()) if imag else len(real)
+        return len(self._pk[1])
 
     def leading(self, splits: tuple = ()):
         """(monomial, coefficient) of the largest term under the order of
         block boundaries ``splits`` (see :func:`_order_keys`)."""
         if not self:
             raise ValueError("zero polynomial has no leading term")
-        width, real, imag, den = self._pk
+        width, nums, den = self._pk
         k = _leading_key(self, splits)
-        return _unpacker(self.nvars, width)(k), _gauss(real.get(k, 0), imag.get(k, 0), den)
+        return _unpacker(self.nvars, width)(k), _gauss(nums[k], den)
 
     def monic(self, splits: tuple = ()) -> "Poly":
         """Scale so the leading coefficient under ``splits`` is 1; self when
         it already is."""
         if not self:
             return self
-        width, real, imag, den = self._pk
-        k = _leading_key(self, splits)
-        r, i = real.get(k, 0), imag.get(k, 0)
-        if i:
-            return self.scale(_gauss(r, i, den).inverse())
-        if r == den:
+        width, nums, den = self._pk
+        c = nums[_leading_key(self, splits)]
+        if type(c) is not int:
+            return self.scale(_gauss(c, den).inverse())
+        if c == den:
             return self
-        # dividing by r/den leaves the numerators over r, its sign moved up
-        if r < 0:
-            real, imag, r = {k: -c for k, c in real.items()}, {k: -c for k, c in imag.items()}, -r
-        return _packed(self.nvars, width, (real, imag), r, self._degree)
+        # dividing by c/den leaves the numerators over c, its sign moved up
+        if c < 0:
+            nums, c = {k: -v for k, v in nums.items()}, -c
+        return _packed(self.nvars, width, nums, c, self._degree)
 
     def degree_in(self, index: int) -> int:
         """Degree in the 1-based variable ``index``; -1 for zero."""
         if not self:
             return -1
-        width, real, imag, _ = self._pk
+        width, nums, _ = self._pk
         shift, mask = width * (self.nvars - index), (1 << width) - 1
-        return max((k >> shift) & mask for k in itertools.chain(real, imag))
+        return max((k >> shift) & mask for k in nums)
 
     def coefficients_in(self, index: int) -> list:
         """Dense coefficient list [c_0, ..., c_d] with respect to variable
         ``index``; each c_k is a Poly not involving that variable."""
-        width, real, imag, den = self._pk
+        width, nums, den = self._pk
         shift, mask = width * (self.nvars - index), (1 << width) - 1
-        buckets = [({}, {}) for _ in range(self.degree_in(index) + 1)]
-        for j, part in enumerate((real, imag)):
-            for k, c in part.items():
-                e = (k >> shift) & mask
-                buckets[e][j][k - (e << shift)] = c
+        buckets = [{} for _ in range(self.degree_in(index) + 1)]
+        for k, c in nums.items():
+            e = (k >> shift) & mask
+            buckets[e][k - (e << shift)] = c
         return [_packed(self.nvars, width, b, den) for b in buckets]
 
     def compose(self, subs: Sequence["Poly"]) -> "Poly":
@@ -411,18 +441,14 @@ class Poly:
         targets = [t for _, t in moved]
         if len(set(targets)) != len(targets) or not all(0 <= t < nvars for t in targets):
             raise ValueError(f"places must be distinct indices in 1..{nvars}")
-        width, real, imag, den = self._pk
+        width, nums, den = self._pk
         mask = (1 << width) - 1
         shifts = [width * (self.nvars - 1 - k) for k in range(self.nvars)]
         moves = [(shifts[k], width * (nvars - 1 - t)) for k, t in moved]
         dropped = sum(mask << shifts[k] for k, t in enumerate(places) if t is None)
-
-        def move(part: dict) -> dict:
-            return {sum(((k >> a) & mask) << b for a, b in moves): c
-                    for k, c in part.items() if not k & dropped}
-
         # the total degree of a kept term is unchanged, so the width holds it
-        return _packed(nvars, width, (move(real), move(imag)), den)
+        return _packed(nvars, width, {sum(((k >> a) & mask) << b for a, b in moves): c
+                                      for k, c in nums.items() if not k & dropped}, den)
 
     def __repr__(self):
         return f"Poly({self.nvars}, {poly_to_string(self, default_names(self.nvars))!r})"
@@ -436,22 +462,24 @@ class Poly:
 # the highest field), so that adding two packed ints multiplies the
 # monomials while no field overflows.  A constructor takes the width from
 # the total degree, which bounds each exponent, and a product from the total
-# degree of the result.  The coefficients are integer numerators over their
-# least common denominator, real and imaginary parts in two dicts keyed by
-# packed int, and a product is accumulated and kept there.  An operand whose
-# width differs from the product's has its keys repacked, and the width
-# never shrinks below an operand's, since a wider field holds the same
-# monomials and leaves every product unchanged; so a derivative or a sum
-# that cancels its top terms may keep a wider field than its degree needs.
-# A shift by a monomial is a product with a one-term Poly, and a scaling
-# multiplies the numerators and the denominator.
+# degree of the result.  The coefficients are numerators over their least
+# common denominator, in one dict keyed by packed int: an int for a real
+# coefficient and a _GaussInt otherwise, and a product is accumulated and
+# kept there.  An operand whose width differs from the product's has its
+# keys repacked, and the width never shrinks below an operand's, since a
+# wider field holds the same monomials and leaves every product unchanged;
+# so a derivative or a sum that cancels its top terms may keep a wider field
+# than its degree needs.  A shift by a monomial is a product with a one-term
+# Poly, and a scaling multiplies the numerators and the denominator.
 #
-# Small products loop over pairs of terms.  In a large one, the keys of a
-# weighted-homogeneous operand lie on a few arithmetic progressions: with
-# ``step`` the most common gap between the smaller operand's sorted keys,
-# both operands split into residue classes mod ``step``.  A class of at
-# least _DENSE_MIN_TERMS terms that fills at least half of its span becomes
-# one int, the coefficient of key lo + i*step in slot i, and the product of
+# Small products loop over pairs of terms, Gaussian numerators included.  A
+# large one runs on int dicts: a Gaussian operand splits into its real and
+# imaginary parts, and four int products make the result.  In each, the
+# keys of a weighted-homogeneous operand lie on a few arithmetic
+# progressions: with ``step`` the most common gap between the smaller
+# operand's sorted keys, both operands split into residue classes mod
+# ``step``.  A class of at least _DENSE_MIN_TERMS terms that fills at least
+# half of its span becomes one int, the coefficient of key lo + i*step in slot i, and the product of
 # two such ints is the product of the classes (Kronecker substitution).
 # Every slot of it is a sum of at most len(a) products of coefficients
 # below 2^ba and 2^bb, so w = ba + bb + bits(len(a)) + 1 bits, rounded up
@@ -472,22 +500,45 @@ def _field_width(degree: int) -> int:
 
 
 def _pack(terms: dict, width: int) -> tuple:
-    """The packed form (width, real, imag, den) of a dict exponent tuple ->
+    """The packed form (width, nums, den) of a dict exponent tuple ->
     nonzero GaussRat whose total degrees fit in ``width`` bits."""
     den = 1
     for c in terms.values():
         if c.re.denominator != 1 or c.im.denominator != 1:
             den = math.lcm(den, c.re.denominator, c.im.denominator)
-    real, imag = {}, {}
+    nums = {}
     for mono, c in terms.items():
         key = 0
         for e in mono:
             key = (key << width) | e
-        if c.re:
-            real[key] = c.re.numerator * (den // c.re.denominator)
-        if c.im:
-            imag[key] = c.im.numerator * (den // c.im.denominator)
-    return width, real, imag, den
+        nums[key] = _zi(c.re.numerator * (den // c.re.denominator),
+                        c.im.numerator * (den // c.im.denominator))
+    return width, nums, den
+
+
+def _mul(a: dict, b: dict) -> dict:
+    """Product of two packed numerator dicts, int or _GaussInt values, as a
+    fresh dict; zero entries may remain.  Small operands multiply term by
+    term; in large ones the int parts go to _int_mul."""
+    if min(len(a), len(b)) < _DENSE_MIN_TERMS or len(a) * len(b) < _DENSE_MIN_WORK:
+        return _dict_mul(a, b, {})
+    ar, ai = _parts(a)
+    br, bi = (ar, ai) if b is a else _parts(b)
+    out = _int_mul(ar, br)
+    if ai or bi:
+        _add_into(out, _int_mul(ai, bi), -1)
+        for k, c in _add_into(_int_mul(ar, bi), _int_mul(ai, br), 1).items():
+            out[k] = _zi(out.get(k, 0), c)
+    return out
+
+
+def _parts(nums: dict) -> tuple:
+    """(real, imag): the int dicts of the nonzero real and imaginary parts
+    of ``nums``; ``nums`` itself and {} when every value is an int."""
+    if all(type(c) is int for c in nums.values()):
+        return nums, {}
+    return ({k: c.real for k, c in nums.items() if c.real},
+            {k: c.imag for k, c in nums.items() if c.imag})
 
 
 def _int_mul(a: dict, b: dict) -> dict:
@@ -538,7 +589,8 @@ def _int_mul(a: dict, b: dict) -> dict:
 
 
 def _dict_mul(a: dict, b: dict, out: dict) -> dict:
-    """out + a*b term by term, updating out in place."""
+    """out + a*b term by term, updating out in place; the values may be
+    ints or _GaussInts."""
     get = out.get
     b_items = list(b.items())
     for ka, ca in a.items():
@@ -588,17 +640,6 @@ def _add_into(x: dict, y: dict, sign: int) -> dict:
     return x
 
 
-def _gauss_mul(a: tuple, b: tuple) -> tuple:
-    """(ar + i*ai)(br + i*bi) on (real, imag) pairs of packed dicts."""
-    ar, ai = a
-    br, bi = b
-    real = _int_mul(ar, br)
-    if not ai and not bi:
-        return real, {}
-    _add_into(real, _int_mul(ai, bi), -1)
-    return real, _add_into(_int_mul(ar, bi), _int_mul(ai, br), 1)
-
-
 def _unpacker(nvars: int, width: int):
     """The map from a packed key back to its exponent tuple."""
     mask = (1 << width) - 1
@@ -606,58 +647,51 @@ def _unpacker(nvars: int, width: int):
     return lambda key: tuple((key >> s) & mask for s in shifts)
 
 
-def _unpack(nvars: int, width: int, real: dict, imag: dict, den: int) -> dict:
-    """The term dict of packed numerator dicts over ``den``, which hold no
+def _unpack(nvars: int, width: int, nums: dict, den: int) -> dict:
+    """The term dict of a packed numerator dict over ``den``, which holds no
     zero entry."""
     mono = _unpacker(nvars, width)
-    if not imag:
-        return {mono(key): _real(Fraction(r, den)) for key, r in real.items()}
-    return {mono(key): _gauss(real.get(key, 0), imag.get(key, 0), den)
-            for key in real.keys() | imag.keys()}
+    return {mono(key): _gauss(c, den) for key, c in nums.items()}
 
 
-def _new(nvars: int, width: int, real: dict, imag: dict, den: int, degree=None) -> Poly:
-    # trusted constructor: the dicts already meet the conditions of Poly._pk,
+def _new(nvars: int, width: int, nums: dict, den: int, degree=None) -> Poly:
+    # trusted constructor: the dict already meets the conditions of Poly._pk,
     # and ``degree`` is the total degree or None
     p = object.__new__(Poly)
     p.nvars = nvars
-    p._pk = (width, real, imag, den)
+    p._pk = (width, nums, den)
     p._terms = None
     p._degree = degree
     return p
 
 
-def _packed(nvars: int, width: int, parts: tuple, den: int, degree=None) -> Poly:
-    """The Poly of packed (real, imag) numerator dicts over a common
-    denominator ``den``, which may hold zero entries, and of total degree
-    ``degree`` when it is known and the Poly is not zero.  A factor shared
-    by ``den`` and every numerator is divided out, which leaves the least
-    common denominator."""
-    real, imag = parts
-    if 0 in real.values():
-        real = {k: c for k, c in real.items() if c}
-    if imag and 0 in imag.values():
-        imag = {k: c for k, c in imag.items() if c}
-    if not real and not imag:
+def _packed(nvars: int, width: int, nums: dict, den: int, degree=None) -> Poly:
+    """The Poly of a packed numerator dict over a common denominator
+    ``den``, which may hold zero entries, and of total degree ``degree``
+    when it is known and the Poly is not zero.  A factor shared by ``den``
+    and every numerator is divided out, which leaves the least common
+    denominator."""
+    if 0 in nums.values():
+        nums = {k: c for k, c in nums.items() if c}
+    if not nums:
         return Poly.zero(nvars)
     if den != 1:
         g = den
-        for c in itertools.chain(real.values(), imag.values()):
-            g = math.gcd(g, c)
+        for c in nums.values():
+            g = math.gcd(g, c.real, c.imag)
             if g == 1:
                 break
         else:
-            real = {k: c // g for k, c in real.items()}
-            imag = {k: c // g for k, c in imag.items()}
+            nums = {k: c // g for k, c in nums.items()}
             den //= g
-    return _new(nvars, width, real, imag, den, degree)
+    return _new(nvars, width, nums, den, degree)
 
 
-def _gauss(re: int, im: int, den: int) -> GaussRat:
-    """The GaussRat (re + im*i)/den of integer numerators."""
-    if not im:
-        return _real(Fraction(re, den)) if re else GR_ZERO
-    return GaussRat(Fraction(re, den), Fraction(im, den))
+def _gauss(c, den: int) -> GaussRat:
+    """The GaussRat c/den of an int or _GaussInt numerator c."""
+    if type(c) is int:
+        return _real(Fraction(c, den)) if c else GR_ZERO
+    return GaussRat(Fraction(c.real, den), Fraction(c.imag, den))
 
 
 def _max_degree(part: dict, width: int) -> int:
@@ -693,8 +727,8 @@ def _order_keys(keys, width: int, nvars: int, splits: tuple = ()) -> list:
 
 def _leading_key(p: Poly, splits: tuple) -> int:
     """The packed key of the largest term of a nonzero p under ``splits``."""
-    width, real, imag, _ = p._pk
-    keys = list(real.keys() | imag.keys() if imag else real)
+    width, nums, _ = p._pk
+    keys = list(nums)
     ranks = _order_keys(keys, width, p.nvars, splits)
     return keys[ranks.index(max(ranks))]
 
@@ -706,13 +740,11 @@ def _width_for(degree: int, polys) -> int:
 
 
 def _operand(p: Poly, width: int):
-    """((real, imag), den) of p in fields of ``width`` bits, which hold its
-    total degree: its packed form, with the keys repacked when that width
+    """(nums, den) of p in fields of ``width`` bits, which hold its total
+    degree: its packed form, with the keys repacked when that width
     differs."""
-    w, real, imag, den = p._pk
-    if w != width:
-        real, imag = _repack(real, p.nvars, w, width), imag and _repack(imag, p.nvars, w, width)
-    return (real, imag), den
+    w, nums, den = p._pk
+    return (nums if w == width else _repack(nums, p.nvars, w, width)), den
 
 
 def _sum(a: Poly, b: Poly, sign: int) -> Poly:
@@ -723,16 +755,12 @@ def _sum(a: Poly, b: Poly, sign: int) -> Poly:
     if not a:
         return b if sign > 0 else -b
     width = max(a._pk[0], b._pk[0])
-    (ra, ia), da = _operand(a, width)
-    (rb, ib), db = _operand(b, width)
+    na, da = _operand(a, width)
+    nb, db = _operand(b, width)
     den = math.lcm(da, db)
     scale = den // da
-    real = {k: c * scale for k, c in ra.items()}
-    imag = {k: c * scale for k, c in ia.items()}
-    scale = sign * (den // db)
-    _add_into(real, rb, scale)
-    _add_into(imag, ib, scale)
-    return _packed(a.nvars, width, (real, imag), den)
+    nums = _add_into({k: c * scale for k, c in na.items()}, nb, sign * (den // db))
+    return _packed(a.nvars, width, nums, den)
 
 
 def _product(a: Poly, b: Poly) -> Poly:
@@ -740,10 +768,10 @@ def _product(a: Poly, b: Poly) -> Poly:
         return Poly.zero(a.nvars)
     degree = a.total_degree() + b.total_degree()
     width = max(_field_width(degree), a._pk[0], b._pk[0])
-    pa, da = _operand(a, width)
-    pb, db = _operand(b, width)
+    na, da = _operand(a, width)
+    nb, db = _operand(b, width)
     # the product of the leading terms leads, so the degrees add
-    return _packed(a.nvars, width, _gauss_mul(pa, pb), da * db, degree)
+    return _packed(a.nvars, width, _mul(na, nb), da * db, degree)
 
 
 def _repack(part: dict, nvars: int, old: int, new: int) -> dict:
@@ -788,15 +816,13 @@ def _signed_dot(nvars: int, triples) -> Poly:
         for p in (a, b):
             if id(p) not in packed:
                 packed[id(p)] = _operand(p, width)
-        (pa, da), (pb, db) = packed[id(a)], packed[id(b)]
-        products.append((_gauss_mul(pa, pb), da * db, sign))
+        (na, da), (nb, db) = packed[id(a)], packed[id(b)]
+        products.append((_mul(na, nb), da * db, sign))
     den = math.lcm(*(d for _, d, _ in products))
-    real, imag = {}, {}
-    for (r, i), d, sign in products:
-        scale = sign * (den // d)
-        _add_into(real, r, scale)
-        _add_into(imag, i, scale)
-    return _packed(nvars, width, (real, imag), den)
+    nums: dict = {}
+    for product, d, sign in products:
+        _add_into(nums, product, sign * (den // d))
+    return _packed(nvars, width, nums, den)
 
 
 def _gauss_pow(c: GaussRat, n: int) -> GaussRat:
@@ -824,14 +850,14 @@ def monomial_gcd(p: Poly, q: Poly):
         return None
     low = None
     for r in (p, q):
-        width, real, imag, _ = r._pk
+        width, nums, _ = r._pk
         mono = _unpacker(r.nvars, width)
-        for key in real.keys() | imag.keys() if imag else real:
+        for key in nums:
             low = mono(key) if low is None else tuple(map(min, low, mono(key)))
     degree = sum(low)
     width = _field_width(degree)
     key = sum(e << width * j for j, e in enumerate(reversed(low)))
-    return _new(p.nvars, width, {key: 1}, {}, 1, degree)
+    return _new(p.nvars, width, {key: 1}, 1, degree)
 
 
 # ---------------------------------------------------------------------------
@@ -869,14 +895,14 @@ def heuristic_gcd(p: Poly, q: Poly):
         return q.monic()
     if not q:
         return p.monic()
+    if any(type(c) is not int for r in (p, q) for c in r._pk[1].values()):
+        return None
     nv = p.nvars
     width = _field_width(max(p.total_degree(), q.total_degree())) + 1
-    (f, f_imag), _ = _operand(p, width)
-    (g, g_imag), _ = _operand(q, width)
-    if f_imag or g_imag:
-        return None
+    f, _ = _operand(p, width)
+    g, _ = _operand(q, width)
     h = _heu_gcd(_primitive(f), _primitive(g), nv, width)
-    return None if h is None else _new(nv, width, h, {}, 1).monic()
+    return None if h is None else _new(nv, width, h, 1).monic()
 
 
 def _int_content(f: dict) -> int:
@@ -912,8 +938,8 @@ def _heu_gcd(f: dict, g: dict, k: int, width: int):
             c = math.gcd(_int_content(ff), _int_content(gg))
             h = _primitive(_interpolate(inner, c, xi, shift))
             if max(h) >> shift <= bound and _max_degree(h, width) <= bound:
-                d = Divisors(k, (), [_new(k, width, h, {}, 1)])
-                if all(d.divide(_new(k, width, p, {}, 1), False)[1].is_zero() for p in (f, g)):
+                d = Divisors(k, (), [_new(k, width, h, 1)])
+                if all(d.divide(_new(k, width, p, 1), False)[1].is_zero() for p in (f, g)):
                     return h
         xi = 2 * xi + xi.bit_length()
     return None
@@ -964,15 +990,13 @@ def differentiate(p: Poly, var_index: int) -> Poly:
         raise ValueError(f"variable index {var_index} out of range 1..{nvars}")
     if not p:
         return Poly.zero(nvars)
-    width, real, imag, den = p._pk
+    width, nums, den = p._pk
     shift = width * (nvars - var_index)
     mask = (1 << width) - 1
     one = 1 << shift
     # lowering one exponent keeps distinct monomials distinct, and c*e != 0
-    return _packed(nvars, width, (
-        {k - one: c * e for k, c in real.items() if (e := (k >> shift) & mask)},
-        {k - one: c * e for k, c in imag.items() if (e := (k >> shift) & mask)},
-    ), den)
+    return _packed(nvars, width, {k - one: c * e for k, c in nums.items()
+                                  if (e := (k >> shift) & mask)}, den)
 
 
 def gradient(p: Poly) -> tuple:
@@ -983,9 +1007,9 @@ def vanishing_order(p: Poly):
     """Minimum total degree of a term; math.inf for the zero polynomial."""
     if not p:
         return math.inf
-    width, real, imag, _ = p._pk
+    width, nums, _ = p._pk
     top = (1 << width) - 1
-    return min((k - 1) % top + 1 if k else 0 for k in itertools.chain(real, imag))
+    return min((k - 1) % top + 1 if k else 0 for k in nums)
 
 
 def poly_matrix_det(rows: Sequence[Sequence[Poly]]) -> Poly:
@@ -1081,39 +1105,6 @@ def equal_up_to_unit(p: Poly, q: Poly):
 # leading coefficient L, with u = conj(L) and n = L*u > 0, all terms are
 # first scaled by n/g, g = gcd(n, c*u), so that the quotient c*u/g is integral.
 
-class _GaussInt:
-    """A Gaussian integer real + imag*i, imag != 0, that mixes with ints in
-    +, * and // by an int: ints have ``real``, ``imag`` and ``conjugate``
-    too.  A result with no imaginary part is an int."""
-
-    __slots__ = ("real", "imag")
-
-    def __init__(self, real: int, imag: int):
-        self.real, self.imag = real, imag
-
-    def __neg__(self):
-        return _GaussInt(-self.real, -self.imag)
-
-    def __add__(self, other):
-        return _zi(self.real + other.real, self.imag + other.imag)
-
-    def __mul__(self, other):
-        a, b, c, d = self.real, self.imag, other.real, other.imag
-        return _zi(a * c - b * d, a * d + b * c)
-
-    def __floordiv__(self, n: int):
-        return _GaussInt(self.real // n, self.imag // n)
-
-    def conjugate(self):
-        return _GaussInt(self.real, -self.imag)
-
-    __radd__, __rmul__ = __add__, __mul__
-
-
-def _zi(real: int, imag: int):
-    return _GaussInt(real, imag) if imag else real
-
-
 class Divisors:
     """Nonzero polynomials ``polys`` packed once for division under the
     order of block boundaries ``splits``: () for grlex, (k,) for elim(k).
@@ -1127,7 +1118,7 @@ class Divisors:
         self.keys, self.items, self.dens = [], [], []
         self._layout(_field_width(max((p.total_degree() for p in polys), default=0)) + 1)
         for p in polys:
-            self._push(self.encode(p)[1], p._pk[3])
+            self._push(self.encode(p)[1], p._pk[2])
 
     def _layout(self, width: int) -> None:
         self.width, f = width, self.nvars + len(self.blocks)  # fields
@@ -1171,13 +1162,9 @@ class Divisors:
         operand of :meth:`times`, widening until p's degree fits."""
         while p.total_degree() >= 1 << (self.width - 1):
             self._widen()
-        (real, imag), _ = _operand(p, self.width)
-        if not imag:
-            return [self.width, dict(zip(_order_keys(real, self.width, self.nvars, self.splits),
-                                         real.values()))]
-        monos = list(real.keys() | imag.keys())
-        keys = _order_keys(monos, self.width, self.nvars, self.splits)
-        return [self.width, {k: _zi(real.get(m, 0), imag.get(m, 0)) for k, m in zip(keys, monos)}]
+        nums, _ = _operand(p, self.width)
+        return [self.width, dict(zip(_order_keys(nums, self.width, self.nvars, self.splits),
+                                     nums.values()))]
 
     def poly(self, work: dict, den=1) -> Poly:
         """The Poly of work/den at this width, for a key dict of int or
@@ -1185,9 +1172,7 @@ class Divisors:
         if type(den) is not int or den < 0:
             u = den.conjugate()
             den, work = den * u, {k: c * u for k, c in work.items()}
-        keys, cs = self._unkey(work), work.values()
-        return _packed(self.nvars, self.width, ({k: c.real for k, c in zip(keys, cs)},
-                                                 {k: c.imag for k, c in zip(keys, cs) if c.imag}), den)
+        return _packed(self.nvars, self.width, dict(zip(self._unkey(work), work.values())), den)
 
     def _push(self, work: dict, den: int) -> None:
         lead = max(work)
@@ -1208,7 +1193,7 @@ class Divisors:
     def divide(self, p: Poly, want_quotients: bool):
         """:func:`divide` of p by the divisors."""
         quots, rem, scale = self.reduce(lambda: self.encode(p)[1], want_quotients)
-        den = scale * p._pk[3]
+        den = scale * p._pk[2]
         if quots is not None:
             quots = [self.poly({k: c * d for k, c in q.items()}, den)
                      for q, d in zip(quots, self.dens)]
@@ -1221,10 +1206,7 @@ class Divisors:
         kernel multiplies them, widening when a product sets a guard bit."""
         def build():
             while True:
-                x, y = self._at_width(a), self._at_width(b)
-                # _GaussInts multiply term by term, outside the dense path
-                real = all(type(c) is int for c in itertools.chain(x.values(), y.values()))
-                work = _int_mul(x, y) if real else _dict_mul(x, y, {})
+                work = _mul(self._at_width(a), self._at_width(b))
                 if not any(k & self.guards for k in work):
                     return work
                 self._widen()
@@ -1450,8 +1432,6 @@ def _parse_canonical(text: str, index: dict):
     monomial twice; else None.  It never raises and takes no power of a
     number: what it cannot read, or a common denominator past
     MAX_NUMBER_BITS bits, is left to ``_Parser``."""
-    if not isinstance(text, str):
-        return None
     nvars = len(index)
     items = []  # (exponents, numerator, denominator) per term
     try:
@@ -1482,17 +1462,16 @@ def _parse_canonical(text: str, index: dict):
         # and _common_denominator a denominator past its bound
         return None
     width = _field_width(max(sum(t[0]) for t in items))
-    real = {}
+    nums = {}
     for mono, num, d in items:
         key = 0
         for e in mono:
             key = (key << width) | e
-        real[key] = num if d == den else num * (den // d)
-    if len(real) != len(items):
+        nums[key] = num if d == den else num * (den // d)
+    if len(nums) != len(items):
         return None
     # the ratios are in lowest terms, so den is their least common denominator
-    return _new(nvars, width, real, {}, den) if all(real.values()) else _packed(
-        nvars, width, (real, {}), den)
+    return _new(nvars, width, nums, den) if all(nums.values()) else _packed(nvars, width, nums, den)
 
 
 def _common_denominator(dens, at: int) -> int:
@@ -1694,8 +1673,8 @@ class _Parser:
 def _size_bounds(p: Poly) -> tuple:
     """(terms, total degree, bits) of p, bits as MAX_PARSE_WORK defines
     them, and degree 0 for the zero polynomial."""
-    _, real, imag, den = p._pk
-    norm = sum(map(abs, real.values())) + sum(map(abs, imag.values()))
+    _, nums, den = p._pk
+    norm = sum(abs(c.real) + abs(c.imag) for c in nums.values())
     return p.term_count(), max(p.total_degree(), 0), (max(norm, den) - 1).bit_length()
 
 
@@ -1720,6 +1699,8 @@ def parse_poly(text: str, variables: Sequence[str]) -> Poly:
     position of the first fault.
     """
     index = {name: j for j, name in enumerate(check_names(variables))}
+    if not isinstance(text, str):
+        raise ParseError(f"a polynomial must be a string, not {text!r:.30}", 0)
     p = _parse_canonical(text, index)
     return p if p is not None else _Parser(text, index).parse()
 
@@ -1742,11 +1723,11 @@ def poly_to_string(p: Poly, names: Sequence[str] | None = None) -> str:
         raise ValueError("need one name per variable")
     if not p:
         return "0"
-    width, real, imag, den = p._pk
+    width, nums, den = p._pk
     top = (1 << width) - 1
     fields = [(name, width * (nvars - 1 - j)) for j, name in enumerate(names)]
     low = (1 << width * nvars) - 1
-    order = _order_keys(real.keys() | imag.keys() if imag else real, width, nvars)
+    order = _order_keys(nums, width, nvars)
     order.sort(reverse=True)
     out = []
     for k in order:
@@ -1754,18 +1735,17 @@ def poly_to_string(p: Poly, names: Sequence[str] | None = None) -> str:
         monostr = "*".join([
             name if e == 1 else f"{name}^{e}" for name, s in fields if (e := (k >> s) & top)
         ])
-        im = imag.get(k) if imag else None
-        if im:
+        n = nums[k]
+        if type(n) is not int:
+            im = n.imag
             neg = im < 0
             mag = _ratio_text(-im if neg else im, den)
             cs = "i" if mag == "1" else f"{mag}*i"
-            re_num = real.get(k)
-            if re_num:
+            if n.real:
                 # a mixed coefficient keeps its sign inside the parentheses
-                cs = f"({_ratio_text(re_num, den)}{'-' if neg else '+'}{cs})"
+                cs = f"({_ratio_text(n.real, den)}{'-' if neg else '+'}{cs})"
                 neg = False
         else:
-            n = real[k]
             neg = n < 0
             cs = _ratio_text(-n if neg else n, den)
             if cs == "1" and monostr:

@@ -567,23 +567,30 @@ def test_matrix_lab_rejects_non_square(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "names, entries",
+    "data, message",
     [
-        (["z1", "z2"], []),
-        (["z1", "z2"], [[]]),
-        (["z1"], ["1"]),  # the string row must not read as the 1x1 matrix (1)
-        (["z1", "z2"], "z1"),
-        (["z1", "z2"], [["z1", "z2"], ["z1"]]),
-        (["z1", "z1"], [["z1", "z1"], ["z1", "z1"]]),
+        ({"vars": ["z1", "z2"], "entries": []}, "at least one row"),
+        ({"vars": ["z1", "z2"], "entries": [[]]}, "must be square"),
+        # the string row must not read as the 1x1 matrix (1)
+        ({"vars": ["z1"], "entries": ["1"]}, "a list of rows, each a list"),
+        ({"vars": ["z1", "z2"], "entries": "z1"}, "a list of rows, each a list"),
+        ({"vars": ["z1", "z2"], "entries": [["z1", "z2"], ["z1"]]}, "must be square"),
+        ({"vars": ["z1", "z1"], "entries": [["z1", "z1"], ["z1", "z1"]]}, "distinct names"),
+        ({"entries": [["z1"]]}, "variables must be a list of distinct names, not i: None"),
+        ({"vars": ["z1"]}, "matrix entries must be a list of rows"),
+        ({"vars": ["z1"], "entries": [[1]]}, "a polynomial must be a string, not 1"),
+        ({"vars": ["z1"], "entries": [[None]]}, "a polynomial must be a string, not None"),
     ],
-    ids=["empty", "empty-row", "row-not-list", "entries-not-list", "ragged", "vars-repeated"],
+    ids=["empty", "empty-row", "row-not-list", "entries-not-list", "ragged", "vars-repeated",
+         "vars-missing", "entries-missing", "entry-a-number", "entry-null"],
 )
-def test_matrix_lab_malformed_entries_are_input_errors(tmp_path, capsys, names, entries):
-    mat = _write(tmp_path, "mat.json", {"vars": names, "entries": entries})
+def test_matrix_lab_malformed_entries_are_input_errors(tmp_path, capsys, data, message):
+    mat = _write(tmp_path, "mat.json", data)
     code = cli.main(["matrix-lab", mat])
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("input error:")
+    assert message in err
     assert "Traceback" not in err
 
 
@@ -604,10 +611,12 @@ def test_matrix_lab_malformed_entries_are_input_errors(tmp_path, capsys, names, 
          "power may expand to more than"),
         ({"variables": ["z1", "z2"], "generators": ["9^999999999*z1", "z2"]},
          "number may exceed 65536 bits (at position 1)"),
+        ({"generators": ["z1", "z2"]}, "variables must be a list of distinct names, not i: None"),
+        ({"variables": ["z1", "z2"]}, "generators must be a list of strings"),
     ],
     ids=["variables-repeated", "variables-string", "variable-not-a-name",
          "generators-string", "generator-not-a-string", "json-array", "nested-parentheses",
-         "oversized-power", "oversized-number"],
+         "oversized-power", "oversized-number", "variables-missing", "generators-missing"],
 )
 def test_malformed_domain_files_are_input_errors(tmp_path, capsys, data, message):
     dom = _write(tmp_path, "domain.json", data)

@@ -787,6 +787,66 @@ def test_edited_derived_payloads_are_judged_by_their_polynomial(source, where, s
         assert res.reason == f"payload does not match the {step['rule']} formula"
 
 
+# -- structural fuzzing of the verifier --------------------------------------
+#
+# One edit of one field of one step of the all-rules certificate, to any JSON
+# value or to nothing at all: reading it raises only ValueError, replaying it
+# returns a verdict, and it is accepted only where the certificate still
+# says the same thing.
+
+JSON_SCALARS = (st.none() | st.booleans() | st.integers(-10**30, 10**30) | st.floats()
+                | st.sampled_from(["1/0", "3/2", "1", "1/8", "0", "z1"]))
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+DELETED = object()
+
+
+def _same_inputs(steps, old, new):
+    """Whether the input lists name multipliers of the same kind, payload
+    and order: steps 2 and 3 of the all-rules certificate are one multiplier."""
+    def seen(ids):
+        return [(RULES[steps[i]["rule"]].kind, steps[i]["payload"], steps[i]["order"]) for i in ids]
+
+    return seen(old) == seen(new)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_structural_edits_are_refused_or_harmless(data):
+    dom, cert = _all_rules()
+    k = data.draw(st.integers(0, len(cert["steps"]) - 1), label="step")
+    step = cert["steps"][k]
+    field = data.draw(st.sampled_from(
+        ["id", "rule", "inputs", "order", "payload", "paper_ref",
+         *(f"aux.{name}" for name in sorted(step.get("aux", {}))), "aux.unread"]), label="field")
+    value = data.draw(st.just(DELETED) | JSON_SCALARS | JSON_VALUES, label="value")
+    edited = json.loads(json.dumps(cert))
+    where, key = edited["steps"][k], field
+    if field.startswith("aux."):
+        # a deletion from a step without aux leaves it without aux
+        where, key = (where.get("aux", {}) if value is DELETED else where.setdefault("aux", {})), field[4:]
+    if value is DELETED:
+        where.pop(key, None)
+    else:
+        where[key] = value
+    assume(json.dumps(edited) != json.dumps(cert))
+    try:
+        read = DerivationCertificate.from_json(edited)
+    except ValueError:
+        return
+    res = certificate_verify(read, dom)
+    assert isinstance(res, VerifyResult)
+    if res.ok:
+        rule = RULES[step["rule"]]
+        assert (field == "paper_ref"
+                or (field.startswith("aux.") and key not in rule.aux)
+                or (field == "order" and rule.order is None and 0 < parse_order(value) <= 1)
+                or (field == "inputs" and _same_inputs(cert["steps"], step["inputs"], value))), field
+
+
 # -- self-verification on the printed polynomials ----------------------------
 #
 # The emitter's self-verification hands `certificate_verify` the polynomials

@@ -199,6 +199,13 @@ def test_parse_errors_name_their_position(text, message, position):
     assert err.value.position == position
 
 
+@pytest.mark.parametrize("text, shown", [(3, "3"), (None, "None"), (["z1"], "['z1']")])
+def test_parse_poly_refuses_text_that_is_not_a_string(text, shown):
+    with pytest.raises(ParseError) as err:
+        parse_poly(text, ["z1"])
+    assert str(err.value) == f"a polynomial must be a string, not {shown} (at position 0)"
+
+
 def test_parser_limits_parenthesis_nesting():
     z1 = Poly.variable(2, 1)
     deepest = "(" * MAX_NESTING + "z1" + ")" * MAX_NESTING

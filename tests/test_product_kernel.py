@@ -41,6 +41,7 @@ from kohnmult.polyring import (
     _dict_mul,
     _field_width,
     _int_mul,
+    _mul,
     _operand,
     _parse_canonical,
     _Parser,
@@ -334,9 +335,12 @@ def _p(text):
 
 
 def _packed(p: Poly, q: Poly):
-    """The packed (real, imag) dicts of p and q, in fields that hold p*q."""
+    """The packed numerator dicts of p and q, in fields that hold p*q, each
+    with its (real, imag) pair of int dicts."""
     width = _field_width(p.total_degree() + q.total_degree())
-    return _operand(p, width)[0], _operand(q, width)[0]
+    return [(nums, ({k: c.real for k, c in nums.items() if c.real},
+                    {k: c.imag for k, c in nums.items() if c.imag}))
+            for nums in (_operand(p, width)[0], _operand(q, width)[0])]
 
 
 def _nonzero(d: dict) -> dict:
@@ -389,13 +393,18 @@ def _operands(case):
 @pytest.mark.parametrize("case", sorted(DENSE_CASES))
 def test_dense_classes_match_the_dict_loop(case, dense_calls):
     p, q = _operands(case)
-    (pr, pi), (qr, qi) = _packed(p, p if q is None else q)
+    (pn, (pr, pi)), (qn, (qr, qi)) = _packed(p, p if q is None else q)
     if q is None:
-        qr, qi = pr, pi  # one dict object, as the squares of a power are
+        qn, qr, qi = pn, pr, pi  # one dict object, as the squares of a power are
     for a in (pr, pi):
         for b in (qr, qi):
             if a and b:
                 _check_kernel(a, b)
+    assert dense_calls
+    # the whole one-dict operands, Gaussian numerators and all, take the
+    # dense path too
+    dense_calls.clear()
+    assert _nonzero(_mul(pn, qn)) == _nonzero(_dict_mul(pn, qn, {}))
     assert dense_calls
 
 
