@@ -231,6 +231,8 @@ class DerivationCertificate:
                     raise ValueError(f"step {n} has no field {field!r}")
             if not isinstance(s["inputs"], list):
                 raise ValueError(f"step {n}: inputs must be a list of step ids")
+            if not isinstance(s.get("paper_ref", ""), str):
+                raise ValueError(f"step {n}: paper_ref must be a string")
             cert.steps.append(
                 Step(
                     id=_step_id(s["id"]),
@@ -634,10 +636,10 @@ def certificate_verify(cert: DerivationCertificate, domain: SpecialDomain,
     """Replay a certificate against a domain from its serialized payloads.
 
     Checks, per step and from the step's `RULES` entry: id topology, input
-    kinds and arity, typed aux fields, exact payload recomputation, the side
-    check (root cofactor identities by multiplication), and exact order
-    arithmetic.  Returns the first failure, or the final order plus the list
-    of assumption steps on success.
+    kinds and arity, typed aux fields and no aux key the rule does not read,
+    exact payload recomputation, the side check (root cofactor identities by
+    multiplication), and exact order arithmetic.  Returns the first failure,
+    or the final order plus the list of assumption steps on success.
 
     A payload the rule derives is recomputed from the inputs, after every
     check that comes before the formula, and printed: when the payload
@@ -696,6 +698,9 @@ def certificate_verify(cert: DerivationCertificate, domain: SpecialDomain,
             raise RuleError(f"payload has the wrong arity for a {rule.kind} multiplier")
         if not isinstance(st.aux, dict):
             raise RuleError("aux must be an object")
+        for name in st.aux:
+            if name not in rule.aux:
+                raise RuleError(f"aux {name!r} is not read by the {st.rule} rule")
         aux = {}
         for name, read in rule.aux.items():
             try:

@@ -17,10 +17,10 @@ and sums, products, powers, scaling, derivatives, printing, equality and
 hashing all work on the numerators, so a chain of rule steps builds no
 Fraction.  The ``terms`` dict, one GaussRat per term, is built on its first
 read and kept.  A large product splits the packed keys into residue classes
-modulo their most common gap, multiplies each pair of dense classes as one
-big int with a fixed-width slot per key (Kronecker substitution), the real
-and imaginary parts of Gaussian numerators apart, and the remaining terms
-one by one.  A sum of products, ``dot``, takes each distinct operand once
+modulo their most common gap, multiplies each pair of dense classes as two
+half-size big ints, the classes evaluated at +-2^b with a fixed-width slot
+per key (two-point Kronecker substitution), the real and imaginary parts of
+Gaussian numerators apart, and the remaining terms one by one.  A sum of products, ``dot``, takes each distinct operand once
 at one field width and adds every product's numerators over one common
 denominator; determinants and the multiplier rules' sums of products use
 it.
@@ -474,19 +474,29 @@ class Poly:
 #
 # Small products loop over pairs of terms, Gaussian numerators included.  A
 # large one runs on int dicts: a Gaussian operand splits into its real and
-# imaginary parts, and four int products make the result.  In each, the
-# keys of a weighted-homogeneous operand lie on a few arithmetic
-# progressions: with ``step`` the most common gap between the smaller
-# operand's sorted keys, both operands split into residue classes mod
-# ``step``.  A class of at least _DENSE_MIN_TERMS terms that fills at least
-# half of its span becomes one int, the coefficient of key lo + i*step in slot i, and the product of
-# two such ints is the product of the classes (Kronecker substitution).
-# Every slot of it is a sum of at most len(a) products of coefficients
-# below 2^ba and 2^bb, so w = ba + bb + bits(len(a)) + 1 bits, rounded up
-# to whole bytes, hold it with a sign bit to spare: adding 2^(w-1) to each
-# slot makes all of them non-negative without a carry, and the slots are
-# read back from the bytes.  A dense 2-D image of the same operands would
-# be mostly empty slots, which is why each class is packed on its own.
+# imaginary parts, and three int products make the product of two Gaussian
+# operands, two a Gaussian square.  In each, the keys of a
+# weighted-homogeneous operand lie on a few arithmetic progressions: with
+# ``step`` the most common gap between the smaller operand's sorted keys,
+# both operands split into residue classes mod ``step``.  A class of at
+# least _DENSE_MIN_TERMS terms that fills at least half of its span is a
+# polynomial F(y) = sum(c_i y^i), c_i the coefficient of key lo + i*step, and
+# a pair of them multiplies by two-point Kronecker substitution (D. Harvey,
+# "Faster polynomial multiplication via multipoint Kronecker substitution",
+# J. Symbolic Comput. 44, 2009).  Every coefficient of a product F*G is a sum
+# of at most len(a) products of coefficients below 2^ba and 2^bb, so a slot
+# of B = ba + bb + bits(len(a)) + 1 bits, rounded up to whole bytes, holds it
+# with a sign bit to spare.  Packed at that width, the even- and odd-index
+# coefficients of F are ints Fe and Fo, F(y) = Fe(y^2) + y*Fo(y^2) at
+# y^2 = 2^B, and with b = B/2 the class is evaluated at y = +-2^b as
+# Fe +- (Fo << b).  The two products P+ = F(2^b)G(2^b) and P- = F(-2^b)G(-2^b)
+# are each half the size of F(2^B)G(2^B), and since (y^2)^j = 2^(B*j),
+# (P+ + P-)/2 is the even-index half of F*G and (P+ - P-)/2^(b+1) the odd one,
+# each a polynomial in 2^B whose coefficients fill their slots without a
+# carry: both shifts are exact, and adding 2^(B-1) to each slot of a half
+# makes all of them non-negative without a borrow, so the slots are read back
+# from its bytes.  A dense 2-D image of the same operands would be mostly
+# empty slots, which is why each class is packed on its own.
 
 # Below these sizes (terms of the smaller operand, and pairs of terms) a
 # product multiplies term by term, and so does a residue class of fewer terms
@@ -519,16 +529,29 @@ def _pack(terms: dict, width: int) -> tuple:
 def _mul(a: dict, b: dict) -> dict:
     """Product of two packed numerator dicts, int or _GaussInt values, as a
     fresh dict; zero entries may remain.  Small operands multiply term by
-    term; in large ones the int parts go to _int_mul."""
+    term; in large ones the int parts go to _int_mul, three products for two
+    Gaussian operands and two for a Gaussian square."""
     if min(len(a), len(b)) < _DENSE_MIN_TERMS or len(a) * len(b) < _DENSE_MIN_WORK:
         return _dict_mul(a, b, {})
     ar, ai = _parts(a)
     br, bi = (ar, ai) if b is a else _parts(b)
-    out = _int_mul(ar, br)
-    if ai or bi:
-        _add_into(out, _int_mul(ai, bi), -1)
-        for k, c in _add_into(_int_mul(ar, bi), _int_mul(ai, br), 1).items():
-            out[k] = _zi(out.get(k, 0), c)
+    if not (ai or bi):
+        return _int_mul(ar, br)
+    if b is a:
+        # (ar + ai*i)^2 = (ar + ai)(ar - ai) + 2*ar*ai*i
+        out = _int_mul(_add_into(dict(ar), ai, 1), _add_into(dict(ar), ai, -1))
+        im = _add_into({}, _int_mul(ar, ai), 2)
+    elif ai and bi:
+        # the imaginary part is (ar + ai)(br + bi) - ar*br - ai*bi
+        out, ii = _int_mul(ar, br), _int_mul(ai, bi)
+        im = _int_mul(_add_into(dict(ar), ai, 1), _add_into(dict(br), bi, 1))
+        _add_into(_add_into(im, out, -1), ii, -1)
+        _add_into(out, ii, -1)
+    else:
+        out = _int_mul(ar, br)
+        im = _int_mul(ai, br) if ai else _int_mul(ar, bi)
+    for k, c in im.items():
+        out[k] = _zi(out.get(k, 0), c)
     return out
 
 
@@ -545,7 +568,8 @@ def _int_mul(a: dict, b: dict) -> dict:
     """Product of two packed integer polynomials; zero entries may remain.
 
     Small operands, and the terms outside dense residue classes, multiply
-    term by term; each pair of dense classes multiplies as one big int."""
+    term by term; each pair of dense classes multiplies as two half-size big
+    ints, the classes at 2^b and at -2^b."""
     if len(a) > len(b):
         a, b = b, a
     if len(a) < _DENSE_MIN_TERMS or len(a) * len(b) < _DENSE_MIN_WORK:
@@ -562,29 +586,34 @@ def _int_mul(a: dict, b: dict) -> dict:
         + len(a).bit_length() + 1
     )
     nb = (bits + 7) // 8
-    packed_a = [_pack_class(m, lo, span, step, nb) for lo, span, m in dense_a]
-    packed_b = packed_a if b is a else [
-        _pack_class(m, lo, span, step, nb) for lo, span, m in dense_b
+    points_a = [_class_at_points(m, lo, span, step, nb) for lo, span, m in dense_a]
+    points_b = points_a if b is a else [
+        _class_at_points(m, lo, span, step, nb) for lo, span, m in dense_b
     ]
     out = _dict_mul(rest_a, b, {})
     if rest_b:
         _dict_mul(rest_b, {k: c for _, _, m in dense_a for k, c in m}, out)
     half = 1 << (8 * nb - 1)
     half_bytes = half.to_bytes(nb, "little")
+    shift = 4 * nb + 1
     get = out.get
     from_bytes = int.from_bytes
-    for (lo_a, span_a, _), xa in zip(dense_a, packed_a):
-        for (lo_b, span_b, _), xb in zip(dense_b, packed_b):
+    for (lo_a, span_a, _), (plus_a, minus_a) in zip(dense_a, points_a):
+        for (lo_b, span_b, _), (plus_b, minus_b) in zip(dense_b, points_b):
             n = span_a + span_b - 1
-            # the bias lifts every slot into [0, 2^(8 nb)): no slot borrows
-            z = xa * xb + from_bytes(half_bytes * n, "little")
-            raw = z.to_bytes(n * nb, "little")
-            k = lo_a + lo_b
-            for i in range(0, n * nb, nb):
-                c = from_bytes(raw[i:i + nb], "little") - half
-                if c:
-                    out[k] = get(k, 0) + c
-                k += step
+            plus, minus = plus_a * plus_b, minus_a * minus_b
+            halves = (plus + minus) >> 1, (plus - minus) >> shift
+            del plus, minus
+            for h, z in enumerate(halves):
+                count = (n + 1 - h) // 2
+                # the bias lifts every slot into [0, 2^(8 nb)): no slot borrows
+                raw = (z + from_bytes(half_bytes * count, "little")).to_bytes(count * nb, "little")
+                k = lo_a + lo_b + h * step
+                for i in range(0, count * nb, nb):
+                    c = from_bytes(raw[i:i + nb], "little") - half
+                    if c:
+                        out[k] = get(k, 0) + c
+                    k += 2 * step
     return out
 
 
@@ -619,9 +648,11 @@ def _dense_classes(terms: dict, step: int):
     return dense, rest
 
 
-def _pack_class(members: list, lo: int, span: int, step: int, nb: int) -> int:
-    """The class as one int, coefficient of key lo + i*step in slot i of
-    ``nb`` bytes: sum(c_i * 2^(8*nb*i))."""
+def _class_at_points(members: list, lo: int, span: int, step: int, nb: int) -> tuple:
+    """(F(2^b), F(-2^b)) for the class as the polynomial F(y) = sum(c_i y^i),
+    c_i the coefficient of key lo + i*step and b = 4*nb: its even- and
+    odd-index coefficients each packed in slots of ``nb`` bytes, Fe and Fo,
+    give Fe + (Fo << b) and Fe - (Fo << b)."""
     zero = bytes(nb)
     pos, neg = [zero] * span, [zero] * span
     for k, c in members:
@@ -629,7 +660,10 @@ def _pack_class(members: list, lo: int, span: int, step: int, nb: int) -> int:
             pos[(k - lo) // step] = c.to_bytes(nb, "little")
         elif c < 0:
             neg[(k - lo) // step] = (-c).to_bytes(nb, "little")
-    return int.from_bytes(b"".join(pos), "little") - int.from_bytes(b"".join(neg), "little")
+    even, odd = (int.from_bytes(b"".join(pos[h::2]), "little")
+                 - int.from_bytes(b"".join(neg[h::2]), "little") for h in (0, 1))
+    odd <<= 4 * nb
+    return even + odd, even - odd
 
 
 def _add_into(x: dict, y: dict, sign: int) -> dict:

@@ -492,6 +492,9 @@ MALFORMED_AUX = {
     "gamma-short-rows": _set_aux(
         "general_gamma", lambda s: s["aux"].update(gamma=[r[:-1] for r in s["aux"]["gamma"]])
     ),
+    # a key the rule does not read, on a step with no aux and next to valid ones
+    "det-unread-key": _set_aux("det", lambda s: s.setdefault("aux", {}).update(unread=[1e308, None])),
+    "root-unread-key": _set_aux("root", lambda s: s["aux"].update(unread="z1")),
 }
 
 
@@ -501,6 +504,23 @@ def test_malformed_aux_is_rejected_at_its_step(case):
     k = MALFORMED_AUX[case](data)
     res = _replay(dom, data)
     assert (res.ok, res.failed_step) == (False, k), res.reason
+
+
+@pytest.mark.parametrize("rule", ["det", "differential", "root"])
+def test_unread_aux_key_is_named_in_the_refusal(rule):
+    dom, data = _all_rules()
+    k = _set_aux(rule, lambda s: s.setdefault("aux", {}).update(extra=1))(data)
+    res = _replay(dom, data)
+    assert (res.ok, res.failed_step) == (False, k)
+    assert res.reason == f"aux 'extra' is not read by the {rule} rule"
+
+
+@pytest.mark.parametrize("value", [{"a": [1, None]}, 3, None, ["Kohn 1979"]])
+def test_paper_ref_must_be_a_string(value):
+    _, data = _all_rules()
+    data["steps"][3]["paper_ref"] = value
+    with pytest.raises(ValueError, match="step 3: paper_ref must be a string"):
+        DerivationCertificate.from_json(data)
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED_AUX))
@@ -842,7 +862,6 @@ def test_structural_edits_are_refused_or_harmless(data):
     if res.ok:
         rule = RULES[step["rule"]]
         assert (field == "paper_ref"
-                or (field.startswith("aux.") and key not in rule.aux)
                 or (field == "order" and rule.order is None and 0 < parse_order(value) <= 1)
                 or (field == "inputs" and _same_inputs(cert["steps"], step["inputs"], value))), field
 

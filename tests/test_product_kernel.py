@@ -11,9 +11,11 @@ the comparisons with it are skipped where it is absent.
 the common field width once and every product added in packed form.  It is checked against the sum of `Poly`
 products, which runs without sympy, and against sympy.
 
-Large products multiply dense residue classes of packed keys as big ints.
-That path is checked against the term-by-term loop it bypasses, which runs
-without sympy, and against sympy on weighted-homogeneous binomial powers.
+Large products multiply dense residue classes of packed keys as big ints,
+each pair of classes at the two points 2^b and -2^b.  That path is checked
+against the term-by-term loop it bypasses, which runs without sympy, on
+seeded and Hypothesis-drawn operands, Gaussian ones through `_mul` too, and
+against sympy on weighted-homogeneous binomial powers.
 
 `parse_poly` reads real canonical text on a fast path of string splits and
 everything else, Gaussian text included, with the recursive-descent parser.
@@ -24,6 +26,7 @@ near-canonical text it answers None or the parser's polynomial.
 
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
@@ -326,8 +329,9 @@ def test_sums_of_products_of_very_different_degree(nv):
 # -- dense residue classes ----------------------------------------------------
 #
 # Large products multiply each pair of dense residue classes of packed keys as
-# one big int, and the rest term by term.  These tests compare that path with
-# the term-by-term loop on the same packed dicts, and Poly products with sympy.
+# two half-size big ints, the classes at 2^b and at -2^b, and the rest term by
+# term.  These tests compare that path with the term-by-term loop on the same
+# packed dicts, and Poly products with sympy.
 
 
 def _p(text):
@@ -353,16 +357,16 @@ def _check_kernel(a: dict, b: dict):
 
 @pytest.fixture
 def dense_calls(monkeypatch):
-    """Every call of _pack_class, so that a silent fall-back to the
+    """Every call of _class_at_points, so that a silent fall-back to the
     term-by-term loop shows."""
     calls = []
-    pack = polyring._pack_class
+    pack = polyring._class_at_points
 
     def counting(*args):
         calls.append(args)
         return pack(*args)
 
-    monkeypatch.setattr(polyring, "_pack_class", counting)
+    monkeypatch.setattr(polyring, "_class_at_points", counting)
     return calls
 
 
@@ -464,6 +468,68 @@ def test_slots_at_their_width_hold_without_carry(nbits, sign, dense_calls):
     _check_kernel(a, a)
     assert max(map(abs, _int_mul(a, b).values())) == 255 * top * top
     assert dense_calls
+
+
+@st.composite
+def _dense_operands(draw, step, top):
+    """Up to three residue classes mod ``step`` in key ranges of their own,
+    each spanning up to 130 slots with at most a quarter of them empty, so
+    that ``step`` stays the most common gap, and up to three keys in a class
+    of their own; the first class holds 64 terms or more, so that two
+    operands make _DENSE_MIN_WORK pairs, and the others 16 or more;
+    nonzero coefficients of both signs, mostly +-top."""
+    coefficient = st.sampled_from((top, -top)) | st.integers(1, top) | st.integers(-top, -1)
+    residues = draw(st.lists(st.integers(0, step - 1), min_size=1, max_size=min(step, 4), unique=True))
+    d = {}
+    for j, r in enumerate(residues[:3]):
+        least = 64 if j == 0 else polyring._DENSE_MIN_TERMS
+        span = draw(st.integers(least, 130))
+        holes = draw(st.sets(st.integers(1, span - 2), max_size=min(span - least, span // 4)))
+        cs = draw(st.lists(coefficient, min_size=span, max_size=span))
+        d.update({(j * 1000 + i) * step + r: c for i, c in enumerate(cs) if i not in holes})
+    if len(residues) == 4:
+        for _ in range(draw(st.integers(1, 3))):
+            d[draw(st.integers(0, 10**4)) * step + residues[3]] = draw(coefficient)
+    return d
+
+
+def _kernel_inputs(data):
+    """(top, draw of an operand) for one step and one coefficient width."""
+    step = data.draw(st.sampled_from((1, 2, 7, 64)) | st.integers(1, 9000), label="step")
+    top = (1 << data.draw(st.sampled_from((1, 28, 60, 64, 200)), label="bits")) - 1
+    return top, (lambda: data.draw(_dense_operands(step, top)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_two_point_products_match_the_dict_loop(data):
+    # spans of both parities, so an output count span_a + span_b - 1 of each,
+    # slots at their width's edge, and squares of one dict object
+    _, operand = _kernel_inputs(data)
+    a = operand()
+    b = a if data.draw(st.booleans(), label="square") else operand()
+    with mock.patch.object(polyring, "_class_at_points", wraps=polyring._class_at_points) as spy:
+        _check_kernel(a, b)
+    assert spy.called
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_gaussian_products_match_the_dict_loop(data):
+    # three int products for two Gaussian operands, two for a Gaussian square
+    top, operand = _kernel_inputs(data)
+
+    def gaussian():
+        return {k: polyring._zi(c, data.draw(st.integers(-top, top))) for k, c in operand().items()}
+
+    a = gaussian()
+    b = data.draw(st.sampled_from(("gaussian", "square", "real")), label="right")
+    b = {"gaussian": gaussian, "square": lambda: a, "real": operand}[b]()
+    if data.draw(st.booleans(), label="swap"):
+        a, b = b, a
+    with mock.patch.object(polyring, "_class_at_points", wraps=polyring._class_at_points) as spy:
+        assert _nonzero(_mul(a, b)) == _nonzero(_dict_mul(a, b, {}))
+    assert spy.called
 
 
 # -- parsing -----------------------------------------------------------------
