@@ -25,7 +25,6 @@ from .groebner import (
     groebner_basis,
     ideal_membership,
     least_power,
-    power_in_ideal,
     quotient_dimension,
     radical_membership,
 )
@@ -172,9 +171,10 @@ def run_ineffective_trace(params: CDParams, power_cap: int | None = None) -> Ine
 
     # certified power bounds for z1 against J1
     upper = 2 * (m + k - 1)
-    if not power_in_ideal(z1, upper, gb1):
+    p1 = least_power([z1], gb1, upper)
+    if p1 is None:
         raise VerificationError("stage 2: upper power certificate failed")
-    p1_exact = least_power([z1], gb1, power_cap)
+    p1_exact = p1 if p1 <= power_cap else None
     if p1_exact is None:
         # z1^p in J1 puts it in the benchmark ideal too, so p >= M+K-2
         p1_lower = max(power_cap + 1, m + k - 2)
@@ -345,7 +345,7 @@ def run_effective_chain(params: CDParams) -> EffectiveChain:
     count = sum(
         1
         for s in der.cert.steps
-        if s.rule in ("det",) and not _is_constant_payload(s.payload)
+        if s.rule == "det" and not all(p.is_constant() for p in der.printed[s.id][1])
     )
     if count != n + 2:
         raise VerificationError(f"differentiation count {count} should be N+2")
@@ -358,11 +358,6 @@ def run_effective_chain(params: CDParams) -> EffectiveChain:
         differentiation_count=count,
         h_payloads=tuple(h_payloads),
     )
-
-
-def _is_constant_payload(payload) -> bool:
-    # payload entries are canonical strings; constants carry no variable
-    return all("z" not in s for s in payload)
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,8 @@ processing order this makes every computation in the package reproducible
 byte for byte.  Buchberger's running basis, and a basis on its first normal
 form, are packed once as ``polyring.Divisors``: integer order keys and
 integer numerators with the leading terms split off, pseudo-divided on a
-heap of keys.  The power scans keep their normal forms there too.
+heap of keys.  One ascending power scan, :func:`least_power`, keeps its
+normal forms there too and stops at the least power in the ideal.
 
 Ideal-theoretic operations used by the multiplier algorithms live here as
 well: normal forms with cofactor tracking, vector-space dimension of the
@@ -237,43 +238,18 @@ def standard_monomials(gens_or_gb):
     return out
 
 
-def power_in_ideal(p: Poly, s: int, gens_or_gb) -> bool:
-    """Whether p^s lies in the ideal, via squaring of normal forms.
-
-    The normal form map is the projection onto the quotient ring, so
-    NF(p^s) can be built from NF(p) by square-and-multiply with a reduction
-    after every product; the huge intermediate power is never expanded.
-    The normal forms stay packed in the basis' ``Divisors``, up to a
-    constant, which a zero test ignores.
-    """
-    if s < 1:
-        raise ValueError("power must be >= 1")
-    div = _as_gb(gens_or_gb)._divisors
-    r = div.times(div.encode(p), div.encode(Poly.one(p.nvars)))
-    acc = None
-    while r is not None:
-        if s & 1:
-            acc = r if acc is None else div.times(acc, r)
-            if acc is None:
-                return True
-        s >>= 1
-        if not s:
-            return False
-        # a set bit remains, so a zero square makes the final product zero
-        r = div.times(r, r)
-    return True
-
-
 def least_power(gens: Sequence[Poly], gens_or_gb, cap: int):
     """Least s <= cap with every s-fold product of ``gens`` in the ideal, else
     None: for one element its least power, for the variables the least m^s.
 
-    One ascending scan over s.  Layer s holds the nonzero normal forms of the
-    s-fold products, taken as multisets: a product is extended only by
-    generators at or after its last factor.  NF(NF(p)*g) = NF(p*g), and a
-    product in the ideal stays there when extended, so the first empty layer
-    is the least s.  The normal forms stay packed in the basis' ``Divisors``,
-    up to a constant, which a zero test ignores.
+    The package's one power scan, ascending over s and stopping at the least
+    power; :func:`power_in_ideal` is its yes-or-no form.  Layer s holds the
+    nonzero normal forms of the s-fold products, taken as multisets: a
+    product is extended only by generators at or after its last factor.
+    NF(NF(p)*g) = NF(p*g), and a product in the ideal stays there when
+    extended, so the first empty layer is the least s.  The normal forms stay
+    packed in the basis' ``Divisors``, up to a constant, which a zero test
+    ignores.
     """
     if cap < 1:
         raise ValueError("cap must be >= 1")
@@ -296,6 +272,12 @@ def least_power(gens: Sequence[Poly], gens_or_gb, cap: int):
             return s
         layer = nxt
     return None
+
+
+def power_in_ideal(p: Poly, s: int, gens_or_gb) -> bool:
+    """Whether p^s lies in the ideal: p^t in I for some t <= s exactly when
+    p^s is, so this is the scan of :func:`least_power` capped at s."""
+    return least_power([p], gens_or_gb, s) is not None
 
 
 def radical_membership(p: Poly, gens: Sequence[Poly]) -> bool:

@@ -40,12 +40,12 @@ class RadicalRoundState:
     p_nu: int | None
     flags: dict
 
-    def to_json(self) -> dict:
+    def to_json(self, names) -> dict:
         return {
             "nu": self.nu,
-            "V": [poly_to_string(p) for p in self.V],
-            "J": [poly_to_string(p) for p in self.J.gens],
-            "I": [poly_to_string(p) for p in self.I_gens],
+            "V": [poly_to_string(p, names) for p in self.V],
+            "J": [poly_to_string(p, names) for p in self.J.gens],
+            "I": [poly_to_string(p, names) for p in self.I_gens],
             "p": self.p_nu,
             "flags": {k: bool(v) for k, v in sorted(self.flags.items())},
         }
@@ -75,7 +75,7 @@ class FullRadicalOutcome:
             "domain": self.domain.to_json(),
             "caps": dict(self.caps),
             "generator_level": True,
-            "rounds": [r.to_json() for r in self.trace],
+            "rounds": [r.to_json(self.domain.variables) for r in self.trace],
             "terminated": self.terminated,
             "nu_star": self.nu_star,
             "p_list": list(self.p_list),

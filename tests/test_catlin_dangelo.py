@@ -91,10 +91,23 @@ def test_radical_content_depends_on_M():
 
 
 def test_power_cap_reports_honest_lower_bound():
-    t = run_ineffective_trace(CDParams(2, 3, 9), power_cap=8)
+    params = CDParams(2, 3, 9)
+    t = run_ineffective_trace(params, power_cap=8)
     assert t.p1_exact is None
     assert t.p1_lower == 9
     assert t.p1_upper == 2 * (2 + 9 - 1)
+    # one scan up to p1_upper serves every cap: exact at p1, a lower bound
+    # just below it, and a cap past p1_upper reports as the default run
+    full = run_ineffective_trace(params)
+    p1 = full.p1_exact
+    assert p1 is not None and p1 < t.p1_upper
+    at = run_ineffective_trace(params, power_cap=p1)
+    assert at.p1_exact == at.p1_lower == p1
+    below = run_ineffective_trace(params, power_cap=p1 - 1)
+    assert below.p1_exact is None and below.p1_lower == p1
+    above = run_ineffective_trace(params, power_cap=t.p1_upper + 5)
+    assert above.p1_exact == p1 and above.p1_lower == p1
+    assert {**above.to_json(), "power_cap": full.power_cap} == full.to_json()
 
 
 def test_capped_lower_bound_keeps_the_benchmark_bound():

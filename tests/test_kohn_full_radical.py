@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -40,6 +41,15 @@ def test_linear_domain_terminates_in_one_round():
     assert out.order_bound == Fraction(1, 4)
     assert len(out.trace) == 1
     assert out.flags == ()
+
+
+def test_trace_prints_the_domain_variable_names():
+    # the rounds print V, J and I in the domain's names, as its domain block does
+    xy = run_full_radical(SpecialDomain.from_strings(("x", "y"), ["x^2", "y^3 + y*x^4"]))
+    z = run_full_radical(_dom(["z1^2", "z2^3 + z2*z1^4"]))
+    assert len(z.trace) == 3
+    renamed = re.sub(r"\bz2\b", "y", re.sub(r"\bz1\b", "x", z.dumps()))
+    assert xy.dumps() == renamed
 
 
 def test_square_domain_terminates():

@@ -1,9 +1,10 @@
-"""The power scans and exact quotients on integer numerators.
+"""The power scan and exact quotients on integer numerators.
 
-`groebner.least_power` and `groebner.power_in_ideal` keep each running
-normal form as a key dict of the basis' `polyring.Divisors`, up to a
-positive constant: products come from the packed kernel on order keys and
-reductions from `Divisors.reduce`, which pseudo-divides.  The references in
+`groebner.least_power`, the one power scan (`groebner.power_in_ideal` is
+its yes-or-no form), keeps each running normal form as a key dict of the
+basis' `polyring.Divisors`, up to a positive constant: products come from
+the packed kernel on order keys and reductions from `Divisors.reduce`,
+which pseudo-divides.  The references in
 `oracles` multiply Polys and take exact normal forms, so every answer must
 agree: over Q and Q(i), under graded lex and elim(k), and where a product
 outgrows the width the basis was packed at.  `GroebnerBasis.cofactors` and
@@ -81,12 +82,13 @@ def test_power_in_ideal_matches_the_reference(nv, seed, split, gaussian):
 
 def test_scans_widen_past_the_basis_width():
     # (z1^2 - z2, z2^3) packs at 3-bit fields, which hold degree 3; the
-    # products of z1 + z2 reach degree 4 and more before they reduce
+    # products of z1 + z2^2 reach degree 4 and more before they reduce, under
+    # graded lex and elim(1) alike (those of z1 + z2 stay inside under elim(1))
     names = ["z1", "z2"]
     for splits in ((), (1,)):
         gb = groebner_basis([parse_poly(t, names) for t in ("z1^2 - z2", "z2^3")], splits)
         width = gb._divisors.width
-        probe = parse_poly("z1 + z2", names)
+        probe = parse_poly("z1 + z2^2", names)
         fresh = groebner_basis(list(gb.gens), splits)
         assert least_power([probe], gb, 8) == least_power_reference([probe], fresh, 8) == 6
         assert power_in_ideal(probe, 6, gb) and not power_in_ideal(probe, 5, gb)
